@@ -1,10 +1,12 @@
 """Command-line surface: deterministic CSV/JSON artifacts for each tool.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 domain error
-(gapless point, degenerate input, finite-difference failure).  Angles
-are radians, given either as decimals or as exact multiples of pi
-("pi/4", "-pi/2", "1.5pi"), so special points are not blurred by
-rounding.  Grid scans honor the QWGEOM_WORKERS environment variable.
+Exit codes: 0 success, 2 usage error (argparse, including a non-finite
+angle), 3 domain error (gapless point, degenerate input,
+finite-difference failure).  Angles are radians, given either as
+decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
+special points are not blurred by rounding.  A family's angle flags
+are its model's field names.  Grid scans honor the QWGEOM_WORKERS
+environment variable.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import math
 import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from . import emit
 from .errors import QwGeomError
 from .holonomy import (TangentVector, latitude_loop, parallel_transport,
                        quantum_geometric_tensor, solid_angle, sphere_point)
-from .models import TWO_ANGLE_FAMILIES, WalkModel, make_model
+from .models import FAMILY_CLASSES, TWO_ANGLE_FAMILIES, WalkModel, make_model
 from .spin import bloch_sphere_state
 from .topology import find_dirac_points, scan_gap, winding_number
 from .utils import fold_angle
@@ -33,25 +36,31 @@ _PI_FORM = re.compile(
 
 _BAND = {"plus": +1, "minus": -1}
 
+# Every family's angle field names, each also a CLI flag.
+_ANGLE_FLAGS = tuple(dict.fromkeys(
+    f.name for cls in FAMILY_CLASSES.values() for f in fields(cls)))
+
 
 def parse_angle(text: str) -> float:
-    """Angle in radians from a decimal or an exact pi-multiple string."""
+    """Finite angle in radians from a decimal or an exact pi-multiple string."""
     s = text.strip().lower().replace(" ", "")
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
-        pass
-    m = _PI_FORM.match(s)
-    if m is None:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse angle {text!r} (use a decimal or forms like "
-            "pi/4, -pi/2, 1.5pi)")
-    sign = -1.0 if m.group(1) == "-" else 1.0
-    coef = float(m.group(2)) if m.group(2) else 1.0
-    den = float(m.group(3)) if m.group(3) else 1.0
-    if den == 0.0:
-        raise argparse.ArgumentTypeError("zero denominator in angle")
-    return sign * coef * math.pi / den
+        m = _PI_FORM.match(s)
+        if m is None:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse angle {text!r} (use a decimal or forms like "
+                "pi/4, -pi/2, 1.5pi)")
+        sign = -1.0 if m.group(1) == "-" else 1.0
+        coef = float(m.group(2)) if m.group(2) else 1.0
+        den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0.0:
+            raise argparse.ArgumentTypeError("zero denominator in angle")
+        value = sign * coef * math.pi / den
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle {text!r} is not finite")
+    return value
 
 
 def _positive_float(text: str) -> float:
@@ -96,13 +105,10 @@ def _transport_steps(text: str) -> int:
     return value
 
 
-def _add_model_args(sp: argparse.ArgumentParser,
-                    families=("standard", "noncommuting", "splitstep")):
+def _add_model_args(sp: argparse.ArgumentParser, families=tuple(FAMILY_CLASSES)):
     sp.add_argument("--family", required=True, choices=families)
-    sp.add_argument("--theta", type=parse_angle, default=None)
-    sp.add_argument("--phi", type=parse_angle, default=None)
-    sp.add_argument("--theta1", type=parse_angle, default=None)
-    sp.add_argument("--theta2", type=parse_angle, default=None)
+    for name in _ANGLE_FLAGS:
+        sp.add_argument(f"--{name}", type=parse_angle, default=None)
 
 
 def _add_out(sp: argparse.ArgumentParser):
@@ -112,26 +118,15 @@ def _add_out(sp: argparse.ArgumentParser):
 
 def _build_model(parser: argparse.ArgumentParser,
                  args: argparse.Namespace) -> WalkModel:
-    family = args.family
-    if family == "standard":
-        if args.theta is None:
-            parser.error("standard family needs --theta")
-        if args.phi is not None and args.phi != 0.0:
-            parser.error("standard family takes --phi 0 only")
-        if args.theta1 is not None or args.theta2 is not None:
-            parser.error("standard family takes --theta (not --theta1/2)")
-        return make_model(family, (args.theta,))
-    if family == "noncommuting":
-        if args.theta is None or args.phi is None:
-            parser.error("noncommuting family needs --theta and --phi")
-        if args.theta1 is not None or args.theta2 is not None:
-            parser.error("noncommuting family takes --theta/--phi")
-        return make_model(family, (args.theta, args.phi))
-    if args.theta1 is None or args.theta2 is None:
-        parser.error("splitstep family needs --theta1 and --theta2")
-    if args.theta is not None or args.phi is not None:
-        parser.error("splitstep family takes --theta1/--theta2")
-    return make_model(family, (args.theta1, args.theta2))
+    names = [f.name for f in fields(FAMILY_CLASSES[args.family])]
+    given = {n: getattr(args, n) for n in _ANGLE_FLAGS
+             if getattr(args, n) is not None}
+    if args.family == "standard" and given.get("phi") == 0.0:
+        del given["phi"]  # a standard walk is the noncommuting one at phi = 0
+    if set(given) != set(names):
+        parser.error(f"{args.family} family takes "
+                     + " ".join(f"--{n}" for n in names))
+    return make_model(args.family, [given[n] for n in names])
 
 
 def _k_grid(n: int) -> np.ndarray:

@@ -1,26 +1,32 @@
 """One-dimensional discrete-time quantum walk families.
 
-Three coined walks on the line, each defined by its one-step operator
-U = (shift) x (coin rotations).  In momentum space the shift is
-T(k) = diag(e^{+ik}, e^{-ik}) and the split-step variant uses the two
-partial shifts T_H(k) = diag(e^{+ik}, 1) and T_V(k) = diag(1, e^{-ik}).
+Three coined walks on the line.  Each family is declared once, as a
+frozen dataclass whose fields are its coin angles, and its step_ops()
+lists in order of action the coins (2x2 matrices) and spin-dependent
+shifts of one step.  A shift is a pair (du, dv): the sites moved by the
+upper and by the lower spin component.  The full shift is (1, -1), with
+momentum-space form T(k) = diag(e^{+ik}, e^{-ik}); the split-step
+family uses the partial shifts (0, -1) and (1, 0), i.e.
+T_V(k) = diag(1, e^{-ik}) and T_H(k) = diag(e^{+ik}, 1).  The momentum
+unitary U(k), the position-space step (walk.step) and the CLI angle
+flags are all derived from that declaration.
+
 Every family's U(k) is an SU(2) element, so it can be written as
 exp(-i E(k) n(k) . sigma) with quasi-energy E in [0, pi] and a unit
-Bloch vector n(k).  This module provides the unitaries, the dispersion
-cos E(k), the (unnormalized) Bloch components, and the band gap.
-
-The unnormalized components N(k) defined by
+Bloch vector n(k).  Each family also carries closed forms for the
+dispersion cos E(k) and the (unnormalized) Bloch components, the fast
+paths used by scans; the unnormalized components N(k) defined by
 U(k) = cos E - i (N . sigma) satisfy |N(k)| = sin E(k) identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import GaplessPointError
-from .spin import rotation_x, rotation_y
+from .spin import IDENTITY_2, rotation_x, rotation_y
 from .utils import canonical_angle
 
 DIRECTION_NORM_TOL = 1e-12
@@ -101,22 +107,39 @@ def splitstep_cos_energy(theta1, theta2, k):
     return np.cos(k) * np.cos(t1) * np.cos(t2) - np.sin(t1) * np.sin(t2)
 
 
-def _left_mul_diag(phase_upper, phase_lower, mats):
-    """diag(phase_upper, phase_lower) @ mats, broadcasting over a batch."""
-    mats = np.asarray(mats, dtype=complex)
-    row0 = np.asarray(phase_upper)[..., None] * mats[..., 0, :]
-    row1 = np.asarray(phase_lower)[..., None] * mats[..., 1, :]
-    return np.stack([row0, row1], axis=-2)
+# Spin-dependent shifts (du, dv): the sites moved by the upper (H) and by
+# the lower (V) spin component.
+SHIFT = (1, -1)
+SHIFT_V = (0, -1)
+SHIFT_H = (1, 0)
 
 
 class WalkModel:
-    """Shared behavior of the three walk families.
+    """Everything a walk family derives from its declaration.
 
-    Subclasses provide bloch_numerators, cos_energy and momentum_unitaries;
-    normalization, quasi-energy, gap and the scalar unitary live here.
+    A family is a frozen dataclass subclass whose fields are its coin
+    angles, sets its closed forms numerators(*angles, k) and
+    dispersion(*angles, k) as static class attributes, and lists its step
+    in step_ops().  Angles are canonicalised here, and the momentum
+    unitary is folded from step_ops().
     """
 
     family = "abstract"
+    numerators = None
+    dispersion = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               canonical_angle(getattr(self, f.name)))
+
+    @property
+    def angles(self) -> tuple[float, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def step_ops(self) -> tuple:
+        """Coins (2x2 arrays) and shifts (du, dv), in the order they act."""
+        raise NotImplementedError
 
     def quasi_energy(self, k):
         """Quasi-energy band E(k) in [0, pi] (element-wise arccos)."""
@@ -148,13 +171,26 @@ class WalkModel:
         return self.momentum_unitaries(np.asarray([float(k)]))[0]
 
     def bloch_numerators(self, k):
-        raise NotImplementedError
+        return self.numerators(*self.angles, k)
 
     def cos_energy(self, k):
-        raise NotImplementedError
+        return self.dispersion(*self.angles, k)
 
     def momentum_unitaries(self, ks):
-        raise NotImplementedError
+        """U(k) for every momentum in ks, shape ks.shape + (2, 2).
+
+        Folds step_ops(): a coin left-multiplies, and a shift (du, dv)
+        left-multiplies by diag(e^{i du k}, e^{i dv k}).
+        """
+        ks = np.asarray(ks, dtype=float)
+        u = np.broadcast_to(IDENTITY_2, ks.shape + (2, 2))
+        for op in self.step_ops():
+            if isinstance(op, tuple):
+                phases = np.exp(1j * np.multiply.outer(ks, op))
+                u = phases[..., None] * u
+            else:
+                u = op @ u
+        return u
 
 
 @dataclass(frozen=True)
@@ -164,61 +200,31 @@ class StandardWalk(WalkModel):
     theta: float
 
     family = "standard"
+    numerators = staticmethod(standard_numerators)
+    dispersion = staticmethod(standard_cos_energy)
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", canonical_angle(self.theta))
-
-    @property
-    def angles(self) -> tuple[float, ...]:
-        return (self.theta,)
-
-    def bloch_numerators(self, k):
-        return standard_numerators(self.theta, k)
-
-    def cos_energy(self, k):
-        return standard_cos_energy(self.theta, k)
-
-    def momentum_unitaries(self, ks):
-        ks = np.asarray(ks, dtype=float)
-        phase = np.exp(1j * ks)
-        return _left_mul_diag(phase, np.conj(phase), rotation_y(self.theta))
+    def step_ops(self):
+        return (rotation_y(self.theta), SHIFT)
 
 
 @dataclass(frozen=True)
 class NonCommutingWalk(WalkModel):
     """Shift times two non-commuting coins: U(k) = T(k) R_y(theta) R_x(phi).
 
-    R_x acts first on the state, then R_y, then the spin-dependent shift.
-    Setting phi = 0 recovers StandardWalk(theta) exactly.
+    R_x acts first on the state, then R_y, then the spin-dependent shift;
+    the two are declared as their product, one coin.  Setting phi = 0
+    recovers StandardWalk(theta) exactly.
     """
 
     theta: float
     phi: float
 
     family = "noncommuting"
+    numerators = staticmethod(noncommuting_numerators)
+    dispersion = staticmethod(noncommuting_cos_energy)
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", canonical_angle(self.theta))
-        object.__setattr__(self, "phi", canonical_angle(self.phi))
-
-    @property
-    def angles(self) -> tuple[float, ...]:
-        return (self.theta, self.phi)
-
-    def coeffs(self) -> tuple[float, float, float, float]:
-        return angular_coeffs(self.theta, self.phi)
-
-    def bloch_numerators(self, k):
-        return noncommuting_numerators(self.theta, self.phi, k)
-
-    def cos_energy(self, k):
-        return noncommuting_cos_energy(self.theta, self.phi, k)
-
-    def momentum_unitaries(self, ks):
-        ks = np.asarray(ks, dtype=float)
-        phase = np.exp(1j * ks)
-        coin = rotation_y(self.theta) @ rotation_x(self.phi)
-        return _left_mul_diag(phase, np.conj(phase), coin)
+    def step_ops(self):
+        return (rotation_y(self.theta) @ rotation_x(self.phi), SHIFT)
 
 
 @dataclass(frozen=True)
@@ -235,38 +241,18 @@ class SplitStepWalk(WalkModel):
     theta2: float
 
     family = "splitstep"
+    numerators = staticmethod(splitstep_numerators)
+    dispersion = staticmethod(splitstep_cos_energy)
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta1", canonical_angle(self.theta1))
-        object.__setattr__(self, "theta2", canonical_angle(self.theta2))
-
-    @property
-    def angles(self) -> tuple[float, ...]:
-        return (self.theta1, self.theta2)
-
-    def bloch_numerators(self, k):
-        return splitstep_numerators(self.theta1, self.theta2, k)
-
-    def cos_energy(self, k):
-        return splitstep_cos_energy(self.theta1, self.theta2, k)
-
-    def momentum_unitaries(self, ks):
-        ks = np.asarray(ks, dtype=float)
-        phase = np.exp(1j * ks)
-        r1 = rotation_y(self.theta1)
-        inner = _left_mul_diag(np.ones_like(phase), np.conj(phase), r1)
-        outer = np.einsum("ab,...bc->...ac", rotation_y(self.theta2), inner)
-        outer[..., 0, :] *= phase[..., None]
-        return outer
+    def step_ops(self):
+        return (rotation_y(self.theta1), SHIFT_V, rotation_y(self.theta2), SHIFT_H)
 
 
-FAMILY_CLASSES = {
-    "standard": StandardWalk,
-    "splitstep": SplitStepWalk,
-    "noncommuting": NonCommutingWalk,
-}
+FAMILY_CLASSES = {cls.family: cls
+                  for cls in (StandardWalk, NonCommutingWalk, SplitStepWalk)}
 
-TWO_ANGLE_FAMILIES = ("splitstep", "noncommuting")
+TWO_ANGLE_FAMILIES = tuple(name for name, cls in FAMILY_CLASSES.items()
+                           if len(fields(cls)) == 2)
 
 
 def make_model(family: str, angles) -> WalkModel:
@@ -277,25 +263,23 @@ def make_model(family: str, angles) -> WalkModel:
         raise ValueError(f"unknown family {family!r}; expected one of "
                          f"{sorted(FAMILY_CLASSES)}") from None
     angles = tuple(float(a) for a in angles)
-    expected = 1 if cls is StandardWalk else 2
+    expected = len(fields(cls))
     if len(angles) != expected:
         raise ValueError(f"family {family!r} takes {expected} angle(s), got {len(angles)}")
     return cls(*angles)
 
 
+def _two_angle_class(family: str):
+    if family not in TWO_ANGLE_FAMILIES:
+        raise ValueError(f"family {family!r} is not a two-angle family")
+    return FAMILY_CLASSES[family]
+
+
 def two_angle_numerators(family: str):
     """Numerator function f(a1, a2, k) for a two-angle family name."""
-    if family == "splitstep":
-        return splitstep_numerators
-    if family == "noncommuting":
-        return noncommuting_numerators
-    raise ValueError(f"family {family!r} is not a two-angle family")
+    return _two_angle_class(family).numerators
 
 
 def two_angle_cos_energy(family: str):
     """Dispersion function f(a1, a2, k) for a two-angle family name."""
-    if family == "splitstep":
-        return splitstep_cos_energy
-    if family == "noncommuting":
-        return noncommuting_cos_energy
-    raise ValueError(f"family {family!r} is not a two-angle family")
+    return _two_angle_class(family).dispersion

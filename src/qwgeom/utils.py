@@ -22,9 +22,12 @@ def canonical_angle(x: float) -> float:
 
     Values already inside the closed interval are kept as given, so both
     endpoints -pi and +pi survive round trips.  Anything outside is reduced
-    with IEEE remainder, which lands in [-pi, pi].
+    with IEEE remainder, which lands in [-pi, pi].  Raises ValueError
+    for nan and infinities.
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"angle must be finite, got {x!r}")
     if -math.pi <= x <= math.pi:
         return x
     return math.remainder(x, TWO_PI)

@@ -2,9 +2,11 @@
 
 States live on a dense window of lattice sites that grows with the
 light cone; each site carries a two-component spin amplitude (H, V).
-One step applies the family's coin(s) sitewise and shifts H-amplitudes
-right, V-amplitudes left (the split-step family interleaves its two
-coins with the two partial shifts, V first).
+One step runs through the model's step_ops() in order: a coin (2x2
+matrix) acts sitewise, and a shift (du, dv) moves the H amplitudes du
+sites and the V amplitudes dv sites (+1 is right), widening the window
+to hold both.  The same list gives the momentum unitary U(k) that the
+oracle below powers, but the oracle never calls the position step.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError
-from .models import NonCommutingWalk, SplitStepWalk, StandardWalk, WalkModel
-from .spin import rotation_x, rotation_y
+from .models import WalkModel
 
 
 @dataclass(frozen=True)
@@ -56,51 +57,31 @@ def initial_state(chirality) -> WalkerState:
     return WalkerState(amplitudes=amps, offset=0, step_count=0)
 
 
-def _apply_coin(amps: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    return amps @ coin.T
+def _shift(amps: np.ndarray, du: int, dv: int) -> tuple[np.ndarray, int]:
+    """Move H by du and V by dv sites on a window that holds both.
 
-
-def _shift_both(amps: np.ndarray) -> np.ndarray:
-    """H moves one site right, V one site left; window grows by one per side."""
-    n = amps.shape[0]
-    out = np.zeros((n + 2, 2), dtype=complex)
-    out[2:, 0] = amps[:, 0]
-    out[:n, 1] = amps[:, 1]
-    return out
-
-
-def _shift_partial(amps: np.ndarray) -> np.ndarray:
-    """Move one spin component relative to the other, growing by one site.
-
-    The same array stencil serves both partial shifts: after it, H sits
-    one index above V.  Whether that means "V went left" (window gained
-    a site on the left, caller decrements the offset) or "H went right"
-    (gained on the right, offset unchanged) is the caller's bookkeeping.
+    Returns the new amplitudes and how far the window's left edge moved.
     """
+    lo = min(du, dv)
     n = amps.shape[0]
-    out = np.zeros((n + 1, 2), dtype=complex)
-    out[1:, 0] = amps[:, 0]
-    out[:n, 1] = amps[:, 1]
-    return out
+    out = np.zeros((n + max(du, dv) - lo, 2), dtype=complex)
+    out[du - lo:du - lo + n, 0] = amps[:, 0]
+    out[dv - lo:dv - lo + n, 1] = amps[:, 1]
+    return out, lo
 
 
 def step(state: WalkerState, model: WalkModel) -> WalkerState:
     """One full walk step; returns a fresh state on an enlarged window."""
-    amps = state.amplitudes
-    if isinstance(model, StandardWalk):
-        out = _shift_both(_apply_coin(amps, rotation_y(model.theta)))
-        new_offset = state.offset - 1
-    elif isinstance(model, NonCommutingWalk):
-        coin = rotation_y(model.theta) @ rotation_x(model.phi)
-        out = _shift_both(_apply_coin(amps, coin))
-        new_offset = state.offset - 1
-    elif isinstance(model, SplitStepWalk):
-        first = _shift_partial(_apply_coin(amps, rotation_y(model.theta1)))
-        out = _shift_partial(_apply_coin(first, rotation_y(model.theta2)))
-        new_offset = state.offset - 1
-    else:
+    if not isinstance(model, WalkModel):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    return WalkerState(amplitudes=out, offset=new_offset,
+    amps, offset = state.amplitudes, state.offset
+    for op in model.step_ops():
+        if isinstance(op, tuple):
+            amps, moved = _shift(amps, *op)
+            offset += moved
+        else:
+            amps = amps @ op.T
+    return WalkerState(amplitudes=amps, offset=offset,
                        step_count=state.step_count + 1)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, outputs, exit codes, determinism."""
 
+import argparse
 import json
 import math
 
@@ -160,6 +161,29 @@ def test_usage_errors_exit_two(capsys):
                "--band", "plus", "--n-points", "33")[0] == 2
     assert run(capsys, "walk", "--family", "splitstep", "--theta1", "0.5",
                "--steps", "3")[0] == 2
+    assert run(capsys, "spectrum", "--family", "standard", "--theta", "0.3",
+               "--theta1", "0.1")[0] == 2
+    assert run(capsys, "spectrum", "--family", "splitstep", "--theta1", "0.9",
+               "--theta2", "0.2", "--phi", "0")[0] == 2
+
+
+def test_non_finite_angles_exit_two(capsys):
+    for text in ("nan", "inf", "-inf", "Infinity", "1" * 400 + "pi"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_angle(text)
+    code, out, _ = run(capsys, "zak", "--family", "noncommuting",
+                       "--theta", "nan", "--phi", "0", "--band", "plus")
+    assert (code, out) == (2, "")
+    code, out, _ = run(capsys, "spectrum", "--family", "standard",
+                       "--theta", "inf")
+    assert (code, out) == (2, "")
+
+
+def test_standard_family_accepts_phi_zero(capsys):
+    argv = ("walk", "--family", "standard", "--theta", "pi/4", "--steps", "20")
+    code, out, _ = run(capsys, *argv, "--phi", "0")
+    assert code == 0
+    assert out == run(capsys, *argv)[1]
 
 
 def test_domain_errors_exit_three(capsys):

@@ -10,6 +10,7 @@ from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
                            angular_coeffs, make_model, two_angle_cos_energy,
                            two_angle_numerators)
 from qwgeom.spin import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
+from qwgeom.utils import canonical_angle
 
 
 def _ry(theta):
@@ -208,6 +209,14 @@ def test_angle_canonicalization():
     ks = np.linspace(-np.pi, np.pi, 33)
     assert np.allclose(folded.cos_energy(ks),
                        StandardWalk(np.pi).cos_energy(ks), atol=1e-12)
+
+
+def test_non_finite_angles_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            canonical_angle(bad)
+        with pytest.raises(ValueError):
+            SplitStepWalk(0.3, bad)
 
 
 def test_models_are_frozen():

@@ -1,10 +1,14 @@
 """Position-space evolution against the momentum-space oracle."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from qwgeom.errors import GridMismatchError
-from qwgeom.models import NonCommutingWalk, SplitStepWalk, StandardWalk
+from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
+                           WalkModel)
+from qwgeom.spin import rotation_x, rotation_y
 from qwgeom.walk import (Distribution, evolve, initial_state, momentum_oracle,
                          probability_distribution, similarity, step,
                          total_variation)
@@ -71,6 +75,35 @@ def test_oracle_matches_position_pipeline():
         oracle = momentum_oracle(initial_state(chi), model, n)
         assert np.array_equal(dist.positions, oracle.positions)
         assert total_variation(dist, oracle) < 1e-12
+
+
+@dataclass(frozen=True)
+class _HFirstSplitStep(WalkModel):
+    """A family no built-in uses: the partial shifts in the order H, then V."""
+
+    alpha: float
+    beta: float
+
+    family = "h-first-splitstep"
+
+    def step_ops(self):
+        return (rotation_y(self.alpha), (1, 0), rotation_x(self.beta), (0, -1))
+
+
+def test_family_declared_in_test_matches_oracle():
+    # Only step_ops() is declared here, so agreement shows that the
+    # position step and the momentum unitary are derived generically.
+    rng = np.random.default_rng(439)
+    for _ in range(6):
+        model = _HFirstSplitStep(*rng.uniform(-np.pi, np.pi, 2))
+        for chi in ("+", "-"):
+            n = int(rng.integers(1, 41))
+            state = evolve(initial_state(chi), model, n)
+            assert abs(state.norm() - 1.0) < 1e-12
+            dist = probability_distribution(state)
+            oracle = momentum_oracle(initial_state(chi), model, n)
+            assert np.array_equal(dist.positions, oracle.positions)
+            assert total_variation(dist, oracle) < 1e-12
 
 
 def test_oracle_zero_steps_returns_initial_distribution():
