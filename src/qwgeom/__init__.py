@@ -23,7 +23,7 @@ from .topology import (DiracPoint, DiracPointSet, GapMap, find_dirac_points,
                        planar_winding, scan_gap, winding_number)
 from .walk import (Distribution, WalkerState, evolve, initial_state,
                    momentum_oracle, probability_distribution, similarity,
-                   step, total_variation)
+                   step, total_variation, trajectory)
 from .zak import (SplitStepZak, ZakMap, ZakResult, discrete_berry_phase,
                   zak_difference, zak_map, zak_noncommuting_integrand,
                   zak_numeric, zak_splitstep_analytic)
@@ -46,7 +46,7 @@ __all__ = [
     "planar_winding", "scan_gap", "winding_number",
     "Distribution", "WalkerState", "evolve", "initial_state",
     "momentum_oracle", "probability_distribution", "similarity", "step",
-    "total_variation",
+    "total_variation", "trajectory",
     "SplitStepZak", "ZakMap", "ZakResult", "discrete_berry_phase",
     "zak_difference", "zak_map", "zak_noncommuting_integrand", "zak_numeric",
     "zak_splitstep_analytic",

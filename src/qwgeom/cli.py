@@ -6,7 +6,8 @@ finite-difference failure).  Angles are radians, given either as
 decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
 special points are not blurred by rounding.  A family's angle flags
 are its model's field names.  Grid scans honor the QWGEOM_WORKERS
-environment variable.
+environment variable.  A walk whose window and oracle grid would need
+more than WALK_MEMORY_BUDGET bytes is refused up front with exit 2.
 """
 
 from __future__ import annotations
@@ -21,20 +22,25 @@ import numpy as np
 
 from . import emit
 from .errors import QwGeomError
-from .holonomy import (TangentVector, latitude_loop, parallel_transport,
-                       quantum_geometric_tensor, solid_angle, sphere_point)
+from .holonomy import (QGT_STEP_RANGE, TangentVector, latitude_loop,
+                       parallel_transport, quantum_geometric_tensor,
+                       solid_angle, sphere_point)
 from .models import FAMILY_CLASSES, TWO_ANGLE_FAMILIES, WalkModel, make_model
 from .spin import bloch_sphere_state
 from .topology import find_dirac_points, scan_gap, winding_number
 from .utils import fold_angle
-from .walk import (initial_state, momentum_oracle, probability_distribution,
-                   similarity, step, total_variation)
+from .walk import (initial_state, momentum_oracle, peak_bytes,
+                   probability_distribution, similarity, total_variation,
+                   trajectory)
 from .zak import zak_map, zak_numeric
 
 _PI_FORM = re.compile(
     r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?pi(?:/(\d+(?:\.\d*)?|\.\d+))?$")
 
 _BAND = {"plus": +1, "minus": -1}
+
+# Bytes a walk's position window and oracle grid may take (walk.peak_bytes).
+WALK_MEMORY_BUDGET = 2**30
 
 # Every family's angle field names, each also a CLI flag.
 _ANGLE_FLAGS = tuple(dict.fromkeys(
@@ -65,43 +71,38 @@ def parse_angle(text: str) -> float:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not math.isfinite(value) or value <= 0.0:
+        raise argparse.ArgumentTypeError("must be finite and > 0")
     return value
 
 
-def _resolution(text: str) -> int:
-    value = int(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError("resolution must be >= 3")
+def _qgt_step(text: str) -> float:
+    value = float(text)
+    lo, hi = QGT_STEP_RANGE
+    if not lo <= value <= hi:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must lie in [{lo:g}, {hi:g}]")
     return value
 
 
-def _k_samples(text: str) -> int:
-    value = int(text)
-    if value < 8:
-        raise argparse.ArgumentTypeError("k-samples must be >= 8")
-    return value
+def _int_at_least(flag: str, minimum: int):
+    """argparse type for an integer flag with a lower bound."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= {minimum}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_resolution = _int_at_least("resolution", 3)
+_k_samples = _int_at_least("k-samples", 8)
 
 
 def _zak_points(text: str) -> int:
     value = int(text)
     if value < 16 or value % 2:
         raise argparse.ArgumentTypeError("n-points must be even and >= 16")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _transport_steps(text: str) -> int:
-    value = int(text)
-    if value < 100:
-        raise argparse.ArgumentTypeError("steps must be >= 100")
     return value
 
 
@@ -191,14 +192,19 @@ def _cmd_winding(parser, args) -> int:
 
 def _cmd_walk(parser, args) -> int:
     model = _build_model(parser, args)
-    state = initial_state(args.chirality)
-    norm0 = state.norm()
+    state0 = initial_state(args.chirality)
+    need = peak_bytes(state0.amplitudes.shape[0], args.steps)
+    if need > WALK_MEMORY_BUDGET:
+        parser.error(f"walk --steps {args.steps} needs about "
+                     f"{need / 2**20:.0f} MiB, over the "
+                     f"{WALK_MEMORY_BUDGET / 2**20:.0f} MiB walk budget")
+    norm0 = state0.norm()
     max_drift = 0.0
-    for _ in range(args.steps):
-        state = step(state, model)
+    state = state0
+    for state in trajectory(state0, model, args.steps):
         max_drift = max(max_drift, abs(state.norm() - norm0))
     dist = probability_distribution(state)
-    oracle = momentum_oracle(initial_state(args.chirality), model, args.steps)
+    oracle = momentum_oracle(state0, model, args.steps)
     tv = total_variation(dist, oracle)
     sim = similarity(dist, oracle)
     print(f"oracle TV distance: {tv:.3e}, similarity: {sim:.12f}",
@@ -308,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("walk",
                         help="position distribution after N steps")
     _add_model_args(sp)
-    sp.add_argument("--steps", type=_nonnegative_int, required=True)
+    sp.add_argument("--steps", type=_int_at_least("steps", 0), required=True,
+                    help="walk steps (>= 0; the window and the oracle grid must "
+                         f"fit in {WALK_MEMORY_BUDGET >> 20} MiB)")
     sp.add_argument("--chirality", choices=("+", "-"), default="+")
     sp.add_argument("--manifest", default=None,
                     help="also write a JSON run manifest to this path")
@@ -317,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("holonomy-sphere",
                         help="parallel-transport table for latitude loops")
-    sp.add_argument("--loops", type=_resolution, default=9,
+    sp.add_argument("--loops", type=_int_at_least("loops", 3), default=9,
                     help="number of latitude loops (>= 3)")
-    sp.add_argument("--steps", type=_transport_steps, default=20_000,
+    sp.add_argument("--steps", type=_int_at_least("steps", 100), default=20_000,
                     help="integrator steps per loop (>= 100)")
     _add_out(sp)
     sp.set_defaults(handler=_cmd_holonomy_sphere)
@@ -329,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=parse_angle, required=True)
     sp.add_argument("--phi", type=parse_angle, required=True)
     sp.add_argument("--band", choices=("plus", "minus"), default="plus")
-    sp.add_argument("--h", type=_positive_float, default=1e-4)
+    sp.add_argument("--h", type=_qgt_step, default=1e-4,
+                    help="finite-difference step, in [1e-7, 1e-3]")
     _add_out(sp)
     sp.set_defaults(handler=_cmd_qgt)
 

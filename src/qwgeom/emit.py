@@ -41,7 +41,7 @@ def csv_text(header, rows) -> str:
 
 
 def json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def model_payload(model: WalkModel) -> dict:

@@ -16,6 +16,7 @@ from .utils import fold_angle
 
 TANGENCY_TOL = 1e-10
 CLOSURE_TOL = 1e-9
+QGT_STEP_RANGE = (1e-7, 1e-3)  # accepted finite-difference widths h
 
 
 def sphere_point(theta: float, phi: float) -> np.ndarray:
@@ -245,8 +246,9 @@ def quantum_geometric_tensor(family, at: tuple[float, float],
     in [1e-7, 1e-3]; a disagreement above 1e-4 raises
     FiniteDifferenceError (cancellation or non-smooth family).
     """
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError("h must lie in [1e-7, 1e-3]")
+    lo, hi = QGT_STEP_RANGE
+    if not lo <= h <= hi:
+        raise ValueError(f"h must lie in [{lo:g}, {hi:g}]")
     coarse = _projected_tensor(family, at, h)
     fine = _projected_tensor(family, at, 0.5 * h)
     disagreement = float(np.max(np.abs(fine - coarse)))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qwgeom import cli
+from qwgeom import cli, emit, walk
 
 
 def run(capsys, *argv):
@@ -177,6 +177,54 @@ def test_non_finite_angles_exit_two(capsys):
     code, out, _ = run(capsys, "spectrum", "--family", "standard",
                        "--theta", "inf")
     assert (code, out) == (2, "")
+
+
+def test_non_finite_or_out_of_range_floats_exit_two(capsys):
+    for tol in ("nan", "inf", "-inf", "0", "-1e-9"):
+        code, out, err = run(capsys, "dirac-points", "--family",
+                             "noncommuting", f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert "argument --tol: must be finite and > 0" in err
+    for h in ("nan", "inf", "-inf", "0", "1e-8", "2e-3"):
+        code, out, err = run(capsys, "qgt", "--theta", "0.4", "--phi", "1.1",
+                             f"--h={h}")
+        assert (code, out) == (2, "")
+        assert "argument --h: must lie in [1e-07, 0.001]" in err
+    assert run(capsys, "qgt", "--theta", "0.4", "--phi", "1.1",
+               "--h", "1e-7")[0] == 0
+
+
+def test_integer_flag_errors_name_the_flag(capsys):
+    code, _, err = run(capsys, "holonomy-sphere", "--loops", "0")
+    assert code == 2
+    assert "argument --loops: loops must be >= 3" in err
+    code, _, err = run(capsys, "walk", "--family", "standard", "--theta", "1",
+                       "--steps", "-1")
+    assert code == 2
+    assert "argument --steps: steps must be >= 0" in err
+    code, _, err = run(capsys, "spectrum", "--family", "standard",
+                       "--theta", "1", "--k-samples", "many")
+    assert code == 2
+    assert "invalid int value: 'many'" in err
+
+
+def test_walk_over_memory_budget_exits_two(capsys, tmp_path):
+    out_path = tmp_path / "walk.csv"
+    code, out, err = run(capsys, "walk", "--family", "standard",
+                         "--theta", "pi/4", "--steps", "100000000000",
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "walk budget" in err
+    assert not out_path.exists()
+    limit = (cli.WALK_MEMORY_BUDGET // walk.SITE_BYTES - 1) // 2
+    assert walk.peak_bytes(1, limit) <= cli.WALK_MEMORY_BUDGET
+    assert walk.peak_bytes(1, limit + 1) > cli.WALK_MEMORY_BUDGET
+
+
+def test_json_text_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            emit.json_text({"x": bad})
 
 
 def test_standard_family_accepts_phi_zero(capsys):

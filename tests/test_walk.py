@@ -1,17 +1,63 @@
 """Position-space evolution against the momentum-space oracle."""
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qwgeom import cli
 from qwgeom.errors import GridMismatchError
-from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
-                           WalkModel)
+from qwgeom.models import (FAMILY_CLASSES, NonCommutingWalk, SplitStepWalk,
+                           StandardWalk, WalkModel, make_model)
 from qwgeom.spin import rotation_x, rotation_y
-from qwgeom.walk import (Distribution, evolve, initial_state, momentum_oracle,
-                         probability_distribution, similarity, step,
-                         total_variation)
+from qwgeom.walk import (Distribution, WalkerState, evolve, initial_state,
+                         momentum_oracle, probability_distribution,
+                         similarity, step, total_variation, trajectory)
+
+
+def _dense_oracle(state0, model, n_steps):
+    """Reference momentum oracle: dense DFT matrices and an eigensolver.
+
+    O(m^2) memory with m ~ 4 n_steps, so only for small walks; kept as an
+    independent check of the FFT and matrix-power oracle.
+    """
+    width0 = state0.amplitudes.shape[0]
+    m = width0 + 4 * n_steps + 4
+    if m % 2 == 0:
+        m += 1
+    x_lo = state0.offset - 2 * n_steps - 2
+    xs = np.arange(x_lo, x_lo + m)
+
+    psi = np.zeros((m, 2), dtype=complex)
+    start = state0.offset - x_lo
+    psi[start:start + width0] = state0.amplitudes
+
+    kgrid = 2.0 * np.pi * np.arange(m) / m
+    psi_hat = np.exp(1.0j * np.outer(kgrid, xs)) @ psi
+    eigvals, eigvecs = np.linalg.eig(model.momentum_unitaries(kgrid))
+    powered = np.exp(1.0j * n_steps * np.angle(eigvals))
+    coeff = np.einsum("kab,kb->ka", np.linalg.inv(eigvecs), psi_hat)
+    psi_hat_n = np.einsum("kab,kb->ka", eigvecs, coeff * powered)
+    psi_n = (np.exp(-1.0j * np.outer(xs, kgrid)) / m) @ psi_hat_n
+
+    keep = (xs >= state0.offset - n_steps) & \
+        (xs <= state0.offset + width0 - 1 + n_steps)
+    p = np.sum(np.abs(psi_n[keep]) ** 2, axis=1)
+    return Distribution(positions=xs[keep], p=p,
+                        step_count=state0.step_count + n_steps)
+
+
+angles = st.floats(min_value=-np.pi, max_value=np.pi)
+
+
+@st.composite
+def walk_models(draw):
+    family = draw(st.sampled_from(sorted(FAMILY_CLASSES)))
+    n_angles = len(fields(FAMILY_CLASSES[family]))
+    return make_model(family, [draw(angles) for _ in range(n_angles)])
 
 
 def test_initial_state_chirality():
@@ -164,3 +210,84 @@ def test_walk_distribution_normalized_and_counted():
     dist = probability_distribution(evolve(initial_state("+"), model, 12))
     assert abs(dist.p.sum() - 1.0) < 1e-12
     assert dist.step_count == 12
+
+
+def test_fft_oracle_matches_dense_reference():
+    models = [StandardWalk(0.0), StandardWalk(np.pi), StandardWalk(0.7),
+              NonCommutingWalk(0.0, 0.0), NonCommutingWalk(np.pi / 2, 0.0),
+              NonCommutingWalk(0.3, 1.1), SplitStepWalk(0.0, 0.0),
+              SplitStepWalk(np.pi / 2, 0.0), SplitStepWalk(0.4, -0.9)]
+    for model in models:
+        for chi in ("+", "-"):
+            for n in (0, 1, 7, 60):
+                fast = momentum_oracle(initial_state(chi), model, n)
+                ref = _dense_oracle(initial_state(chi), model, n)
+                assert np.array_equal(fast.positions, ref.positions)
+                assert fast.step_count == ref.step_count == n
+                assert np.max(np.abs(fast.p - ref.p)) < 1e-12
+
+
+def test_evolve_and_step_leave_input_unchanged():
+    model = SplitStepWalk(0.4, -0.9)
+    state0 = evolve(initial_state("-"), model, 3)
+    before = state0.amplitudes.copy()
+    stepped = step(state0, model)
+    evolved = evolve(state0, model, 5)
+    assert np.array_equal(state0.amplitudes, before)
+    assert (state0.offset, state0.step_count) == (-3, 3)
+    assert (stepped.offset, stepped.step_count) == (-4, 4)
+    assert (evolved.offset, evolved.step_count) == (-8, 8)
+    assert evolve(state0, model, 0) is state0
+
+
+def test_trajectory_yields_every_step():
+    model = NonCommutingWalk(0.9, -1.3)
+    counts = [s.step_count for s in trajectory(initial_state("+"), model, 5)]
+    assert counts == [1, 2, 3, 4, 5]
+    state0 = WalkerState(amplitudes=np.array([[0.6, 0.0], [0.0, 0.8j]]),
+                         offset=4, step_count=2)
+    seen = [(s.step_count, s.offset, s.amplitudes.shape[0], s.norm())
+            for s in trajectory(state0, model, 6)]
+    assert [c for c, *_ in seen] == list(range(3, 9))
+    assert [(o, w) for _, o, w, _ in seen] == [(4 - i, 2 + 2 * i)
+                                               for i in range(1, 7)]
+    assert max(abs(norm - 1.0) for *_, norm in seen) < 1e-14
+    final = evolve(state0, model, 6)
+    assert np.array_equal(final.amplitudes,
+                          evolve(evolve(state0, model, 2), model, 4).amplitudes)
+    assert list(trajectory(state0, model, 0)) == []
+
+
+def test_walk_zero_steps_cli(capsys, tmp_path):
+    manifest = tmp_path / "run.json"
+    code = cli.main(["walk", "--family", "standard", "--theta", "0.3",
+                     "--steps", "0", "--manifest", str(manifest)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == "x,p\n0,0.99999999999999978\n"
+    assert "oracle TV distance: 0.000e+00" in err
+    meta = json.loads(manifest.read_text())
+    assert (meta["n_steps"], meta["max_norm_drift"], meta["tv_vs_oracle"]) \
+        == (0, 0.0, 0.0)
+
+
+@given(model=walk_models(), chi=st.sampled_from("+-"),
+       n=st.integers(min_value=0, max_value=200))
+def test_walk_conserves_norm_and_matches_oracle(model, chi, n):
+    state = evolve(initial_state(chi), model, n)
+    assert abs(state.norm() - 1.0) < 1e-12
+    dist = probability_distribution(state)
+    oracle = momentum_oracle(initial_state(chi), model, n)
+    assert np.array_equal(dist.positions, oracle.positions)
+    assert total_variation(dist, oracle) < 1e-12
+
+
+@given(model=walk_models(), k=st.floats(min_value=-np.pi, max_value=np.pi),
+       n=st.integers(min_value=0, max_value=200))
+def test_matrix_power_matches_repeated_products(model, k, n):
+    u = model.momentum_unitary(k)
+    product = np.eye(2, dtype=complex)
+    for _ in range(n):
+        product = u @ product
+    powered = np.linalg.matrix_power(model.momentum_unitaries(np.array([k])), n)
+    assert np.max(np.abs(powered[0] - product)) < 1e-12
