@@ -6,8 +6,8 @@ finite-difference failure).  Angles are radians, given either as
 decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
 special points are not blurred by rounding.  A family's angle flags
 are its model's field names.  Grid scans honor the QWGEOM_WORKERS
-environment variable.  A walk whose window and oracle grid would need
-more than WALK_MEMORY_BUDGET bytes is refused up front with exit 2.
+environment variable.  A walk or holonomy-sphere --steps whose arrays
+would need more than MEMORY_BUDGET bytes is refused up front with exit 2.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 
 from . import emit
 from .errors import QwGeomError
-from .holonomy import (QGT_STEP_RANGE, TangentVector, latitude_loop,
-                       parallel_transport, quantum_geometric_tensor,
-                       solid_angle, sphere_point)
+from .holonomy import (QGT_STEP_RANGE, STEP_BYTES, TangentVector,
+                       latitude_loop, parallel_transport,
+                       quantum_geometric_tensor, solid_angle, sphere_point)
 from .models import FAMILY_CLASSES, TWO_ANGLE_FAMILIES, WalkModel, make_model
 from .spin import bloch_sphere_state
 from .topology import find_dirac_points, scan_gap, winding_number
@@ -39,8 +39,8 @@ _PI_FORM = re.compile(
 
 _BAND = {"plus": +1, "minus": -1}
 
-# Bytes a walk's position window and oracle grid may take (walk.peak_bytes).
-WALK_MEMORY_BUDGET = 2**30
+# Bytes one walk or holonomy-sphere run may take for its --steps arrays.
+MEMORY_BUDGET = 2**30
 
 # Every family's angle field names, each also a CLI flag.
 _ANGLE_FLAGS = tuple(dict.fromkeys(
@@ -190,14 +190,17 @@ def _cmd_winding(parser, args) -> int:
     return 0
 
 
+def _check_budget(parser, command: str, steps: int, need: int) -> None:
+    if need > MEMORY_BUDGET:
+        parser.error(f"{command} --steps {steps} needs about {need >> 20} MiB,"
+                     f" over the {MEMORY_BUDGET >> 20} MiB {command} budget")
+
+
 def _cmd_walk(parser, args) -> int:
     model = _build_model(parser, args)
     state0 = initial_state(args.chirality)
-    need = peak_bytes(state0.amplitudes.shape[0], args.steps)
-    if need > WALK_MEMORY_BUDGET:
-        parser.error(f"walk --steps {args.steps} needs about "
-                     f"{need / 2**20:.0f} MiB, over the "
-                     f"{WALK_MEMORY_BUDGET / 2**20:.0f} MiB walk budget")
+    _check_budget(parser, "walk", args.steps,
+                  peak_bytes(state0.amplitudes.shape[0], args.steps))
     norm0 = state0.norm()
     max_drift = 0.0
     state = state0
@@ -219,6 +222,9 @@ def _cmd_walk(parser, args) -> int:
 
 
 def _cmd_holonomy_sphere(parser, args) -> int:
+    _check_budget(parser, "holonomy-sphere", args.steps,
+                  STEP_BYTES * args.steps)
+
     def rows():
         for i in range(args.loops):
             theta0 = math.pi * (i + 1) / (args.loops + 1)
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(sp)
     sp.add_argument("--steps", type=_int_at_least("steps", 0), required=True,
                     help="walk steps (>= 0; the window and the oracle grid must "
-                         f"fit in {WALK_MEMORY_BUDGET >> 20} MiB)")
+                         f"fit in {MEMORY_BUDGET >> 20} MiB)")
     sp.add_argument("--chirality", choices=("+", "-"), default="+")
     sp.add_argument("--manifest", default=None,
                     help="also write a JSON run manifest to this path")
@@ -328,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--loops", type=_int_at_least("loops", 3), default=9,
                     help="number of latitude loops (>= 3)")
     sp.add_argument("--steps", type=_int_at_least("steps", 100), default=20_000,
-                    help="integrator steps per loop (>= 100)")
+                    help="curve samples per loop (>= 100)")
     _add_out(sp)
     sp.set_defaults(handler=_cmd_holonomy_sphere)
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qwgeom import cli, emit, walk
+from qwgeom import cli, emit, holonomy, walk
 
 
 def run(capsys, *argv):
@@ -216,9 +216,20 @@ def test_walk_over_memory_budget_exits_two(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert "walk budget" in err
     assert not out_path.exists()
-    limit = (cli.WALK_MEMORY_BUDGET // walk.SITE_BYTES - 1) // 2
-    assert walk.peak_bytes(1, limit) <= cli.WALK_MEMORY_BUDGET
-    assert walk.peak_bytes(1, limit + 1) > cli.WALK_MEMORY_BUDGET
+    limit = (cli.MEMORY_BUDGET // walk.SITE_BYTES - 1) // 2
+    assert walk.peak_bytes(1, limit) <= cli.MEMORY_BUDGET
+    assert walk.peak_bytes(1, limit + 1) > cli.MEMORY_BUDGET
+
+
+def test_holonomy_over_memory_budget_exits_two(capsys, tmp_path):
+    out_path = tmp_path / "holonomy.csv"
+    code, out, err = run(capsys, "holonomy-sphere", "--steps", "1000000000000",
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "holonomy-sphere budget" in err
+    assert not out_path.exists()
+    limit = cli.MEMORY_BUDGET // holonomy.STEP_BYTES
+    assert run(capsys, "holonomy-sphere", "--steps", str(limit + 1))[0] == 2
 
 
 def test_json_text_rejects_non_finite():

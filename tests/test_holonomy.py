@@ -3,6 +3,8 @@ finite-difference quantum geometric tensor."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwgeom.errors import (CurveNotSupportedError, FiniteDifferenceError,
                            OrthogonalStatesError)
@@ -31,6 +33,22 @@ def test_sphere_point_and_latitude_loop():
     assert loop.closed
     assert np.allclose(loop.point(0.0), loop.point(1.0), atol=1e-15)
     assert abs(np.linalg.norm(loop.point(0.37)) - 1.0) < 1e-14
+
+
+def test_curve_sampling_broadcasts():
+    loop = latitude_loop(0.7)
+    ts = np.linspace(0.0, 1.0, 7)
+    thetas, phis = loop.angles(ts)
+    assert thetas.shape == phis.shape == (7,)
+    assert np.all(thetas == 0.7)
+    pts = loop.point(ts)
+    assert pts.shape == (7, 3)
+    for t, p in zip(ts, pts):
+        assert np.allclose(p, loop.point(float(t)), rtol=0.0, atol=1e-15)
+    grid = sphere_point(np.array([[0.3], [1.2]]), np.array([0.0, 1.0, 2.0]))
+    assert grid.shape == (2, 3, 3)
+    assert np.allclose(grid[1, 2], sphere_point(1.2, 2.0),
+                       rtol=0.0, atol=1e-15)
 
 
 def test_tangent_vector_validation():
@@ -79,6 +97,67 @@ def test_transport_validation():
                       closed=False)
     with pytest.raises(CurveNotSupportedError):
         parallel_transport(arc, _east(0.8), steps=500)
+
+
+def _tilted_circle(axis, theta0, phase, orientation):
+    """Circle at angular distance theta0 from the unit axis, starting at
+    phase and run counterclockwise about it (orientation +1) or clockwise."""
+    e1 = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis))])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+
+    def angles(t):
+        turn = (phase + orientation * 2.0 * np.pi * np.asarray(t))[..., None]
+        p = np.cos(theta0) * axis + np.sin(theta0) * (np.cos(turn) * e1
+                                                      + np.sin(turn) * e2)
+        x, y, z = np.moveaxis(p, -1, 0)
+        return np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
+
+    return SphereCurve(angles, closed=True)
+
+
+@given(z=st.floats(min_value=-1.0, max_value=1.0),
+       azimuth=st.floats(min_value=-np.pi, max_value=np.pi),
+       theta0=st.floats(min_value=0.1, max_value=np.pi - 0.1),
+       phase=st.floats(min_value=-np.pi, max_value=np.pi),
+       orientation=st.sampled_from([1, -1]),
+       psi=st.floats(min_value=-np.pi, max_value=np.pi))
+def test_tilted_circle_holonomy_is_enclosed_solid_angle(
+        z, azimuth, theta0, phase, orientation, psi):
+    axis = np.array([np.sqrt(1.0 - z * z) * np.cos(azimuth),
+                     np.sqrt(1.0 - z * z) * np.sin(azimuth), z])
+    curve = _tilted_circle(axis, theta0, phase, orientation)
+    r0 = curve.point(0.0)
+    e_a = axis - np.dot(axis, r0) * r0
+    e_a /= np.linalg.norm(e_a)
+    v0 = TangentVector(v=np.cos(psi) * e_a + np.sin(psi) * np.cross(r0, e_a),
+                       base=r0)
+    vf, rotation = parallel_transport(curve, v0, steps=2000)
+    expected = orientation * 2.0 * np.pi * (1.0 - np.cos(theta0))
+    assert _circ(rotation, expected) < 1e-10
+    assert abs(vf.norm - v0.norm) < 1e-14
+
+
+def test_transport_is_independent_of_parameterization_speed():
+    # s(t) = t - sin(2 pi t) / (2 pi) runs the loop with zero speed at the
+    # seam, so the samples crowd there and thin out at t = 1/2.
+    for theta0 in (0.4, 1.1, 2.5):
+        seam_stop = SphereCurve(
+            lambda t: (theta0, 2.0 * np.pi * t - np.sin(2.0 * np.pi * t)),
+            closed=True)
+        _, rotation = parallel_transport(seam_stop, _east(theta0), steps=2000)
+        assert _circ(rotation, 2.0 * np.pi * (1.0 - np.cos(theta0))) < 1e-11
+
+
+def test_transport_rejects_antipodal_samples():
+    # Parked at one point, the curve jumps to its antipode and back.
+    def angles(t):
+        far = (t >= 0.25) & (t < 0.75)
+        return np.where(far, np.pi - 0.8, 0.8), np.where(far, np.pi, 0.0)
+
+    with pytest.raises(CurveNotSupportedError, match="antipodal"):
+        parallel_transport(SphereCurve(angles, closed=True), _east(0.8),
+                           steps=2000)
 
 
 def test_solid_angle_latitude_exact():
