@@ -16,8 +16,7 @@ def main():
     print(f"gap scan: {gm.gap.shape[0]}x{gm.gap.shape[1]} nodes, "
           f"min {gm.gap.min():.2e}, max {gm.gap.max():.4f}")
 
-    census = find_dirac_points("noncommuting", coarse_resolution=181,
-                               k_samples=181)
+    census = find_dirac_points("noncommuting", coarse_resolution=181)
     print(f"\n{len(census.points)} isolated touchings "
           f"(refined to gap <= {census.accept_gap:.0e}):")
     print("  angle1      angle2      k*          E")
@@ -25,8 +24,7 @@ def main():
         print(f"  {p.angle1:+.6f}   {p.angle2:+.6f}   {p.momentum:+.6f}   "
               f"{p.energy:+.2e}")
 
-    boundary = find_dirac_points("splitstep", coarse_resolution=121,
-                                 k_samples=121)
+    boundary = find_dirac_points("splitstep", coarse_resolution=121)
     print(f"\nsplitstep family: continuous gapless boundary = "
           f"{boundary.continuous_boundary} (no isolated points reported)")
 

@@ -5,9 +5,13 @@ angle), 3 domain error (gapless point, degenerate input,
 finite-difference failure).  Angles are radians, given either as
 decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
 special points are not blurred by rounding.  A family's angle flags
-are its model's field names.  Grid scans honor the QWGEOM_WORKERS
-environment variable.  A walk or holonomy-sphere --steps whose arrays
-would need more than MEMORY_BUDGET bytes is refused up front with exit 2.
+are its model's field names.  phase-diagram and zak-map run their rows
+in a thread pool sized by the QWGEOM_WORKERS environment variable;
+dirac-points evaluates the exact gap envelope on its angle grid, with
+no momentum samples, so its k* is exact.  A size flag (walk and
+holonomy-sphere --steps; --resolution, --k-samples and --n-points of
+the grid commands) whose estimated peak memory exceeds MEMORY_BUDGET
+bytes is refused up front with exit 2, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -27,19 +31,22 @@ from .holonomy import (QGT_STEP_RANGE, STEP_BYTES, TangentVector,
                        quantum_geometric_tensor, solid_angle, sphere_point)
 from .models import FAMILY_CLASSES, TWO_ANGLE_FAMILIES, WalkModel, make_model
 from .spin import bloch_sphere_state
-from .topology import find_dirac_points, scan_gap, winding_number
-from .utils import fold_angle
+from .topology import (ENVELOPE_NODE_BYTES, SCAN_CELL_BYTES,
+                       find_dirac_points, scan_gap, winding_number)
+from .utils import fold_angle, worker_count
 from .walk import (initial_state, momentum_oracle, peak_bytes,
                    probability_distribution, similarity, total_variation,
                    trajectory)
-from .zak import zak_map, zak_numeric
+from .zak import ZAK_CELL_BYTES, zak_map, zak_numeric
 
 _PI_FORM = re.compile(
     r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?pi(?:/(\d+(?:\.\d*)?|\.\d+))?$")
 
 _BAND = {"plus": +1, "minus": -1}
 
-# Bytes one walk or holonomy-sphere run may take for its --steps arrays.
+# Bytes one run may take for the arrays and text its size flags set
+# (walk and holonomy-sphere --steps; the grid commands' --resolution,
+# --k-samples and --n-points).
 MEMORY_BUDGET = 2**30
 
 # Every family's angle field names, each also a CLI flag.
@@ -148,6 +155,9 @@ def _cmd_bloch(parser, args) -> int:
 
 
 def _cmd_phase_diagram(parser, args) -> int:
+    need = _grid_bytes(args.resolution, args.k_samples, SCAN_CELL_BYTES,
+                       emit.CSV_ROW_BYTES)
+    _check_budget(parser, args, need, "resolution", "k-samples")
     gm = scan_gap(args.family, resolution=args.resolution,
                   k_samples=args.k_samples)
     emit.write_text(emit.gap_map_csv(gm), args.out)
@@ -155,8 +165,10 @@ def _cmd_phase_diagram(parser, args) -> int:
 
 
 def _cmd_dirac_points(parser, args) -> int:
+    need = _grid_bytes(args.resolution, 0, 0, ENVELOPE_NODE_BYTES)
+    _check_budget(parser, args, need, "resolution")
     ds = find_dirac_points(args.family, coarse_resolution=args.resolution,
-                           k_samples=args.k_samples, accept_gap=args.tol)
+                           accept_gap=args.tol)
     if ds.continuous_boundary:
         print("note: gapless set includes extended curves; only isolated "
               "points are listed", file=sys.stderr)
@@ -177,6 +189,9 @@ def _cmd_zak(parser, args) -> int:
 
 
 def _cmd_zak_map(parser, args) -> int:
+    need = _grid_bytes(args.resolution, args.n_points + 1, ZAK_CELL_BYTES,
+                       emit.CSV_ROW_BYTES)
+    _check_budget(parser, args, need, "resolution", "n-points")
     zm = zak_map(args.family, resolution=args.resolution,
                  n_points=args.n_points, span=args.span)
     emit.write_text(emit.zak_map_csv(zm), args.out)
@@ -190,17 +205,33 @@ def _cmd_winding(parser, args) -> int:
     return 0
 
 
-def _check_budget(parser, command: str, steps: int, need: int) -> None:
+def _grid_bytes(resolution: int, row_samples: int, cell_bytes: int,
+                node_bytes: int) -> int:
+    """Estimated peak bytes of a grid command: node_bytes for each of the
+    resolution^2 angle nodes, plus cell_bytes for each of the
+    resolution x row_samples cells of every row a worker holds at once
+    (one per worker, at most one per row)."""
+    rows = min(worker_count(), resolution)
+    return (cell_bytes * rows * resolution * row_samples
+            + node_bytes * resolution * resolution)
+
+
+def _check_budget(parser, args, need: int, *flags: str) -> None:
+    """Exit 2 when an estimated peak of need bytes exceeds MEMORY_BUDGET;
+    the message names the command and the size flags behind need."""
     if need > MEMORY_BUDGET:
-        parser.error(f"{command} --steps {steps} needs about {need >> 20} MiB,"
-                     f" over the {MEMORY_BUDGET >> 20} MiB {command} budget")
+        given = " ".join(f"--{flag} {getattr(args, flag.replace('-', '_'))}"
+                         for flag in flags)
+        parser.error(f"{args.command} {given} needs about {need >> 20} MiB,"
+                     f" over the {MEMORY_BUDGET >> 20} MiB {args.command}"
+                     " budget")
 
 
 def _cmd_walk(parser, args) -> int:
     model = _build_model(parser, args)
     state0 = initial_state(args.chirality)
-    _check_budget(parser, "walk", args.steps,
-                  peak_bytes(state0.amplitudes.shape[0], args.steps))
+    _check_budget(parser, args,
+                  peak_bytes(state0.amplitudes.shape[0], args.steps), "steps")
     norm0 = state0.norm()
     max_drift = 0.0
     state = state0
@@ -222,8 +253,7 @@ def _cmd_walk(parser, args) -> int:
 
 
 def _cmd_holonomy_sphere(parser, args) -> int:
-    _check_budget(parser, "holonomy-sphere", args.steps,
-                  STEP_BYTES * args.steps)
+    _check_budget(parser, args, STEP_BYTES * args.steps, "steps")
 
     def rows():
         for i in range(args.loops):
@@ -257,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qwgeom",
         description="Quantum-walk band geometry: spectra, Dirac points, "
                     "Zak phases, windings, walks, and sphere transport.",
-        epilog="Set QWGEOM_WORKERS to bound the threads used by grid scans.")
+        epilog="Set QWGEOM_WORKERS to bound the threads used by "
+               "phase-diagram and zak-map.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="quasi-energy curve E(k)")
@@ -281,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_phase_diagram)
 
     sp = sub.add_parser("dirac-points",
-                        help="isolated gap closings in the angle square")
+                        help="isolated gap closings in the angle square, "
+                             "with the exact touching momentum")
     _add_model_args(sp, families=TWO_ANGLE_FAMILIES)
     sp.add_argument("--resolution", type=_resolution, default=721)
-    sp.add_argument("--k-samples", type=_k_samples, default=721)
     sp.add_argument("--tol", type=_positive_float, default=1e-9,
                     help="residual gap accepted after refinement")
     _add_out(sp)

@@ -17,6 +17,8 @@ Bloch vector n(k).  Each family also carries closed forms for the
 dispersion cos E(k) and the (unnormalized) Bloch components, the fast
 paths used by scans; the unnormalized components N(k) defined by
 U(k) = cos E - i (N . sigma) satisfy |N(k)| = sin E(k) identically.
+A two-angle family also carries its exact gap envelope: max_k |cos E|
+and a momentum k* reaching it, as closed forms in the angles.
 """
 
 from __future__ import annotations
@@ -82,6 +84,17 @@ def noncommuting_cos_energy(theta, phi, k):
     return np.cos(k) * d + np.sin(k) * c
 
 
+def noncommuting_envelope(theta, phi):
+    """Exact band-edge envelope (max_k |cos E|, k*) of the non-commuting walk.
+
+    cos E = d cos k + c sin k peaks at sqrt(c^2 + d^2) for
+    k* = atan2(c, d), where cos E is +max, so a touching found there sits
+    at E = 0.  Broadcasts over both angles.
+    """
+    _, _, c, d = angular_coeffs(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    return np.hypot(c, d), np.arctan2(c, d)
+
+
 def splitstep_numerators(theta1, theta2, k):
     """Unnormalized Bloch components of the split-step walk.
 
@@ -107,6 +120,21 @@ def splitstep_cos_energy(theta1, theta2, k):
     return np.cos(k) * np.cos(t1) * np.cos(t2) - np.sin(t1) * np.sin(t2)
 
 
+def splitstep_envelope(theta1, theta2):
+    """Exact band-edge envelope (max_k |cos E|, k*) of the split-step walk.
+
+    cos E = cos k cos(theta1) cos(theta2) - sin(theta1) sin(theta2) is
+    extremal only at k = 0 and k = pi, so the envelope is
+    |cos(theta1) cos(theta2)| + |sin(theta1) sin(theta2)|, reached at
+    k* = 0 when the two products differ in sign and at k* = pi otherwise.
+    """
+    t1 = np.asarray(theta1, dtype=float)
+    t2 = np.asarray(theta2, dtype=float)
+    cc = np.cos(t1) * np.cos(t2)
+    ss = np.sin(t1) * np.sin(t2)
+    return np.abs(cc) + np.abs(ss), np.where(cc * ss > 0.0, np.pi, 0.0)
+
+
 # Spin-dependent shifts (du, dv): the sites moved by the upper (H) and by
 # the lower (V) spin component.
 SHIFT = (1, -1)
@@ -119,14 +147,16 @@ class WalkModel:
 
     A family is a frozen dataclass subclass whose fields are its coin
     angles, sets its closed forms numerators(*angles, k) and
-    dispersion(*angles, k) as static class attributes, and lists its step
-    in step_ops().  Angles are canonicalised here, and the momentum
-    unitary is folded from step_ops().
+    dispersion(*angles, k) (a two-angle family also envelope(*angles))
+    as static class attributes, and lists its step in step_ops().
+    Angles are canonicalised here, and the momentum unitary is folded
+    from step_ops().
     """
 
     family = "abstract"
     numerators = None
     dispersion = None
+    envelope = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -222,6 +252,7 @@ class NonCommutingWalk(WalkModel):
     family = "noncommuting"
     numerators = staticmethod(noncommuting_numerators)
     dispersion = staticmethod(noncommuting_cos_energy)
+    envelope = staticmethod(noncommuting_envelope)
 
     def step_ops(self):
         return (rotation_y(self.theta) @ rotation_x(self.phi), SHIFT)
@@ -243,6 +274,7 @@ class SplitStepWalk(WalkModel):
     family = "splitstep"
     numerators = staticmethod(splitstep_numerators)
     dispersion = staticmethod(splitstep_cos_energy)
+    envelope = staticmethod(splitstep_envelope)
 
     def step_ops(self):
         return (rotation_y(self.theta1), SHIFT_V, rotation_y(self.theta2), SHIFT_H)
@@ -283,3 +315,9 @@ def two_angle_numerators(family: str):
 def two_angle_cos_energy(family: str):
     """Dispersion function f(a1, a2, k) for a two-angle family name."""
     return _two_angle_class(family).dispersion
+
+
+def two_angle_envelope(family: str):
+    """Envelope function f(a1, a2) -> (max_k |cos E|, k*) for a two-angle
+    family name."""
+    return _two_angle_class(family).envelope

@@ -14,10 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaplessPointError, NonPlanarCurveError
-from .models import two_angle_cos_energy
+from .models import two_angle_cos_energy, two_angle_envelope
 from .utils import fold_angle, run_rows
 
 GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Peak bytes per (angle, momentum) cell of the row each scan_gap worker
+# holds (three float64 temporaries; measured 10-23), and per node of the
+# envelope grid of find_dirac_points (measured 32-38).  From peak RSS
+# growth at 201-2881 nodes a side and 8-11521 momenta (Linux x86-64,
+# numpy 2.4).
+SCAN_CELL_BYTES = 24
+ENVELOPE_NODE_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -114,33 +122,27 @@ def _golden_min(f, lo: float, hi: float, x_tol: float):
     return x, f(x)
 
 
-def _refine_touching(cos_e, seed, window: float = 0.1, x_tol: float = 1e-9,
+def _refine_touching(gap_at, seed, window: float = 0.1, x_tol: float = 1e-9,
                      max_sweeps: int = 200):
-    """Coordinate-descent gap minimization from a coarse seed.
+    """Coordinate-descent minimization of gap_at(a1, a2) from a coarse seed.
 
-    Angles stay clamped to the scan square [-pi, pi]; the momentum may
-    wander past the zone edge (the dispersion is 2 pi periodic) and is
-    folded afterwards.  Returns (angle1, angle2, k, gap).
+    Angles stay clamped to the scan square [-pi, pi].  Returns
+    (angle1, angle2, gap).
     """
-
-    def gap_at(a1, a2, k):
-        return 1.0 - abs(float(cos_e(a1, a2, k)))
-
-    a1, a2, k = (float(v) for v in seed)
-    best = gap_at(a1, a2, k)
+    a1, a2 = (float(v) for v in seed)
+    best = gap_at(a1, a2)
     for _ in range(max_sweeps):
         lo1 = max(-math.pi, a1 - window)
         hi1 = min(math.pi, a1 + window)
-        a1, _ = _golden_min(lambda x: gap_at(x, a2, k), lo1, hi1, x_tol)
+        a1, _ = _golden_min(lambda x: gap_at(x, a2), lo1, hi1, x_tol)
         lo2 = max(-math.pi, a2 - window)
         hi2 = min(math.pi, a2 + window)
-        a2, _ = _golden_min(lambda x: gap_at(a1, x, k), lo2, hi2, x_tol)
-        k, g = _golden_min(lambda x: gap_at(a1, a2, x), k - window, k + window, x_tol)
+        a2, g = _golden_min(lambda x: gap_at(a1, x), lo2, hi2, x_tol)
         if best - g < 1e-12:
             best = min(best, g)
             break
         best = g
-    return a1, a2, k, best
+    return a1, a2, best
 
 
 def _cluster_components(nodes: np.ndarray, cell: float = 0.2):
@@ -181,27 +183,38 @@ def _cluster_components(nodes: np.ndarray, cell: float = 0.2):
 
 
 def find_dirac_points(family: str, coarse_resolution: int = 721,
-                      k_samples: int = 721, candidate_gap: float = 1e-3,
+                      candidate_gap: float = 1e-3,
                       accept_gap: float = 1e-9) -> DiracPointSet:
     """Locate all isolated gap closings of a two-angle family.
 
-    A coarse angle/momentum scan collects nodes with gap below
-    candidate_gap, groups them into spatial components, and refines each
-    compact component by coordinate descent.  Components wider than half
-    a radian are reported via continuous_boundary instead of as points
-    (the split-step family closes its gap along whole lines).  Each
-    returned point is placed at the momentum where the touching happens
-    at energy 0 rather than pi, and points are sorted by angles.
+    The family's exact gap envelope 1 - max_k |cos E| is evaluated once
+    on a coarse_resolution^2 grid over the angle square (no momentum
+    grid).  Nodes with gap below candidate_gap are grouped into spatial
+    components, and each compact component is refined by coordinate
+    descent on the envelope, in the two angles only.  Components wider
+    than half a radian are reported via continuous_boundary instead of
+    as points (the split-step family closes its gap along whole lines).
+    Each point's momentum is the envelope's k* at the refined angles,
+    folded into (-pi, pi]; for the non-commuting family cos E = +1 there,
+    so every touching is reported at energy 0.  Points are sorted by
+    angles.
     """
+    if coarse_resolution < 2:
+        raise ValueError("coarse_resolution must be at least 2")
+    envelope = two_angle_envelope(family)
     cos_e = two_angle_cos_energy(family)
-    grid = scan_gap(family, coarse_resolution, k_samples)
-    ii, jj = np.nonzero(grid.gap < candidate_gap)
+
+    def gap_at(a1, a2):
+        return 1.0 - float(envelope(a1, a2)[0])
+
+    angles = np.linspace(-np.pi, np.pi, coarse_resolution)
+    gap = 1.0 - envelope(angles[:, None], angles[None, :])[0]
+    ii, jj = np.nonzero(gap < candidate_gap)
     if ii.size == 0:
         return DiracPointSet(family=family, points=(), continuous_boundary=False,
                              dropped=0, accept_gap=accept_gap)
 
-    nodes = np.column_stack([grid.angles1[ii], grid.angles2[jj],
-                             grid.gap[ii, jj], grid.argmin_k[ii, jj]])
+    nodes = np.column_stack([angles[ii], angles[jj], gap[ii, jj]])
     components = _cluster_components(nodes)
 
     continuous = False
@@ -218,19 +231,11 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     dropped = 0
     for pts in compact:
         seed = pts[np.argmin(pts[:, 2])]
-        a1, a2, k, g = _refine_touching(cos_e, (seed[0], seed[1], seed[3]))
+        a1, a2, g = _refine_touching(gap_at, seed[:2])
         if g > accept_gap:
             dropped += 1
             continue
-        k = fold_angle(k)
-        if float(cos_e(a1, a2, k)) < 0.0:
-            # Touching found at the E = pi edge; the partner cone of the
-            # same closing sits half a zone away at E = 0.
-            k_shift = fold_angle(k + math.pi)
-            k2, g2 = _golden_min(lambda x: 1.0 - abs(float(cos_e(a1, a2, x))),
-                                 k_shift - 0.1, k_shift + 0.1, 1e-9)
-            if g2 <= accept_gap and float(cos_e(a1, a2, k2)) > 0.0:
-                k, g = fold_angle(k2), g2
+        k = fold_angle(float(envelope(a1, a2)[1]))
         energy = 0.0 if float(cos_e(a1, a2, k)) > 0.0 else math.pi
         points.append(DiracPoint(angle1=a1, angle2=a2, momentum=k,
                                  energy=energy, gap=g))

@@ -91,7 +91,7 @@ def test_walk_csv_and_oracle_note(capsys, tmp_path):
 
 def test_dirac_points_schema(capsys):
     code, out, _ = run(capsys, "dirac-points", "--family", "noncommuting",
-                       "--resolution", "181", "--k-samples", "181")
+                       "--resolution", "181")
     assert code == 0
     points = json.loads(out)
     assert isinstance(points, list)
@@ -230,6 +230,70 @@ def test_holonomy_over_memory_budget_exits_two(capsys, tmp_path):
     assert not out_path.exists()
     limit = cli.MEMORY_BUDGET // holonomy.STEP_BYTES
     assert run(capsys, "holonomy-sphere", "--steps", str(limit + 1))[0] == 2
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    pytest.param(("phase-diagram", "--family", "noncommuting",
+                  "--resolution", "100000"),
+                 "--resolution 100000 --k-samples 361", id="phase-diagram"),
+    pytest.param(("dirac-points", "--family", "splitstep",
+                  "--resolution", "1000000"),
+                 "--resolution 1000000", id="dirac-points"),
+    pytest.param(("zak-map", "--family", "noncommuting",
+                  "--n-points", "1000000"),
+                 "--resolution 201 --n-points 1000000", id="zak-map"),
+])
+def test_grid_command_over_memory_budget_exits_two(capsys, tmp_path,
+                                                   monkeypatch, argv, sizes):
+    # Should the check ever let these sizes through, fail instead of
+    # allocating them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the budget check let an oversize grid through")
+
+    for name in ("scan_gap", "find_dirac_points", "zak_map"):
+        monkeypatch.setattr(cli, name, refuse)
+    out_path = tmp_path / "grid.out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert f"{argv[0]} {sizes} needs about" in err
+    assert f"MiB {argv[0]} budget" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, scan", [
+    pytest.param(("phase-diagram", "--family", "noncommuting"), "scan_gap",
+                 id="phase-diagram-default"),
+    pytest.param(("phase-diagram", "--family", "noncommuting",
+                  "--resolution", "721", "--k-samples", "361"), "scan_gap",
+                 id="phase-diagram-benchmark"),
+    pytest.param(("dirac-points", "--family", "noncommuting"),
+                 "find_dirac_points", id="dirac-points-default"),
+    pytest.param(("zak-map", "--family", "noncommuting"), "zak_map",
+                 id="zak-map-default"),
+])
+def test_grid_budget_accepts_default_and_benchmark_sizes(capsys, monkeypatch,
+                                                         argv, scan):
+    # Eight workers hold eight rows at once; reaching the scan means the
+    # budget check passed.
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setenv("QWGEOM_WORKERS", "8")
+    monkeypatch.setattr(cli, scan, reached)
+    with pytest.raises(Reached):
+        cli.main(list(argv))
+
+
+def test_grid_bytes_counts_rows_in_flight(monkeypatch):
+    # One row per worker, at most one per row.
+    monkeypatch.setenv("QWGEOM_WORKERS", "1")
+    serial = cli._grid_bytes(5, 100, 24, 352)
+    assert serial == 24 * 5 * 100 + 352 * 25
+    monkeypatch.setenv("QWGEOM_WORKERS", "64")
+    assert cli._grid_bytes(5, 100, 24, 352) - serial == 4 * 24 * 5 * 100
 
 
 def test_json_text_rejects_non_finite():

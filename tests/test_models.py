@@ -4,13 +4,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwgeom.errors import GaplessPointError
-from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
-                           angular_coeffs, make_model, two_angle_cos_energy,
-                           two_angle_numerators)
+from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
+                           SplitStepWalk, StandardWalk, angular_coeffs,
+                           make_model, two_angle_cos_energy,
+                           two_angle_envelope, two_angle_numerators)
 from qwgeom.spin import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 from qwgeom.utils import canonical_angle
+
+from conftest import angles, walk_models
 
 
 def _ry(theta):
@@ -77,6 +82,13 @@ def test_momentum_unitary_is_special_unitary():
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
 
+@given(model=walk_models(), k=angles)
+def test_momentum_unitaries_su2_property(model, k):
+    u = model.momentum_unitaries(np.array([k]))[0]
+    assert np.max(np.abs(u.conj().T @ u - IDENTITY_2)) < 1e-12
+    assert abs(np.linalg.det(u) - 1.0) < 1e-12
+
+
 def test_momentum_unitaries_batch_agrees_with_scalar():
     ks = np.linspace(-np.pi, np.pi, 17)
     for model in (StandardWalk(0.6), NonCommutingWalk(0.8, -0.5),
@@ -130,6 +142,29 @@ def test_bloch_numerators_norm_is_sin_energy():
         ce = np.asarray(model.cos_energy(ks))
         sin_e = np.sqrt(np.clip(1.0 - ce * ce, 0.0, None))
         assert np.max(np.abs(np.linalg.norm(n, axis=-1) - sin_e)) < 1e-12
+
+
+@given(model=walk_models(), k=angles)
+def test_bloch_numerators_norm_squared_property(model, k):
+    # Squared, since both sides are >= 0: next to a band touching
+    # sqrt(1 - cos^2 E) turns a rounding of 1e-16 in cos^2 E into 1e-8.
+    n = np.asarray(model.bloch_numerators(k))
+    ce = float(model.cos_energy(k))
+    assert abs(float(n @ n) - (1.0 - ce * ce)) < 1e-12
+
+
+@given(family=st.sampled_from(TWO_ANGLE_FAMILIES), a1=angles, a2=angles)
+def test_envelope_is_max_abs_cos_energy(family, a1, a2):
+    env, k_star = two_angle_envelope(family)(a1, a2)
+    cos_e = two_angle_cos_energy(family)
+    assert abs(abs(float(cos_e(a1, a2, k_star))) - env) < 1e-15
+    ks = np.linspace(-np.pi, np.pi, 20_001)
+    sampled = np.abs(cos_e(a1, a2, ks)).max()
+    assert sampled <= env + 1e-15
+    # The grid misses the peak by at most half a spacing, and |cos E| is
+    # a unit-amplitude cosine in k (or flatter) near it.
+    dk = ks[1] - ks[0]
+    assert env - sampled <= dk * dk / 8 + 1e-15
 
 
 def test_unitary_reconstruction_from_energy_and_axis():
@@ -236,6 +271,8 @@ def test_two_angle_helpers():
         two_angle_numerators("standard")
     with pytest.raises(ValueError):
         two_angle_cos_energy("standard")
+    with pytest.raises(ValueError):
+        two_angle_envelope("standard")
 
 
 def test_family_labels_and_angles():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qwgeom.errors import GaplessPointError, NonPlanarCurveError
-from qwgeom.models import NonCommutingWalk, SplitStepWalk, StandardWalk
+from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
+                           SplitStepWalk, StandardWalk, two_angle_envelope)
 from qwgeom.topology import (find_dirac_points, planar_winding, scan_gap,
                              winding_number)
 
@@ -33,6 +34,20 @@ def test_scan_gap_worker_count_does_not_change_output(monkeypatch):
     assert np.array_equal(serial.argmin_k, threaded.argmin_k)
 
 
+@pytest.mark.parametrize("family", TWO_ANGLE_FAMILIES)
+def test_sampled_scan_brackets_exact_envelope(family):
+    # Sampling k can only miss the peak of |cos E|, by at most the drop of
+    # a unit cosine over half a spacing.
+    k_samples = 181
+    gm = scan_gap(family, resolution=61, k_samples=k_samples)
+    env, _ = two_angle_envelope(family)(gm.angles1[:, None],
+                                        gm.angles2[None, :])
+    exact = 1.0 - env
+    dk = 2.0 * np.pi / (k_samples - 1)
+    assert np.all(gm.gap >= exact - 1e-15)
+    assert np.all(gm.gap <= exact + dk * dk / 8)
+
+
 def _analytic_census():
     """The 13 gap closings of the non-commuting family on [-pi, pi]^2."""
     pts = []
@@ -49,7 +64,7 @@ def _analytic_census():
 
 def test_dirac_census_noncommuting():
     ds = find_dirac_points("noncommuting", coarse_resolution=181,
-                           k_samples=181, accept_gap=1e-9)
+                           accept_gap=1e-9)
     assert ds.family == "noncommuting"
     assert not ds.continuous_boundary
     assert len(ds.points) == 13
@@ -67,15 +82,31 @@ def test_dirac_census_noncommuting():
                 and abs(abs(match[2]) - np.pi) < 1e-6)
 
 
+def test_dirac_census_off_grid_has_exact_momentum():
+    """An even resolution puts no grid node on 0 or +-pi/2, so only the
+    four corner closings sit on the grid; refinement still lands on all
+    13, and k* comes from the envelope, not from a momentum sample."""
+    ds = find_dirac_points("noncommuting", coarse_resolution=200)
+    assert len(ds.points) == 13 and ds.dropped == 0
+    unmatched = _analytic_census()
+    for p in ds.points:
+        dists = [max(abs(p.angle1 - a1), abs(p.angle2 - a2))
+                 for a1, a2, _ in unmatched]
+        a1, a2, k = unmatched.pop(int(np.argmin(dists)))
+        assert max(abs(p.angle1 - a1), abs(p.angle2 - a2)) < 1e-6
+        # k* = +pi and -pi are the same momentum.
+        assert abs((p.momentum - k + np.pi) % (2 * np.pi) - np.pi) < 1e-12
+        assert p.energy == 0.0
+
+
 def test_dirac_points_sorted_deterministically():
-    ds = find_dirac_points("noncommuting", coarse_resolution=121,
-                           k_samples=121)
+    ds = find_dirac_points("noncommuting", coarse_resolution=121)
     keys = [(p.angle1, p.angle2) for p in ds.points]
     assert keys == sorted(keys)
 
 
 def test_splitstep_has_continuous_gapless_boundary():
-    ds = find_dirac_points("splitstep", coarse_resolution=121, k_samples=121)
+    ds = find_dirac_points("splitstep", coarse_resolution=121)
     assert ds.continuous_boundary
     assert ds.points == ()
 

@@ -1,7 +1,7 @@
 """Position-space evolution against the momentum-space oracle."""
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from qwgeom import cli
 from qwgeom.errors import GridMismatchError
-from qwgeom.models import (FAMILY_CLASSES, NonCommutingWalk, SplitStepWalk,
-                           StandardWalk, WalkModel, make_model)
+from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
+                           WalkModel)
 from qwgeom.spin import rotation_x, rotation_y
 from qwgeom.walk import (Distribution, WalkerState, evolve, initial_state,
                          momentum_oracle, probability_distribution,
                          similarity, step, total_variation, trajectory)
+
+from conftest import walk_models
 
 
 def _dense_oracle(state0, model, n_steps):
@@ -48,16 +50,6 @@ def _dense_oracle(state0, model, n_steps):
     p = np.sum(np.abs(psi_n[keep]) ** 2, axis=1)
     return Distribution(positions=xs[keep], p=p,
                         step_count=state0.step_count + n_steps)
-
-
-angles = st.floats(min_value=-np.pi, max_value=np.pi)
-
-
-@st.composite
-def walk_models(draw):
-    family = draw(st.sampled_from(sorted(FAMILY_CLASSES)))
-    n_angles = len(fields(FAMILY_CLASSES[family]))
-    return make_model(family, [draw(angles) for _ in range(n_angles)])
 
 
 def test_initial_state_chirality():
