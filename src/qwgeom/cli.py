@@ -5,13 +5,17 @@ angle), 3 domain error (gapless point, degenerate input,
 finite-difference failure).  Angles are radians, given either as
 decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
 special points are not blurred by rounding.  A family's angle flags
-are its model's field names.  phase-diagram and zak-map run their rows
-in a thread pool sized by the QWGEOM_WORKERS environment variable;
-dirac-points evaluates the exact gap envelope on its angle grid, with
-no momentum samples, so its k* is exact.  A size flag (walk and
-holonomy-sphere --steps; --resolution, --k-samples and --n-points of
-the grid commands) whose estimated peak memory exceeds MEMORY_BUDGET
-bytes is refused up front with exit 2, before anything is allocated.
+are its model's field names.  phase-diagram runs its rows in a
+thread pool sized by the QWGEOM_WORKERS environment variable; no other
+command uses a thread pool.  dirac-points evaluates the exact gap
+envelope on its angle grid, with no momentum samples, so its k* is
+exact.  zak and zak-map evaluate each Wilson link as a spherical-triangle
+area of real unit Bloch vectors, which matches the complex eigenvector
+overlap chain to about 1e-14.  A size flag whose estimated peak memory exceeds
+MEMORY_BUDGET bytes is refused up front with exit 2, before anything
+is allocated: --steps of walk and holonomy-sphere, --k-samples of
+spectrum, bloch and winding, --n-points of zak, and --resolution,
+--k-samples and --n-points of the grid commands.
 """
 
 from __future__ import annotations
@@ -32,12 +36,13 @@ from .holonomy import (QGT_STEP_RANGE, STEP_BYTES, TangentVector,
 from .models import FAMILY_CLASSES, TWO_ANGLE_FAMILIES, WalkModel, make_model
 from .spin import bloch_sphere_state
 from .topology import (ENVELOPE_NODE_BYTES, SCAN_CELL_BYTES,
-                       find_dirac_points, scan_gap, winding_number)
+                       WINDING_SAMPLE_BYTES, find_dirac_points, scan_gap,
+                       winding_number)
 from .utils import fold_angle, worker_count
 from .walk import (initial_state, momentum_oracle, peak_bytes,
                    probability_distribution, similarity, total_variation,
                    trajectory)
-from .zak import ZAK_CELL_BYTES, zak_map, zak_numeric
+from .zak import ZAK_BLOCK_NODES, ZAK_CELL_BYTES, zak_map, zak_numeric
 
 _PI_FORM = re.compile(
     r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?pi(?:/(\d+(?:\.\d*)?|\.\d+))?$")
@@ -45,8 +50,7 @@ _PI_FORM = re.compile(
 _BAND = {"plus": +1, "minus": -1}
 
 # Bytes one run may take for the arrays and text its size flags set
-# (walk and holonomy-sphere --steps; the grid commands' --resolution,
-# --k-samples and --n-points).
+# (see the module docstring for the flags).
 MEMORY_BUDGET = 2**30
 
 # Every family's angle field names, each also a CLI flag.
@@ -143,6 +147,8 @@ def _k_grid(n: int) -> np.ndarray:
 
 def _cmd_spectrum(parser, args) -> int:
     model = _build_model(parser, args)
+    _check_budget(parser, args, emit.CURVE_ROW_BYTES * args.k_samples,
+                  "k-samples")
     emit.write_text(emit.spectrum_csv(model, _k_grid(args.k_samples)),
                     args.out)
     return 0
@@ -150,6 +156,8 @@ def _cmd_spectrum(parser, args) -> int:
 
 def _cmd_bloch(parser, args) -> int:
     model = _build_model(parser, args)
+    _check_budget(parser, args, emit.CURVE_ROW_BYTES * args.k_samples,
+                  "k-samples")
     emit.write_text(emit.bloch_csv(model, _k_grid(args.k_samples)), args.out)
     return 0
 
@@ -181,6 +189,8 @@ def _cmd_dirac_points(parser, args) -> int:
 
 def _cmd_zak(parser, args) -> int:
     model = _build_model(parser, args)
+    _check_budget(parser, args, ZAK_CELL_BYTES * (args.n_points + 1),
+                  "n-points")
     zr = zak_numeric(model, _BAND[args.band], k_origin=args.k_origin,
                      n_points=args.n_points, span=args.span,
                      closed=args.closed)
@@ -189,8 +199,8 @@ def _cmd_zak(parser, args) -> int:
 
 
 def _cmd_zak_map(parser, args) -> int:
-    need = _grid_bytes(args.resolution, args.n_points + 1, ZAK_CELL_BYTES,
-                       emit.CSV_ROW_BYTES)
+    need = (_grid_bytes(args.resolution, 0, 0, emit.CSV_ROW_BYTES)
+            + ZAK_CELL_BYTES * ZAK_BLOCK_NODES * (args.n_points + 1))
     _check_budget(parser, args, need, "resolution", "n-points")
     zm = zak_map(args.family, resolution=args.resolution,
                  n_points=args.n_points, span=args.span)
@@ -200,6 +210,8 @@ def _cmd_zak_map(parser, args) -> int:
 
 def _cmd_winding(parser, args) -> int:
     model = _build_model(parser, args)
+    _check_budget(parser, args, WINDING_SAMPLE_BYTES * args.k_samples,
+                  "k-samples")
     w = winding_number(model, k_samples=args.k_samples)
     emit.write_text(emit.winding_json(model, w, args.k_samples), args.out)
     return 0
@@ -210,7 +222,8 @@ def _grid_bytes(resolution: int, row_samples: int, cell_bytes: int,
     """Estimated peak bytes of a grid command: node_bytes for each of the
     resolution^2 angle nodes, plus cell_bytes for each of the
     resolution x row_samples cells of every row a worker holds at once
-    (one per worker, at most one per row)."""
+    (one per worker, at most one per row; only phase-diagram has row
+    workers, the other grid commands pass no cells)."""
     rows = min(worker_count(), resolution)
     return (cell_bytes * rows * resolution * row_samples
             + node_bytes * resolution * resolution)
@@ -288,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-walk band geometry: spectra, Dirac points, "
                     "Zak phases, windings, walks, and sphere transport.",
         epilog="Set QWGEOM_WORKERS to bound the threads used by "
-               "phase-diagram and zak-map.")
+               "phase-diagram; no other command uses a thread pool.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="quasi-energy curve E(k)")

@@ -39,6 +39,9 @@ def _cell(value) -> str:
 # phase-diagram and 317-325 for zak-map from peak RSS growth at 201-2881
 # nodes a side (Linux x86-64, numpy 2.4).
 CSV_ROW_BYTES = 352
+# Peak bytes per momentum sample of a spectrum or bloch CSV, counted the
+# same way; measured 329-352 at 1e5-1.6e6 samples.
+CURVE_ROW_BYTES = 384
 
 
 def csv_text(header, rows) -> str:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (CurveNotSupportedError, FiniteDifferenceError,
                      OrthogonalStatesError)
+from .spin import half_solid_angle
 from .utils import fold_angle
 
 TANGENCY_TOL = 1e-10
@@ -20,6 +21,7 @@ QGT_STEP_RANGE = (1e-7, 1e-3)  # accepted finite-difference widths h
 # Peak bytes per parallel_transport step, from measured peak RSS growth of
 # 240-250 bytes per step at 1e5-4e6 steps (Linux x86-64, numpy 2.4).
 STEP_BYTES = 256
+_NORTH = np.array([0.0, 0.0, 1.0])
 
 
 def sphere_point(theta, phi) -> np.ndarray:
@@ -139,30 +141,31 @@ def parallel_transport(curve: SphereCurve, v0: TangentVector,
     return TangentVector(v=v_final, base=r0), fold_angle(alpha)
 
 
-def solid_angle(curve: SphereCurve, steps: int = 20_000) -> float:
-    """Signed solid angle enclosed by a closed curve that is a graph
-    theta(phi) over one full azimuthal sweep.
+def _fan_area(pts: np.ndarray) -> float:
+    """Signed area of the geodesic polygon through the rows of pts."""
+    return 2.0 * float(np.sum(half_solid_angle(_NORTH, pts[:-1].T, pts[1:].T)))
 
-    Evaluates the line integral of (1 - cos theta) d phi on the sampled
-    curve with midpoint theta values; exact for latitude loops.  Curves
-    whose azimuth is not strictly monotonic over the sweep raise
-    CurveNotSupportedError.
+
+def solid_angle(curve: SphereCurve, steps: int = 20_000) -> float:
+    """Signed solid angle enclosed by a closed curve, seen from +z (the
+    area the arc from +z to the curve sweeps, counterclockwise positive).
+
+    Sums the triangles (+z, r_j, r_j+1) of the polygon through the
+    2 steps + 1 samples of parallel_transport, with the same Richardson
+    step against every other sample (smooth loops: about 1e-14 at
+    20 000 steps).  Any closed curve is accepted, except one with a
+    sample at -z, where the fan degenerates: CurveNotSupportedError.
     """
     if steps < 8:
         raise ValueError("steps must be at least 8")
     _check_closed(curve)
-    thetas, phis = curve.angles(np.linspace(0.0, 1.0, steps + 1))
-    dphi = np.diff(phis)
-    dphi = (dphi + np.pi) % (2.0 * np.pi) - np.pi
-    if np.any(dphi == 0.0) or (np.any(dphi > 0.0) and np.any(dphi < 0.0)):
+    pts = curve.point(np.linspace(0.0, 1.0, 2 * steps + 1))
+    if not np.all(np.linalg.norm(pts + _NORTH, axis=1) > CLOSURE_TOL):
         raise CurveNotSupportedError(
-            "azimuth is not strictly monotonic; curve is not a phi graph")
-    total = float(np.sum(dphi))
-    if abs(abs(total) - 2.0 * np.pi) > 1e-6:
-        raise CurveNotSupportedError(
-            f"azimuth sweep is {total!r}, not a single full turn")
-    theta_mid = 0.5 * (thetas[1:] + thetas[:-1])
-    return float(np.sum((1.0 - np.cos(theta_mid)) * dphi))
+            "curve passes through the south pole -z, or is not finite")
+    fine, coarse = _fan_area(pts), _fan_area(pts[::2])
+    # The fans agree modulo 4 pi: a coarse edge can pass -z on the other side.
+    return fine + 2.0 * fold_angle(0.5 * (fine - coarse)) / 3.0
 
 
 def berry_overlap_phase(psi_initial: np.ndarray, psi_final: np.ndarray) -> float:

@@ -110,6 +110,25 @@ def band_eigenvector(n_vectors: np.ndarray, band: int) -> np.ndarray:
     return np.stack([upper, lower], axis=-1)
 
 
+def half_solid_angle(apex, a, b) -> np.ndarray:
+    """Half the signed solid angle of the geodesic triangle (apex, a, b),
+    in (-pi, pi], positive for vertices counterclockwise seen from outside.
+
+    The Van Oosterom-Strackee tan(Omega / 2) = apex.(a x b) /
+    (1 + a.b + apex.a + apex.b), evaluated as atan2(apex.(u x v), u.v)
+    with u = apex + a, v = apex + b, which keeps its precision as a or b
+    nears -apex.  It is also the Bargmann phase arg <apex|a><a|b><b|apex>
+    of spin-1/2 states.  Unit vectors go xyz first, shape (3, ...), and
+    broadcast.  A vertex antipodal to another gives atan2(0, 0) = 0.
+    """
+    px, py, pz = apex
+    ux, uy, uz = px + a[0], py + a[1], pz + a[2]
+    vx, vy, vz = px + b[0], py + b[1], pz + b[2]
+    return np.arctan2(px * (uy * vz - uz * vy) + py * (uz * vx - ux * vz)
+                      + pz * (ux * vy - uy * vx),
+                      ux * vx + uy * vy + uz * vz)
+
+
 def eig_h2(n) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Closed-form spectral data of H = n . sigma for a single 3-vector.
 

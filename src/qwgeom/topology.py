@@ -26,6 +26,10 @@ GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 # numpy 2.4).
 SCAN_CELL_BYTES = 24
 ENVELOPE_NODE_BYTES = 48
+# Peak bytes per momentum sample of winding_number (Bloch curve, its SVD
+# and in-plane angles; measured 136-139 from peak RSS growth at 2e5-3.2e6
+# samples, Linux x86-64, numpy 2.4).
+WINDING_SAMPLE_BYTES = 160
 
 
 @dataclass(frozen=True)

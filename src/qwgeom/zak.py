@@ -1,7 +1,8 @@
 """Zak phases of the walk bands.
 
 The workhorse is a discrete Wilson-line (overlap-product) Berry phase,
-which is gauge robust by construction.  The default integration window
+which is gauge robust by construction; each link is a spherical-triangle
+area of real unit Bloch vectors (_wilson_phase).  The default integration window
 is the half zone [k0 - pi/2, k0 + pi/2]; the reported phase doubles the
 raw Wilson-line value there, which reproduces both the closed-form
 integrand of the non-commuting family and the known trivial value pi
@@ -19,22 +20,25 @@ import numpy as np
 from .errors import GaplessPointError, OrthogonalStatesError
 from .models import (WalkModel, angular_coeffs, splitstep_numerators,
                      two_angle_cos_energy, two_angle_numerators)
-from .spin import band_eigenvector as _eigvec_from_n
-from .utils import circular_distance, fold_angle, run_rows
+from .spin import half_solid_angle
+from .utils import circular_distance, fold_angle
 
 PATH_GAP_TOL = 1e-6
 OVERLAP_TOL = 1e-12
 CONVERGENCE_FLAG_TOL = 1e-4
-# Peak bytes per (angle, momentum) cell of the row each zak_map worker
-# holds (gaps, Bloch components, eigenvectors and overlaps of both bands;
-# measured 170-250 from peak RSS growth at 201-1201 nodes a side and
-# 16-4096 points, Linux x86-64, numpy 2.4).
-ZAK_CELL_BYTES = 256
+# Angle nodes per zak_map block: small enough to keep the kernel's
+# temporaries in cache (2-3x faster than whole rows of 201).
+ZAK_BLOCK_NODES = 64
+# Peak bytes per momentum sample of one node's Wilson chain (measured
+# 120-133 in zak_map and zak_numeric from peak RSS growth at 2e3-3.2e6
+# samples, Linux x86-64, numpy 2.4).
+ZAK_CELL_BYTES = 160
+_SOUTH = np.array([0.0, 0.0, -1.0])
 
 SPAN_HALF = "half"
 SPAN_FULL = "full"
-_SPAN_WIDTH = {SPAN_HALF: np.pi, SPAN_FULL: 2.0 * np.pi}
-_SPAN_WEIGHT = {SPAN_HALF: 2.0, SPAN_FULL: 1.0}
+# Half width of each span's momentum window, and the weight of its phase.
+_SPANS = {SPAN_HALF: (0.5 * np.pi, 2.0), SPAN_FULL: (np.pi, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -69,18 +73,6 @@ class ZakMap:
     span: str
 
 
-def band_eigenvector(model: WalkModel, k, band: int) -> np.ndarray:
-    """Normalized band eigenvector(s) of the effective Hamiltonian at k.
-
-    Wraps the closed-form two-level eigensolver with a gap guard: raises
-    GaplessPointError when 1 - |cos E(k)| <= 1e-9 anywhere in k.
-    """
-    gap = model.gap(k)
-    if np.any(gap <= 1e-9):
-        raise GaplessPointError(f"band eigenvector undefined at gapless k for {model!r}")
-    return _eigvec_from_n(model.bloch_numerators(k), band)
-
-
 def discrete_berry_phase(vectors: np.ndarray, closed: bool = False) -> float:
     """Overlap-chain (Wilson-line) phase sum_i arg<v_i|v_{i+1}>.
 
@@ -106,8 +98,43 @@ def discrete_berry_phase(vectors: np.ndarray, closed: bool = False) -> float:
     return float(np.sum(np.angle(overlaps)))
 
 
-def _zak_phase_from_vectors(vectors: np.ndarray, weight: float, closed: bool) -> float:
-    return fold_angle(weight * discrete_berry_phase(vectors, closed=closed))
+def _wilson_phase(numerators: np.ndarray, band: int, weight: float):
+    """Folded weight x Wilson-line phase of one band along axis -2 of
+    (..., m, 3) Bloch numerators.
+
+    In spin.band_eigenvector's gauge the lower component of band s is
+    real with sign -s, so each link arg<v_i|v_i+1> is exactly
+    half_solid_angle(-z, s n_i, s n_i+1) of the unit vectors, and
+    |<v_i|v_i+1>| = |n_i + n_i+1| / 2; below 1e-12 that raises
+    OrthogonalStatesError.  At the chart pole s n = +z the kernel reads
+    0 where the gauge jumps; no gapped window of width >= pi gets there,
+    as n_x = n_y = 0 forces a touching at k = 0 or pi (standard,
+    split-step) or max_k |cos E| = 1 at k* and k* + pi (noncommuting,
+    whose |n_perp| is constant in k).
+    """
+    if band not in (+1, -1):
+        raise ValueError("band must be +1 or -1")
+    xyz = np.moveaxis(numerators, -1, 0)
+    x, y, z = xyz
+    n = np.multiply(xyz, band / np.sqrt(x * x + y * y + z * z), order="C")
+    a, b = n[..., :-1], n[..., 1:]
+    if np.any(np.sum((a + b) ** 2, axis=0) < (2.0 * OVERLAP_TOL) ** 2):
+        raise OrthogonalStatesError("consecutive states are orthogonal; "
+                                    "phase chain is undefined")
+    links = half_solid_angle(_SOUTH, a, b)
+    return fold_angle_array(weight * links.sum(axis=-1))
+
+
+def _window(k_origin: float, n_points: int, span: str):
+    """The n_points + 1 momenta of a span's window about k_origin, and
+    the span's phase weight."""
+    if span not in _SPANS:
+        raise ValueError(f"span must be 'half' or 'full', got {span!r}")
+    if n_points < 16 or n_points % 2 != 0:
+        raise ValueError("n_points must be an even integer >= 16")
+    half_width, weight = _SPANS[span]
+    return (np.linspace(k_origin - half_width, k_origin + half_width,
+                        n_points + 1), weight)
 
 
 def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
@@ -125,18 +152,18 @@ def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
 
     Raises GaplessPointError if any sampled momentum has gap < 1e-6.
     """
-    if span not in _SPAN_WIDTH:
-        raise ValueError(f"span must be 'half' or 'full', got {span!r}")
-    if n_points < 16 or n_points % 2 != 0:
-        raise ValueError("n_points must be an even integer >= 16")
-    half_width = 0.5 * _SPAN_WIDTH[span]
-    ks = np.linspace(k_origin - half_width, k_origin + half_width, n_points + 1)
+    ks, weight = _window(k_origin, n_points, span)
     if np.any(model.gap(ks) < PATH_GAP_TOL):
         raise GaplessPointError(f"gapless momentum on the Zak path of {model!r}")
-    vectors = _eigvec_from_n(model.bloch_numerators(ks), band)
-    weight = _SPAN_WEIGHT[span]
-    phase = _zak_phase_from_vectors(vectors, weight, closed)
-    coarse = _zak_phase_from_vectors(vectors[::2], weight, closed)
+    n = model.bloch_numerators(ks)
+
+    def chain(samples: np.ndarray) -> float:
+        if closed:
+            samples = np.concatenate([samples, samples[:1]])
+        return float(_wilson_phase(samples, band, weight))
+
+    phase = chain(n)
+    coarse = chain(n[::2])
     converged = circular_distance(phase, coarse) <= CONVERGENCE_FLAG_TOL
     return ZakResult(band=band, phase=phase, k_origin=float(k_origin),
                      n_points=n_points, model=model, span=span, closed=closed,
@@ -233,50 +260,36 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     """Zak phases of both bands over the [-pi, pi]^2 parameter square.
 
     A node is masked (NaN phases) when any momentum sample on its
-    integration path has gap < 1e-6.  Rows run concurrently and are
-    assembled by index.
+    integration path has gap < 1e-6.  Nodes run serially, in blocks of
+    ZAK_BLOCK_NODES, through the kernel of zak_numeric.
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
-    if n_points < 16 or n_points % 2 != 0:
-        raise ValueError("n_points must be an even integer >= 16")
-    if span not in _SPAN_WIDTH:
-        raise ValueError(f"span must be 'half' or 'full', got {span!r}")
+    ks, weight = _window(0.0, n_points, span)
     numerators = two_angle_numerators(family)
     cos_e = two_angle_cos_energy(family)
     angles = np.linspace(-np.pi, np.pi, resolution)
-    half_width = 0.5 * _SPAN_WIDTH[span]
-    ks = np.linspace(-half_width, half_width, n_points + 1)
-    weight = _SPAN_WEIGHT[span]
 
-    def one_row(i: int):
-        a2 = angles[:, None]
-        gap = 1.0 - np.abs(cos_e(angles[i], a2, ks[None, :]))
-        mask = (gap < PATH_GAP_TOL).any(axis=1)
-        n = numerators(angles[i], a2, ks[None, :])
-        # Masked nodes may sit exactly on a degeneracy; give them a
-        # harmless direction so the vectorized eigensolver stays defined,
-        # then blank them afterwards.
-        n[mask] = np.array([0.0, 0.0, 1.0])
-        phases = []
-        for band in (+1, -1):
-            vec = _eigvec_from_n(n, band)
-            ov = np.sum(np.conj(vec[:, :-1]) * vec[:, 1:], axis=2)
-            ph = fold_angle_array(weight * np.angle(ov).sum(axis=1))
-            ph[mask] = np.nan
-            phases.append(ph)
-        return phases[0], phases[1], mask
-
-    rows = run_rows(one_row, resolution)
-    return ZakMap(family=family, angles1=angles.copy(), angles2=angles.copy(),
-                  zak_plus=np.stack([r[0] for r in rows]),
-                  zak_minus=np.stack([r[1] for r in rows]),
-                  masked=np.stack([r[2] for r in rows]),
+    a1s, a2s = (g.reshape(-1, 1) for g in
+                np.meshgrid(angles, angles, indexing="ij"))
+    blocks = []
+    for start in range(0, a1s.size, ZAK_BLOCK_NODES):
+        a1 = a1s[start:start + ZAK_BLOCK_NODES]
+        a2 = a2s[start:start + ZAK_BLOCK_NODES]
+        mask = (1.0 - np.abs(cos_e(a1, a2, ks)) < PATH_GAP_TOL).any(axis=1)
+        n = numerators(a1, a2, ks)
+        n[mask] = (0.0, 0.0, 1.0)  # keeps the kernel defined; blanked below
+        blocks.append((_wilson_phase(n, +1, weight),
+                       _wilson_phase(n, -1, weight), mask))
+    plus, minus, masked = (np.concatenate(b).reshape(resolution, resolution)
+                           for b in zip(*blocks))
+    plus[masked] = minus[masked] = np.nan
+    return ZakMap(family=family, angles1=angles, angles2=angles.copy(),
+                  zak_plus=plus, zak_minus=minus, masked=masked,
                   n_points=n_points, span=span)
 
 
 def fold_angle_array(x: np.ndarray) -> np.ndarray:
     """Vectorized fold into (-pi, pi]."""
     w = np.asarray(x, dtype=float) % (2.0 * np.pi)
-    w[w > np.pi] -= 2.0 * np.pi
-    return w
+    return np.where(w > np.pi, w - 2.0 * np.pi, w)

@@ -260,6 +260,37 @@ def test_grid_command_over_memory_budget_exits_two(capsys, tmp_path,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, sizes", [
+    pytest.param(("spectrum", "--k-samples", "99999999999"),
+                 "--k-samples 99999999999", id="spectrum"),
+    pytest.param(("bloch", "--k-samples", "99999999999"),
+                 "--k-samples 99999999999", id="bloch"),
+    pytest.param(("winding", "--k-samples", "99999999999"),
+                 "--k-samples 99999999999", id="winding"),
+    pytest.param(("zak", "--band", "plus", "--n-points", "99999999998"),
+                 "--n-points 99999999998", id="zak"),
+])
+def test_curve_command_over_memory_budget_exits_two(capsys, tmp_path,
+                                                    monkeypatch, argv, sizes):
+    # Should the check ever let these sizes through, fail instead of
+    # allocating them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the budget check let an oversize curve through")
+
+    for name in ("_k_grid", "winding_number", "zak_numeric"):
+        monkeypatch.setattr(cli, name, refuse)
+    for name in ("spectrum_csv", "bloch_csv"):
+        monkeypatch.setattr(emit, name, refuse)
+    out_path = tmp_path / "curve.out"
+    code, out, err = run(capsys, argv[0], "--family", "noncommuting",
+                         "--theta", "0.9", "--phi", "0.7", *argv[1:],
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert f"{argv[0]} {sizes} needs about" in err
+    assert f"MiB {argv[0]} budget" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv, scan", [
     pytest.param(("phase-diagram", "--family", "noncommuting"), "scan_gap",
                  id="phase-diagram-default"),

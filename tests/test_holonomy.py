@@ -136,6 +136,9 @@ def test_tilted_circle_holonomy_is_enclosed_solid_angle(
     expected = orientation * 2.0 * np.pi * (1.0 - np.cos(theta0))
     assert _circ(rotation, expected) < 1e-10
     assert abs(vf.norm - v0.norm) < 1e-14
+    # Counted from +z, a circle around -z encloses the complement: the
+    # area differs from expected by 4 pi, which is 0 on the circle.
+    assert _circ(solid_angle(curve, steps=2000), expected) < 1e-10
 
 
 def test_transport_is_independent_of_parameterization_speed():
@@ -166,17 +169,39 @@ def test_solid_angle_latitude_exact():
         assert abs(area - 2.0 * np.pi * (1.0 - np.cos(theta0))) < 1e-9
 
 
-def test_solid_angle_rejects_non_monotone_or_partial_sweeps():
+def test_solid_angle_of_non_graph_and_double_loops():
+    # Neither curve is a graph theta(phi): the first runs back in azimuth,
+    # the second goes round twice.
+    cap = 2.0 * np.pi * (1.0 - np.cos(0.9))
     wiggle = SphereCurve(
         parameterization=lambda t: (0.9, 2.0 * np.pi * t
                                     + 0.8 * np.sin(4.0 * np.pi * t)),
         closed=True)
-    with pytest.raises(CurveNotSupportedError):
-        solid_angle(wiggle)
+    assert abs(solid_angle(wiggle) - cap) < 1e-11
     double = SphereCurve(
         parameterization=lambda t: (0.9, 4.0 * np.pi * t), closed=True)
-    with pytest.raises(CurveNotSupportedError):
-        solid_angle(double)
+    assert abs(solid_angle(double) - 2.0 * cap) < 1e-11
+
+
+def test_solid_angle_of_wobbly_loop_matches_transport():
+    wobbly = SphereCurve(
+        parameterization=lambda t: (1.0 + 0.3 * np.sin(6.0 * np.pi * t),
+                                    2.0 * np.pi * t
+                                    + 0.2 * np.sin(2.0 * np.pi * t)),
+        closed=True)
+    r0 = wobbly.point(0.0)
+    east = np.cross([0.0, 0.0, 1.0], r0)
+    v0 = TangentVector(v=east / np.linalg.norm(east), base=r0)
+    _, rotation = parallel_transport(wobbly, v0, steps=20_000)
+    assert _circ(solid_angle(wobbly, steps=20_000), rotation) < 1e-12
+
+
+def test_solid_angle_rejects_curve_through_south_pole():
+    # A great circle through both poles; the sample at t = 1/2 sits on -z.
+    meridian = _tilted_circle(np.array([1.0, 0.0, 0.0]), np.pi / 2, 0.0, 1)
+    assert np.linalg.norm(meridian.point(0.5) + [0.0, 0.0, 1.0]) < 1e-15
+    with pytest.raises(CurveNotSupportedError, match="south pole"):
+        solid_angle(meridian, steps=1000)
 
 
 def test_berry_overlap_phase_and_validation():

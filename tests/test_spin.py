@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qwgeom.errors import DegeneratePointError
 from qwgeom.spin import (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z,
                          band_eigenvector, bloch_sphere_state, eig_h2,
-                         rotation_axis, rotation_x, rotation_y)
+                         half_solid_angle, rotation_axis, rotation_x,
+                         rotation_y)
 
 
 def test_pauli_algebra():
@@ -218,3 +221,40 @@ def test_eig_h2_matches_batch_solver():
     _, _, vp, vm = eig_h2(n)
     assert np.allclose(vp, band_eigenvector(n, +1))
     assert np.allclose(vm, band_eigenvector(n, -1))
+
+
+def test_half_solid_angle_octant_orientation_and_degenerate():
+    x, y, z = np.eye(3)
+    # The octant triangle has solid angle pi / 2.
+    assert abs(half_solid_angle(x, y, z) - np.pi / 4) < 1e-15
+    assert abs(half_solid_angle(x, z, y) + np.pi / 4) < 1e-15
+    assert half_solid_angle(z, -z, x) == 0.0
+    assert half_solid_angle(z, x, -x) == 0.0
+    # Stacks with xyz on the first axis broadcast against one apex.
+    a = np.stack([x, y, z], axis=1)
+    b = np.stack([y, z, x], axis=1)
+    expected = [half_solid_angle(z, a[:, i], b[:, i]) for i in range(3)]
+    assert np.array_equal(half_solid_angle(z, a, b), expected)
+
+
+_unit = st.tuples(st.floats(-1.0, 1.0), st.floats(-np.pi, np.pi))
+
+
+@given(p=_unit, a=_unit, b=_unit)
+def test_half_solid_angle_is_bargmann_phase(p, a, b):
+    def point(zphi):
+        z, phi = zphi
+        rho = np.sqrt(1.0 - z * z)
+        return np.array([rho * np.cos(phi), rho * np.sin(phi), z])
+
+    p, a, b = point(p), point(a), point(b)
+    states = [band_eigenvector(v, +1) for v in (p, a, b)]
+    overlaps = [np.vdot(states[i], states[(i + 1) % 3]) for i in range(3)]
+    assume(min(abs(o) for o in overlaps) >= 1e-3)
+    bargmann = np.angle(overlaps[0] * overlaps[1] * overlaps[2])
+    kernel = half_solid_angle(p, a, b)
+    assert abs(np.angle(np.exp(1j * (kernel - bargmann)))) < 1e-12
+    # The Van Oosterom-Strackee form it rewrites.
+    vos = np.arctan2(np.dot(p, np.cross(a, b)),
+                     1.0 + a @ b + p @ a + p @ b)
+    assert abs(np.angle(np.exp(1j * (kernel - vos)))) < 1e-12

@@ -3,11 +3,16 @@ and the two-angle phase maps."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from conftest import angles, walk_models
 from qwgeom.errors import GaplessPointError, OrthogonalStatesError
-from qwgeom.models import NonCommutingWalk, SplitStepWalk, StandardWalk
+from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
+                           make_model)
+from qwgeom.spin import band_eigenvector
 from qwgeom.utils import fold_angle
-from qwgeom.zak import (band_eigenvector, discrete_berry_phase, zak_difference,
+from qwgeom.zak import (_wilson_phase, discrete_berry_phase, zak_difference,
                         zak_map, zak_noncommuting_integrand, zak_numeric,
                         zak_splitstep_analytic)
 
@@ -67,9 +72,45 @@ def test_discrete_berry_phase_rejects_orthogonal_neighbors():
         discrete_berry_phase(vecs)
 
 
-def test_band_eigenvector_rejects_gapless_momentum():
-    with pytest.raises(GaplessPointError):
-        band_eigenvector(StandardWalk(0.0), 0.0, +1)
+def _oracle_phase(model, band, k_origin, n_points, span, closed=False):
+    """Zak phase from complex eigenvectors and their overlap chain."""
+    half_width, weight = (np.pi / 2, 2.0) if span == "half" else (np.pi, 1.0)
+    ks = np.linspace(k_origin - half_width, k_origin + half_width,
+                     n_points + 1)
+    vectors = band_eigenvector(model.bloch_numerators(ks), band)
+    return fold_angle(weight * discrete_berry_phase(vectors, closed=closed))
+
+
+def test_zak_chart_pole_path_raises_gapless():
+    # On these paths the Bloch vector lies on the z axis, so s n = +z (the
+    # chart pole of the link kernel) at some samples; each path also
+    # samples a gapless momentum, so it is refused before any link.
+    for model in (StandardWalk(0.0), NonCommutingWalk(0.0, 0.0),
+                  SplitStepWalk(0.0, 0.0)):
+        n = model.bloch_numerators(np.linspace(-np.pi / 2, np.pi / 2, 65))
+        assert np.all(n[:, :2] == 0.0)
+        for band in (+1, -1):
+            assert np.any(band * n[:, 2] > 0.0)
+            for span in ("half", "full"):
+                with pytest.raises(GaplessPointError):
+                    zak_numeric(model, band, n_points=64, span=span)
+
+
+def test_wilson_links_reject_antipodal_samples():
+    # Off the momentum grid the same pole path jumps from +z to -z between
+    # two samples, where the states of both bands are orthogonal.
+    with pytest.raises(OrthogonalStatesError):
+        zak_numeric(StandardWalk(0.0), +1, k_origin=0.1, n_points=16)
+    # |<v_i|v_i+1>| = |n_i + n_i+1| / 2 against the 1e-12 threshold.
+    for eps, refused in ((1e-13, True), (1e-11, False)):
+        n = np.array([[0.0, 0.0, 1.0],
+                      [np.sin(2.0 * eps), 0.0, -np.cos(2.0 * eps)]])
+        for band in (+1, -1):
+            if refused:
+                with pytest.raises(OrthogonalStatesError):
+                    _wilson_phase(n, band, 1.0)
+            else:
+                assert np.isfinite(_wilson_phase(n, band, 1.0))
 
 
 def test_zak_trivial_case_both_bands():
@@ -128,6 +169,39 @@ def test_zak_full_span_is_quantized_for_gapped_noncommuting():
         for band in (+1, -1):
             z = zak_numeric(model, band, span="full", n_points=1024).phase
             assert _circ(z, np.pi) < 1e-12
+
+
+@given(model=walk_models(), band=st.sampled_from([1, -1]),
+       span=st.sampled_from(["half", "full"]), k_origin=angles,
+       closed=st.booleans(), n_points=st.sampled_from([16, 128, 2048]))
+def test_zak_numeric_matches_eigenvector_chain(model, band, span, k_origin,
+                                               closed, n_points):
+    width = np.pi if span == "half" else 2.0 * np.pi
+    ks = np.linspace(k_origin - width / 2, k_origin + width / 2,
+                     n_points + 1)
+    # The window, not only its samples, must be gapped: a touching between
+    # two samples flips the Bloch vector across one link.
+    fine = np.linspace(ks[0], ks[-1], 4096 + 1)
+    assume(np.min(model.gap(fine)) >= 1e-3)
+    if closed:
+        # A closed half-span chain wraps across a long link whose phase
+        # both paths resolve only to about 1e-16 / |overlap| (for the
+        # standard walk N(k + pi) = -N(k), so it is orthogonal outright).
+        ends = model.bloch_numerators(ks[[0, -1]])
+        ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+        assume(np.linalg.norm(ends[0] + ends[1]) / 2.0 >= 1e-3)
+    zr = zak_numeric(model, band, k_origin, n_points, span=span,
+                     closed=closed)
+    oracle = _oracle_phase(model, band, k_origin, n_points, span, closed)
+    assert _circ(zr.phase, oracle) < 1e-11
+
+
+@given(theta=angles, phi=angles, band=st.sampled_from([1, -1]))
+def test_zak_full_span_quantized_property(theta, phi, band):
+    model = NonCommutingWalk(theta, phi)
+    assume(np.min(model.gap(np.linspace(-np.pi, np.pi, 1025))) >= 1e-3)
+    z = zak_numeric(model, band, span="full", n_points=1024).phase
+    assert _circ(z, np.pi) < 1e-9
 
 
 def test_zak_full_span_closed_equals_open():
@@ -239,6 +313,24 @@ def test_zak_map_spot_values_match_zak_numeric():
         zmn = zak_numeric(model, -1, n_points=64).phase
         assert _circ(zm.zak_plus[i, j], zp) < 1e-12
         assert _circ(zm.zak_minus[i, j], zmn) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["noncommuting", "splitstep"])
+@pytest.mark.parametrize("span", ["half", "full"])
+def test_zak_map_matches_eigenvector_chain(family, span):
+    zm = zak_map(family, resolution=21, n_points=64, span=span)
+    half_width = np.pi / 2 if span == "half" else np.pi
+    ks = np.linspace(-half_width, half_width, 65)
+    for i, a1 in enumerate(zm.angles1):
+        for j, a2 in enumerate(zm.angles2):
+            model = make_model(family, [a1, a2])
+            masked = bool(np.any(model.gap(ks) < 1e-6))
+            assert zm.masked[i, j] == masked
+            if masked:
+                continue
+            for band, phases in ((+1, zm.zak_plus), (-1, zm.zak_minus)):
+                oracle = _oracle_phase(model, band, 0.0, 64, span)
+                assert _circ(phases[i, j], oracle) < 1e-12
 
 
 def test_zak_map_parity_symmetry():
