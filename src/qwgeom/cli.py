@@ -5,17 +5,17 @@ angle), 3 domain error (gapless point, degenerate input,
 finite-difference failure).  Angles are radians, given either as
 decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
 special points are not blurred by rounding.  A family's angle flags
-are its model's field names.  phase-diagram runs its rows in a
-thread pool sized by the QWGEOM_WORKERS environment variable; no other
-command uses a thread pool.  dirac-points evaluates the exact gap
-envelope on its angle grid, with no momentum samples, so its k* is
-exact.  zak and zak-map evaluate each Wilson link as a spherical-triangle
-area of real unit Bloch vectors, which matches the complex eigenvector
-overlap chain to about 1e-14.  A size flag whose estimated peak memory exceeds
-MEMORY_BUDGET bytes is refused up front with exit 2, before anything
-is allocated: --steps of walk and holonomy-sphere, --k-samples of
-spectrum, bloch and winding, --n-points of zak, and --resolution,
---k-samples and --n-points of the grid commands.
+are its model's field names.  No command uses threads.  phase-diagram
+finds the minimum over its --k-samples grid from each node's k*.
+dirac-points evaluates the exact gap envelope on its angle grid, with
+no momentum samples, so its k* is exact.  zak and zak-map evaluate each
+Wilson link as a spherical-triangle area of real unit Bloch vectors,
+which matches the complex eigenvector overlap chain to about 1e-14.  A
+size flag whose estimated peak memory exceeds MEMORY_BUDGET bytes is
+refused up front with exit 2, before anything is allocated: --steps of
+walk, --loops and --steps of holonomy-sphere, --k-samples of spectrum,
+bloch and winding, --n-points of zak, and --resolution, --k-samples and
+--n-points of the grid commands.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from .holonomy import (QGT_STEP_RANGE, STEP_BYTES, TangentVector,
                        quantum_geometric_tensor, solid_angle, sphere_point)
 from .models import FAMILY_CLASSES, TWO_ANGLE_FAMILIES, WalkModel, make_model
 from .spin import bloch_sphere_state
-from .topology import (ENVELOPE_NODE_BYTES, SCAN_CELL_BYTES,
+from .topology import (ENVELOPE_NODE_BYTES, SCAN_SAMPLE_BYTES,
                        WINDING_SAMPLE_BYTES, find_dirac_points, scan_gap,
                        winding_number)
-from .utils import fold_angle, worker_count
+from .utils import fold_angle
 from .walk import (initial_state, momentum_oracle, peak_bytes,
                    probability_distribution, similarity, total_variation,
                    trajectory)
@@ -163,8 +163,8 @@ def _cmd_bloch(parser, args) -> int:
 
 
 def _cmd_phase_diagram(parser, args) -> int:
-    need = _grid_bytes(args.resolution, args.k_samples, SCAN_CELL_BYTES,
-                       emit.CSV_ROW_BYTES)
+    need = (emit.CSV_ROW_BYTES * args.resolution**2
+            + SCAN_SAMPLE_BYTES * args.k_samples)
     _check_budget(parser, args, need, "resolution", "k-samples")
     gm = scan_gap(args.family, resolution=args.resolution,
                   k_samples=args.k_samples)
@@ -173,7 +173,7 @@ def _cmd_phase_diagram(parser, args) -> int:
 
 
 def _cmd_dirac_points(parser, args) -> int:
-    need = _grid_bytes(args.resolution, 0, 0, ENVELOPE_NODE_BYTES)
+    need = ENVELOPE_NODE_BYTES * args.resolution**2
     _check_budget(parser, args, need, "resolution")
     ds = find_dirac_points(args.family, coarse_resolution=args.resolution,
                            accept_gap=args.tol)
@@ -199,7 +199,7 @@ def _cmd_zak(parser, args) -> int:
 
 
 def _cmd_zak_map(parser, args) -> int:
-    need = (_grid_bytes(args.resolution, 0, 0, emit.CSV_ROW_BYTES)
+    need = (emit.CSV_ROW_BYTES * args.resolution**2
             + ZAK_CELL_BYTES * ZAK_BLOCK_NODES * (args.n_points + 1))
     _check_budget(parser, args, need, "resolution", "n-points")
     zm = zak_map(args.family, resolution=args.resolution,
@@ -215,18 +215,6 @@ def _cmd_winding(parser, args) -> int:
     w = winding_number(model, k_samples=args.k_samples)
     emit.write_text(emit.winding_json(model, w, args.k_samples), args.out)
     return 0
-
-
-def _grid_bytes(resolution: int, row_samples: int, cell_bytes: int,
-                node_bytes: int) -> int:
-    """Estimated peak bytes of a grid command: node_bytes for each of the
-    resolution^2 angle nodes, plus cell_bytes for each of the
-    resolution x row_samples cells of every row a worker holds at once
-    (one per worker, at most one per row; only phase-diagram has row
-    workers, the other grid commands pass no cells)."""
-    rows = min(worker_count(), resolution)
-    return (cell_bytes * rows * resolution * row_samples
-            + node_bytes * resolution * resolution)
 
 
 def _check_budget(parser, args, need: int, *flags: str) -> None:
@@ -266,7 +254,8 @@ def _cmd_walk(parser, args) -> int:
 
 
 def _cmd_holonomy_sphere(parser, args) -> int:
-    _check_budget(parser, args, STEP_BYTES * args.steps, "steps")
+    need = STEP_BYTES * args.steps + emit.TABLE_ROW_BYTES * args.loops
+    _check_budget(parser, args, need, "loops", "steps")
 
     def rows():
         for i in range(args.loops):
@@ -299,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwgeom",
         description="Quantum-walk band geometry: spectra, Dirac points, "
-                    "Zak phases, windings, walks, and sphere transport.",
-        epilog="Set QWGEOM_WORKERS to bound the threads used by "
-               "phase-diagram; no other command uses a thread pool.")
+                    "Zak phases, windings, walks, and sphere transport.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="quasi-energy curve E(k)")

@@ -42,6 +42,9 @@ CSV_ROW_BYTES = 352
 # Peak bytes per momentum sample of a spectrum or bloch CSV, counted the
 # same way; measured 329-352 at 1e5-1.6e6 samples.
 CURVE_ROW_BYTES = 384
+# Peak bytes per row of a CSV rendered from a generator (text only);
+# measured 295-306 per holonomy-sphere loop at 2e4-1.6e5 loops.
+TABLE_ROW_BYTES = 352
 
 
 def csv_text(header, rows) -> str:

@@ -15,16 +15,19 @@ import numpy as np
 
 from .errors import GaplessPointError, NonPlanarCurveError
 from .models import two_angle_cos_energy, two_angle_envelope
-from .utils import fold_angle, run_rows
+from .utils import fold_angle
 
 GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Peak bytes per (angle, momentum) cell of the row each scan_gap worker
-# holds (three float64 temporaries; measured 10-23), and per node of the
-# envelope grid of find_dirac_points (measured 32-38).  From peak RSS
-# growth at 201-2881 nodes a side and 8-11521 momenta (Linux x86-64,
+# Angle rows per scan_gap block: at 721^2 nodes, 0.15 s and 13 MB of peak
+# RSS growth, against 0.31 s and 144 MB for the whole grid at once.
+SCAN_BLOCK_ROWS = 16
+# Peak bytes per momentum of scan_gap's k grid (measured 8.0-8.7 at
+# 1e6-3.2e7 samples, Linux x86-64, numpy 2.4).
+SCAN_SAMPLE_BYTES = 12
+# Peak bytes per node of the envelope grid of find_dirac_points (measured
+# 32-38 from peak RSS growth at 201-2881 nodes a side, Linux x86-64,
 # numpy 2.4).
-SCAN_CELL_BYTES = 24
 ENVELOPE_NODE_BYTES = 48
 # Peak bytes per momentum sample of winding_number (Bloch curve, its SVD
 # and in-plane angles; measured 136-139 from peak RSS growth at 2e5-3.2e6
@@ -36,8 +39,9 @@ WINDING_SAMPLE_BYTES = 160
 class GapMap:
     """Minimum band gap over momentum on a grid of coin-angle pairs.
 
-    gap[i, j] is min_k (1 - |cos E|) at (angles1[i], angles2[j]) and
-    argmin_k[i, j] the sampled momentum attaining it.
+    gap[i, j] is min_k (1 - |cos E|) over the k_samples momenta at
+    (angles1[i], angles2[j]), and argmin_k[i, j] a sampled momentum
+    attaining it (see scan_gap).
     """
 
     family: str
@@ -83,28 +87,39 @@ class DiracPointSet:
 def scan_gap(family: str, resolution: int = 201, k_samples: int = 361) -> GapMap:
     """Minimum gap over k on a (resolution x resolution) angle grid.
 
-    Both angles run over [-pi, pi] inclusive.  Rows are evaluated in a
-    thread pool (see QWGEOM_WORKERS); assembly is by row index, so the
-    result is deterministic.
+    Both angles and the k_samples momenta run over [-pi, pi] inclusive.
+    cos E(k) is a first harmonic, alpha cos k + beta sin k + gamma, so
+    its sampled extremes sit on the grid neighbours of the envelope's k*
+    and of k* + pi.  Each node evaluates cos E only there and at both
+    grid ends (-pi and pi may differ in the last bit), which gives the
+    full sweep's gap.  Ties go to the lowest grid index, as argmax's, so
+    argmin_k is the sweep's too unless cos E is flat to the last bit
+    across several momenta.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if k_samples < 8:
         raise ValueError("k_samples must be at least 8")
     cos_e = two_angle_cos_energy(family)
+    envelope = two_angle_envelope(family)
     angles = np.linspace(-np.pi, np.pi, resolution)
     ks = np.linspace(-np.pi, np.pi, k_samples)
-
-    def one_row(i: int):
-        c = np.abs(cos_e(angles[i], angles[:, None], ks[None, :]))
-        best = c.argmax(axis=-1)
-        return 1.0 - c[np.arange(c.shape[0]), best], ks[best]
-
-    rows = run_rows(one_row, resolution)
+    cells = k_samples - 1  # grid cells around the circle
+    gap = np.empty((resolution, resolution))
+    argmin_k = np.empty((resolution, resolution))
+    for start in range(0, resolution, SCAN_BLOCK_ROWS):
+        rows = slice(start, start + SCAN_BLOCK_ROWS)
+        k_star = envelope(angles[rows, None], angles)[1]
+        k = np.stack([k_star, k_star + np.pi]) + np.pi
+        j = np.floor(k * (cells / (2.0 * np.pi))).astype(np.intp) % cells
+        ends = np.zeros_like(j[:1])
+        idx = np.concatenate([j, j + 1, ends, ends + cells])
+        c = np.abs(cos_e(angles[rows, None], angles, ks[idx]))
+        best = c.max(axis=0)
+        gap[rows] = 1.0 - best
+        argmin_k[rows] = ks[np.where(c == best, idx, cells).min(axis=0)]
     return GapMap(family=family, angles1=angles.copy(), angles2=angles.copy(),
-                  gap=np.stack([r[0] for r in rows], axis=0),
-                  argmin_k=np.stack([r[1] for r in rows], axis=0),
-                  k_samples=k_samples)
+                  gap=gap, argmin_k=argmin_k, k_samples=k_samples)
 
 
 def _golden_min(f, lo: float, hi: float, x_tol: float):

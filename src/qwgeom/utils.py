@@ -1,10 +1,9 @@
-"""Small shared helpers: angle folding, circular comparison, worker pools."""
+"""Small shared helpers: angle folding and circular comparison."""
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,10 +38,10 @@ def circular_distance(a: float, b: float) -> float:
 
 
 def worker_count() -> int:
-    """Number of worker threads for row-parallel scans.
+    """QWGEOM_WORKERS as a count (default: CPU count), at least 1.
 
-    Controlled by the QWGEOM_WORKERS environment variable; defaults to the
-    CPU count.  Always at least 1.
+    No qwgeom code calls this or uses threads; perfbench/run.py reads it
+    as the traced metric utils.workers.
     """
     raw = os.environ.get("QWGEOM_WORKERS", "")
     if raw.strip():
@@ -53,16 +52,3 @@ def worker_count() -> int:
     else:
         n = os.cpu_count() or 1
     return max(1, n)
-
-
-def run_rows(fn, n_rows: int):
-    """Evaluate fn(i) for i in range(n_rows), possibly in a thread pool.
-
-    Results are assembled by index, so the output order never depends on
-    scheduling.  fn must be thread safe (the row scans here only call numpy).
-    """
-    workers = worker_count()
-    if workers == 1 or n_rows <= 1:
-        return [fn(i) for i in range(n_rows)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_rows)))

@@ -26,6 +26,8 @@ from .utils import circular_distance, fold_angle
 PATH_GAP_TOL = 1e-6
 OVERLAP_TOL = 1e-12
 CONVERGENCE_FLAG_TOL = 1e-4
+# Folded phases this close to +-pi read +pi, not a sign set by rounding.
+PI_PIN_TOL = 1e-12
 # Angle nodes per zak_map block: small enough to keep the kernel's
 # temporaries in cache (2-3x faster than whole rows of 201).
 ZAK_BLOCK_NODES = 64
@@ -290,6 +292,7 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
 
 
 def fold_angle_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized fold into (-pi, pi]."""
+    """Vectorized fold into (-pi, pi]; within PI_PIN_TOL of +-pi it is pi."""
     w = np.asarray(x, dtype=float) % (2.0 * np.pi)
-    return np.where(w > np.pi, w - 2.0 * np.pi, w)
+    return np.where(abs(w - np.pi) < PI_PIN_TOL, np.pi,
+                    np.where(w > np.pi, w - 2.0 * np.pi, w))

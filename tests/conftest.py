@@ -1,13 +1,16 @@
 """Shared test configuration: deterministic Hypothesis runs and the
 strategies several test modules draw from."""
 
+import functools
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from qwgeom.models import FAMILY_CLASSES, make_model
+from qwgeom.zak import zak_map
 
 # Examples derive from each test's source rather than a random seed, and
 # no example database is written, so every run checks the same cases.
@@ -24,3 +27,10 @@ def walk_models(draw):
     family = draw(st.sampled_from(sorted(FAMILY_CLASSES)))
     n_angles = len(fields(FAMILY_CLASSES[family]))
     return make_model(family, [draw(angles) for _ in range(n_angles)])
+
+
+@pytest.fixture(scope="session")
+def default_zak_map():
+    """zak_map(family, span=span) at the zak-map command's default grid,
+    computed once per (family, span) for the whole session."""
+    return functools.cache(lambda family, span: zak_map(family, span=span))

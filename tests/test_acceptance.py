@@ -20,7 +20,7 @@ from qwgeom.topology import find_dirac_points
 from qwgeom.utils import fold_angle
 from qwgeom.walk import (Distribution, evolve, initial_state, momentum_oracle,
                          probability_distribution, similarity, total_variation)
-from qwgeom.zak import (fold_angle_array, zak_difference, zak_map, zak_numeric,
+from qwgeom.zak import (fold_angle_array, zak_difference, zak_numeric,
                         zak_splitstep_analytic)
 
 
@@ -184,8 +184,9 @@ def test_ac5_resolution_and_origin_invariance():
             f"shift error {shift_err:.1e}")
 
 
-def test_ac6_zak_map_masks_and_continuity():
-    zmap = zak_map("noncommuting", resolution=201, n_points=512)
+def test_ac6_zak_map_masks_and_continuity(default_zak_map):
+    zmap = default_zak_map("noncommuting", "half")
+    assert (zmap.angles1.size, zmap.n_points) == (201, 512)
     masked = np.argwhere(zmap.masked)
     census = _census()
     ok = len(masked) == 13

@@ -232,10 +232,33 @@ def test_holonomy_over_memory_budget_exits_two(capsys, tmp_path):
     assert run(capsys, "holonomy-sphere", "--steps", str(limit + 1))[0] == 2
 
 
+def test_holonomy_loops_over_memory_budget_exits_two(capsys, tmp_path,
+                                                     monkeypatch):
+    # Every loop adds a row to the CSV text; should the check ever let
+    # this through, fail instead of transporting a single loop.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the budget check let an oversize table through")
+
+    for name in ("latitude_loop", "parallel_transport", "solid_angle"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(emit, "holonomy_table_csv", refuse)
+    out_path = tmp_path / "holonomy.csv"
+    code, out, err = run(capsys, "holonomy-sphere", "--loops", "10000000000",
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert ("holonomy-sphere --loops 10000000000 --steps 20000 needs about"
+            in err)
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv, sizes", [
     pytest.param(("phase-diagram", "--family", "noncommuting",
                   "--resolution", "100000"),
                  "--resolution 100000 --k-samples 361", id="phase-diagram"),
+    pytest.param(("phase-diagram", "--family", "noncommuting",
+                  "--k-samples", "99999999999"),
+                 "--resolution 201 --k-samples 99999999999",
+                 id="phase-diagram-k-samples"),
     pytest.param(("dirac-points", "--family", "splitstep",
                   "--resolution", "1000000"),
                  "--resolution 1000000", id="dirac-points"),
@@ -304,27 +327,16 @@ def test_curve_command_over_memory_budget_exits_two(capsys, tmp_path,
 ])
 def test_grid_budget_accepts_default_and_benchmark_sizes(capsys, monkeypatch,
                                                          argv, scan):
-    # Eight workers hold eight rows at once; reaching the scan means the
-    # budget check passed.
+    # Reaching the scan means the budget check passed.
     class Reached(Exception):
         pass
 
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setenv("QWGEOM_WORKERS", "8")
     monkeypatch.setattr(cli, scan, reached)
     with pytest.raises(Reached):
         cli.main(list(argv))
-
-
-def test_grid_bytes_counts_rows_in_flight(monkeypatch):
-    # One row per worker, at most one per row.
-    monkeypatch.setenv("QWGEOM_WORKERS", "1")
-    serial = cli._grid_bytes(5, 100, 24, 352)
-    assert serial == 24 * 5 * 100 + 352 * 25
-    monkeypatch.setenv("QWGEOM_WORKERS", "64")
-    assert cli._grid_bytes(5, 100, 24, 352) - serial == 4 * 24 * 5 * 100
 
 
 def test_json_text_rejects_non_finite():

@@ -5,7 +5,8 @@ import pytest
 
 from qwgeom.errors import GaplessPointError, NonPlanarCurveError
 from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
-                           SplitStepWalk, StandardWalk, two_angle_envelope)
+                           SplitStepWalk, StandardWalk, two_angle_cos_energy,
+                           two_angle_envelope)
 from qwgeom.topology import (find_dirac_points, planar_winding, scan_gap,
                              winding_number)
 
@@ -25,13 +26,38 @@ def test_scan_gap_grid_and_values():
     assert abs(model.gap(float(gm.argmin_k[i, j])) - gaps.min()) < 1e-14
 
 
-def test_scan_gap_worker_count_does_not_change_output(monkeypatch):
-    monkeypatch.setenv("QWGEOM_WORKERS", "1")
-    serial = scan_gap("splitstep", resolution=15, k_samples=91)
-    monkeypatch.setenv("QWGEOM_WORKERS", "4")
-    threaded = scan_gap("splitstep", resolution=15, k_samples=91)
-    assert np.array_equal(serial.gap, threaded.gap)
-    assert np.array_equal(serial.argmin_k, threaded.argmin_k)
+def _row_scan(family, resolution, k_samples):
+    """The sampled gap map by a full momentum sweep, one angle row at a
+    time: (gap, argmin_k, max |cos E|), ties to the first momentum."""
+    cos_e = two_angle_cos_energy(family)
+    angles = np.linspace(-np.pi, np.pi, resolution)
+    ks = np.linspace(-np.pi, np.pi, k_samples)
+    argmin_k = np.empty((resolution, resolution))
+    peak = np.empty((resolution, resolution))
+    for i in range(resolution):
+        c = np.abs(cos_e(angles[i], angles[:, None], ks[None, :]))
+        best = c.argmax(axis=-1)
+        peak[i] = c[np.arange(resolution), best]
+        argmin_k[i] = ks[best]
+    return 1.0 - peak, argmin_k, peak
+
+
+@pytest.mark.parametrize("k_samples", [8, 9, 91, 360, 361, 4097])
+@pytest.mark.parametrize("family", TWO_ANGLE_FAMILIES)
+def test_scan_gap_equals_full_momentum_sweep(family, k_samples):
+    # Odd resolutions put nodes on the gap closings, even ones do not.
+    # Where a split-step dispersion is flat to the last bit, several
+    # momenta tie and the sweep's first one need not be the one found
+    # from k*; |cos E| there is the same.
+    cos_e = two_angle_cos_energy(family)
+    for resolution in (2, 3, 20, 61):
+        gm = scan_gap(family, resolution, k_samples)
+        gap, argmin_k, peak = _row_scan(family, resolution, k_samples)
+        assert np.array_equal(gm.gap, gap)
+        a1, a2 = np.meshgrid(gm.angles1, gm.angles2, indexing="ij")
+        assert np.array_equal(np.abs(cos_e(a1, a2, gm.argmin_k)), peak)
+        if family == "noncommuting":
+            assert np.array_equal(gm.argmin_k, argmin_k)
 
 
 @pytest.mark.parametrize("family", TWO_ANGLE_FAMILIES)

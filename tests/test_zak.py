@@ -342,6 +342,19 @@ def test_zak_map_parity_symmetry():
     assert np.array_equal(zm.masked, zm.masked[::-1, ::-1])
 
 
+@pytest.mark.parametrize("family", ["noncommuting", "splitstep"])
+@pytest.mark.parametrize("span", ["half", "full"])
+def test_zak_map_prints_pinned_pi_with_one_sign(default_zak_map, family,
+                                                span):
+    # Thousands of default-map phases sit within 2e-14 of pi; rounding
+    # alone would fold some of them to -pi.
+    zm = default_zak_map(family, span)
+    live = ~zm.masked
+    for phases in (zm.zak_plus[live], zm.zak_minus[live]):
+        assert np.count_nonzero(phases == np.pi) > 0
+        assert not np.any(phases <= -np.pi + 1e-12)
+
+
 def fold_angle_array(x):
     wrapped = np.mod(x, 2.0 * np.pi)
     return np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
