@@ -10,12 +10,16 @@ finds the minimum over its --k-samples grid from each node's k*.
 dirac-points evaluates the exact gap envelope on its angle grid, with
 no momentum samples, so its k* is exact.  zak and zak-map evaluate each
 Wilson link as a spherical-triangle area of real unit Bloch vectors,
-which matches the complex eigenvector overlap chain to about 1e-14.  A
-size flag whose estimated peak memory exceeds MEMORY_BUDGET bytes is
-refused up front with exit 2, before anything is allocated: --steps of
-walk, --loops and --steps of holonomy-sphere, --k-samples of spectrum,
-bloch and winding, --n-points of zak, and --resolution, --k-samples and
---n-points of the grid commands.
+which matches the complex eigenvector overlap chain to about 1e-14.
+zak reduces --k-origin into [-pi, pi] before it builds the window and
+echoes the value as given.  winding needs --k-samples >= 16.  A size
+flag whose estimated peak memory exceeds MEMORY_BUDGET bytes is refused
+up front with exit 2, before anything is allocated: --steps of walk,
+--loops and --steps of holonomy-sphere, --k-samples of spectrum, bloch
+and winding, --n-points of zak, and --resolution, --k-samples and
+--n-points of the grid commands.  Every CSV row costs emit.CSV_ROW_BYTES
+in these estimates (spectrum, bloch, phase-diagram, zak-map and the
+holonomy-sphere loops); walk's per-site figure covers its CSV.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ def _k_grid(n: int) -> np.ndarray:
 
 def _cmd_spectrum(parser, args) -> int:
     model = _build_model(parser, args)
-    _check_budget(parser, args, emit.CURVE_ROW_BYTES * args.k_samples,
+    _check_budget(parser, args, emit.CSV_ROW_BYTES * args.k_samples,
                   "k-samples")
     emit.write_text(emit.spectrum_csv(model, _k_grid(args.k_samples)),
                     args.out)
@@ -156,7 +160,7 @@ def _cmd_spectrum(parser, args) -> int:
 
 def _cmd_bloch(parser, args) -> int:
     model = _build_model(parser, args)
-    _check_budget(parser, args, emit.CURVE_ROW_BYTES * args.k_samples,
+    _check_budget(parser, args, emit.CSV_ROW_BYTES * args.k_samples,
                   "k-samples")
     emit.write_text(emit.bloch_csv(model, _k_grid(args.k_samples)), args.out)
     return 0
@@ -254,22 +258,19 @@ def _cmd_walk(parser, args) -> int:
 
 
 def _cmd_holonomy_sphere(parser, args) -> int:
-    need = STEP_BYTES * args.steps + emit.TABLE_ROW_BYTES * args.loops
+    need = STEP_BYTES * args.steps + emit.CSV_ROW_BYTES * args.loops
     _check_budget(parser, args, need, "loops", "steps")
-
-    def rows():
-        for i in range(args.loops):
-            theta0 = math.pi * (i + 1) / (args.loops + 1)
-            curve = latitude_loop(theta0)
-            v0 = TangentVector(v=np.array([0.0, 1.0, 0.0]),
-                               base=sphere_point(theta0, 0.0))
-            vf, rotation = parallel_transport(curve, v0, steps=args.steps)
-            area = solid_angle(curve, steps=args.steps)
-            mismatch = abs(fold_angle(rotation - area))
-            drift = abs(vf.norm - v0.norm)
-            yield (theta0, rotation, area, mismatch, drift)
-
-    emit.write_text(emit.holonomy_table_csv(rows()), args.out)
+    table = np.empty((args.loops, 5))
+    for i, row in enumerate(table):
+        theta0 = math.pi * (i + 1) / (args.loops + 1)
+        curve = latitude_loop(theta0)
+        v0 = TangentVector(v=np.array([0.0, 1.0, 0.0]),
+                           base=sphere_point(theta0, 0.0))
+        vf, rotation = parallel_transport(curve, v0, steps=args.steps)
+        area = solid_angle(curve, steps=args.steps)
+        row[:] = (theta0, rotation, area, abs(fold_angle(rotation - area)),
+                  abs(vf.norm - v0.norm))
+    emit.write_text(emit.holonomy_table_csv(table), args.out)
     return 0
 
 
@@ -344,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("winding",
                         help="winding number of the Bloch curve")
     _add_model_args(sp)
-    sp.add_argument("--k-samples", type=_k_samples, default=1024)
+    sp.add_argument("--k-samples", type=_int_at_least("k-samples", 16),
+                    default=1024)
     _add_out(sp)
     sp.set_defaults(handler=_cmd_winding)
 

@@ -5,6 +5,9 @@ Every emitter returns a complete text payload: CSV with one header row,
 keys, two-space indent, and a trailing newline.  Identical inputs give
 byte-identical text, so data files carry no timestamps or environment
 details (a run manifest holds metadata separately).
+
+Every CSV table goes through csv_text as arrays, CSV_BLOCK_ROWS rows per
+% string; a grid map's axes broadcast as angles1[:, None] and angles2.
 """
 
 from __future__ import annotations
@@ -20,38 +23,36 @@ from .topology import DiracPointSet, GapMap
 from .walk import Distribution
 from .zak import ZakMap, ZakResult
 
-
-def format_float(x) -> str:
-    return "%.17g" % float(x)
-
-
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(value)
+# Rows formatted by one % operation.
+CSV_BLOCK_ROWS = 4096
+# Peak bytes per row of any CSV command, counting the row's share of the
+# arrays it renders and of the text (the formatted blocks and the joined
+# text coexist once).  Peak RSS growth measured 161-196 for phase-diagram
+# at 801-1601 nodes a side, 194-236 for zak-map at 401-1201, 191-197 for
+# spectrum and bloch at 1e6-3e6 samples, and 225 per holonomy-sphere
+# loop at 1e5 loops (Linux x86-64, numpy 2.4).
+CSV_ROW_BYTES = 256
 
 
-# Peak bytes per row of a grid map's CSV (one row per angle node),
-# counting the row's share of the arrays it renders: csv_text holds each
-# line as its own string before joining.  Measured 304-306 for
-# phase-diagram and 317-325 for zak-map from peak RSS growth at 201-2881
-# nodes a side (Linux x86-64, numpy 2.4).
-CSV_ROW_BYTES = 352
-# Peak bytes per momentum sample of a spectrum or bloch CSV, counted the
-# same way; measured 329-352 at 1e5-1.6e6 samples.
-CURVE_ROW_BYTES = 384
-# Peak bytes per row of a CSV rendered from a generator (text only);
-# measured 295-306 per holonomy-sphere loop at 2e4-1.6e5 loops.
-TABLE_ROW_BYTES = 352
+def csv_text(header, columns) -> str:
+    """CSV text of columns that broadcast to one shape, rows in C order.
 
-
-def csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    Integer and bool columns print with %d, all others with %.17g.
+    """
+    columns = np.broadcast_arrays(*columns)
+    width = len(columns)
+    row_format = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
+                          for c in columns) + "\n"
+    parts = [",".join(header) + "\n"]
+    for start in range(0, columns[0].size, CSV_BLOCK_ROWS):
+        block = [c.flat[start:start + CSV_BLOCK_ROWS].tolist()
+                 for c in columns]
+        n = len(block[0])
+        cells = [None] * (width * n)
+        for j, values in enumerate(block):
+            cells[j::width] = values
+        parts.append((row_format * n) % tuple(cells))
+    return "".join(parts)
 
 
 def json_text(payload) -> str:
@@ -65,24 +66,18 @@ def model_payload(model: WalkModel) -> dict:
 def spectrum_csv(model: WalkModel, ks: np.ndarray) -> str:
     ce = np.asarray(model.cos_energy(ks), dtype=float)
     energy = np.arccos(np.clip(ce, -1.0, 1.0))
-    gap = 1.0 - np.abs(ce)
-    rows = zip(ks, ce, energy, gap)
-    return csv_text(("k", "cos_energy", "energy", "gap"), rows)
+    return csv_text(("k", "cos_energy", "energy", "gap"),
+                    (ks, ce, energy, 1.0 - np.abs(ce)))
 
 
 def bloch_csv(model: WalkModel, ks: np.ndarray) -> str:
     n = model.bloch_vector(ks)
-    rows = zip(ks, n[..., 0], n[..., 1], n[..., 2])
-    return csv_text(("k", "nx", "ny", "nz"), rows)
+    return csv_text(("k", "nx", "ny", "nz"), (ks, *np.moveaxis(n, -1, 0)))
 
 
 def gap_map_csv(gm: GapMap) -> str:
-    def rows():
-        for i, a1 in enumerate(gm.angles1):
-            for j, a2 in enumerate(gm.angles2):
-                yield (a1, a2, gm.gap[i, j], gm.argmin_k[i, j])
-
-    return csv_text(("angle1", "angle2", "min_gap", "argmin_k"), rows())
+    return csv_text(("angle1", "angle2", "min_gap", "argmin_k"),
+                    (gm.angles1[:, None], gm.angles2, gm.gap, gm.argmin_k))
 
 
 def dirac_points_json(ds: DiracPointSet) -> str:
@@ -113,18 +108,13 @@ def zak_result_json(zr: ZakResult) -> str:
 
 
 def zak_map_csv(zm: ZakMap) -> str:
-    def rows():
-        for i, a1 in enumerate(zm.angles1):
-            for j, a2 in enumerate(zm.angles2):
-                yield (a1, a2, zm.zak_plus[i, j], zm.zak_minus[i, j],
-                       bool(zm.masked[i, j]))
-
     return csv_text(("angle1", "angle2", "zak_plus", "zak_minus", "masked"),
-                    rows())
+                    (zm.angles1[:, None], zm.angles2, zm.zak_plus,
+                     zm.zak_minus, zm.masked))
 
 
 def distribution_csv(d: Distribution) -> str:
-    return csv_text(("x", "p"), zip(d.positions, d.p))
+    return csv_text(("x", "p"), (d.positions, d.p))
 
 
 def winding_json(model: WalkModel, winding: int, k_samples: int) -> str:
@@ -136,10 +126,11 @@ def winding_json(model: WalkModel, winding: int, k_samples: int) -> str:
     return json_text(payload)
 
 
-def holonomy_table_csv(rows) -> str:
+def holonomy_table_csv(table: np.ndarray) -> str:
+    """CSV of a (loops, 5) table, one row per latitude loop."""
     header = ("theta0", "rotation_angle", "solid_angle", "mismatch",
               "norm_drift")
-    return csv_text(header, rows)
+    return csv_text(header, table.T)
 
 
 def qgt_json(gt: GeometricTensor, band: int, h: float) -> str:

@@ -21,7 +21,7 @@ from .errors import GaplessPointError, OrthogonalStatesError
 from .models import (WalkModel, angular_coeffs, splitstep_numerators,
                      two_angle_cos_energy, two_angle_numerators)
 from .spin import half_solid_angle
-from .utils import circular_distance, fold_angle
+from .utils import canonical_angle, circular_distance, fold_angle
 
 PATH_GAP_TOL = 1e-6
 OVERLAP_TOL = 1e-12
@@ -135,6 +135,8 @@ def _window(k_origin: float, n_points: int, span: str):
     if n_points < 16 or n_points % 2 != 0:
         raise ValueError("n_points must be an even integer >= 16")
     half_width, weight = _SPANS[span]
+    # Reduced first: far from zero, linspace would repeat one momentum.
+    k_origin = canonical_angle(k_origin)
     return (np.linspace(k_origin - half_width, k_origin + half_width,
                         n_points + 1), weight)
 

@@ -360,3 +360,14 @@ def test_domain_errors_exit_three(capsys):
     code, _, _ = run(capsys, "zak", "--family", "noncommuting",
                      "--theta", "0", "--phi", "0", "--band", "minus")
     assert code == 3
+
+
+def test_winding_k_samples_below_sixteen_exit_two(capsys):
+    argv = ("winding", "--family", "standard", "--theta", "0.9",
+            "--k-samples")
+    code, out, err = run(capsys, *argv, "15")
+    assert (code, out) == (2, "")
+    assert "argument --k-samples: k-samples must be >= 16" in err
+    code, out, _ = run(capsys, *argv, "16")
+    assert code == 0
+    assert json.loads(out)["k_samples"] == 16

@@ -1,6 +1,8 @@
 """Zak phases: discrete Wilson chains, numeric integration, closed forms,
 and the two-angle phase maps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -138,6 +140,16 @@ def test_zak_numeric_validation():
 def test_zak_gapless_path_raises():
     with pytest.raises(GaplessPointError):
         zak_numeric(NonCommutingWalk(0.0, 0.0), +1)
+
+
+def test_zak_large_origin_reduces_to_its_remainder():
+    # Far from zero, adjacent momenta of the window would round to one
+    # float and every link would vanish.
+    model = NonCommutingWalk(0.9, 0.3)
+    far = zak_numeric(model, +1, k_origin=1e17)
+    near = zak_numeric(model, +1, k_origin=math.remainder(1e17, 2 * math.pi))
+    assert far.phase == near.phase
+    assert far.k_origin == 1e17
 
 
 def test_zak_doubling_convergence():
