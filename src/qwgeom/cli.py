@@ -1,11 +1,14 @@
 """Command-line surface: deterministic CSV/JSON artifacts for each tool.
 
 Exit codes: 0 success, 2 usage error (argparse, including a non-finite
-angle), 3 domain error (gapless point, degenerate input,
-finite-difference failure).  Angles are radians, given either as
-decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
-special points are not blurred by rounding.  A family's angle flags
-are its model's field names.  No command uses threads.  phase-diagram
+angle; a size over the memory budget; an --out or --manifest path that
+cannot be written), 3 domain error (gapless point, degenerate input,
+finite-difference failure).  main parses with one parser per process;
+each _cmd_* handler returns its artifact text and main writes it to
+--out (walk also writes --manifest).  Angles are radians, given either
+as decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
+special points are not blurred by rounding.  A family's angle flags are
+its model's field names.  No command uses threads.  phase-diagram
 finds the minimum over its --k-samples grid from each node's k*.
 dirac-points evaluates the exact gap envelope on its angle grid, with
 no momentum samples, so its k* is exact.  zak and zak-map evaluate each
@@ -25,6 +28,7 @@ holonomy-sphere loops); walk's per-site figure covers its CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -121,6 +125,10 @@ def _zak_points(text: str) -> int:
     return value
 
 
+class UsageError(Exception):
+    """Arguments argparse accepted but the command refuses (exit 2)."""
+
+
 def _add_model_args(sp: argparse.ArgumentParser, families=tuple(FAMILY_CLASSES)):
     sp.add_argument("--family", required=True, choices=families)
     for name in _ANGLE_FLAGS:
@@ -132,16 +140,15 @@ def _add_out(sp: argparse.ArgumentParser):
                     help="output path ('-' for stdout, the default)")
 
 
-def _build_model(parser: argparse.ArgumentParser,
-                 args: argparse.Namespace) -> WalkModel:
+def _build_model(args: argparse.Namespace) -> WalkModel:
     names = [f.name for f in fields(FAMILY_CLASSES[args.family])]
     given = {n: getattr(args, n) for n in _ANGLE_FLAGS
              if getattr(args, n) is not None}
     if args.family == "standard" and given.get("phi") == 0.0:
         del given["phi"]  # a standard walk is the noncommuting one at phi = 0
     if set(given) != set(names):
-        parser.error(f"{args.family} family takes "
-                     + " ".join(f"--{n}" for n in names))
+        raise UsageError(f"{args.family} family takes "
+                         + " ".join(f"--{n}" for n in names))
     return make_model(args.family, [given[n] for n in names])
 
 
@@ -149,36 +156,30 @@ def _k_grid(n: int) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, n)
 
 
-def _cmd_spectrum(parser, args) -> int:
-    model = _build_model(parser, args)
-    _check_budget(parser, args, emit.CSV_ROW_BYTES * args.k_samples,
-                  "k-samples")
-    emit.write_text(emit.spectrum_csv(model, _k_grid(args.k_samples)),
-                    args.out)
-    return 0
+def _cmd_spectrum(args) -> str:
+    model = _build_model(args)
+    _check_budget(args, emit.CSV_ROW_BYTES * args.k_samples, "k-samples")
+    return emit.spectrum_csv(model, _k_grid(args.k_samples))
 
 
-def _cmd_bloch(parser, args) -> int:
-    model = _build_model(parser, args)
-    _check_budget(parser, args, emit.CSV_ROW_BYTES * args.k_samples,
-                  "k-samples")
-    emit.write_text(emit.bloch_csv(model, _k_grid(args.k_samples)), args.out)
-    return 0
+def _cmd_bloch(args) -> str:
+    model = _build_model(args)
+    _check_budget(args, emit.CSV_ROW_BYTES * args.k_samples, "k-samples")
+    return emit.bloch_csv(model, _k_grid(args.k_samples))
 
 
-def _cmd_phase_diagram(parser, args) -> int:
+def _cmd_phase_diagram(args) -> str:
     need = (emit.CSV_ROW_BYTES * args.resolution**2
             + SCAN_SAMPLE_BYTES * args.k_samples)
-    _check_budget(parser, args, need, "resolution", "k-samples")
+    _check_budget(args, need, "resolution", "k-samples")
     gm = scan_gap(args.family, resolution=args.resolution,
                   k_samples=args.k_samples)
-    emit.write_text(emit.gap_map_csv(gm), args.out)
-    return 0
+    return emit.gap_map_csv(gm)
 
 
-def _cmd_dirac_points(parser, args) -> int:
+def _cmd_dirac_points(args) -> str:
     need = ENVELOPE_NODE_BYTES * args.resolution**2
-    _check_budget(parser, args, need, "resolution")
+    _check_budget(args, need, "resolution")
     ds = find_dirac_points(args.family, coarse_resolution=args.resolution,
                            accept_gap=args.tol)
     if ds.continuous_boundary:
@@ -187,56 +188,50 @@ def _cmd_dirac_points(parser, args) -> int:
     if ds.dropped:
         print(f"note: {ds.dropped} candidate cluster(s) failed refinement",
               file=sys.stderr)
-    emit.write_text(emit.dirac_points_json(ds), args.out)
-    return 0
+    return emit.dirac_points_json(ds)
 
 
-def _cmd_zak(parser, args) -> int:
-    model = _build_model(parser, args)
-    _check_budget(parser, args, ZAK_CELL_BYTES * (args.n_points + 1),
-                  "n-points")
+def _cmd_zak(args) -> str:
+    model = _build_model(args)
+    _check_budget(args, ZAK_CELL_BYTES * (args.n_points + 1), "n-points")
     zr = zak_numeric(model, _BAND[args.band], k_origin=args.k_origin,
-                     n_points=args.n_points, span=args.span,
-                     closed=args.closed)
-    emit.write_text(emit.zak_result_json(zr), args.out)
-    return 0
+                     n_points=args.n_points, span=args.span)
+    return emit.zak_result_json(zr)
 
 
-def _cmd_zak_map(parser, args) -> int:
+def _cmd_zak_map(args) -> str:
     need = (emit.CSV_ROW_BYTES * args.resolution**2
             + ZAK_CELL_BYTES * ZAK_BLOCK_NODES * (args.n_points + 1))
-    _check_budget(parser, args, need, "resolution", "n-points")
+    _check_budget(args, need, "resolution", "n-points")
     zm = zak_map(args.family, resolution=args.resolution,
                  n_points=args.n_points, span=args.span)
-    emit.write_text(emit.zak_map_csv(zm), args.out)
-    return 0
+    return emit.zak_map_csv(zm)
 
 
-def _cmd_winding(parser, args) -> int:
-    model = _build_model(parser, args)
-    _check_budget(parser, args, WINDING_SAMPLE_BYTES * args.k_samples,
-                  "k-samples")
+def _cmd_winding(args) -> str:
+    model = _build_model(args)
+    _check_budget(args, WINDING_SAMPLE_BYTES * args.k_samples, "k-samples")
     w = winding_number(model, k_samples=args.k_samples)
-    emit.write_text(emit.winding_json(model, w, args.k_samples), args.out)
-    return 0
+    return emit.winding_json(model, w, args.k_samples)
 
 
-def _check_budget(parser, args, need: int, *flags: str) -> None:
-    """Exit 2 when an estimated peak of need bytes exceeds MEMORY_BUDGET;
-    the message names the command and the size flags behind need."""
+def _check_budget(args, need: int, *flags: str) -> None:
+    """Raise UsageError when an estimated peak of need bytes exceeds
+    MEMORY_BUDGET; the message names the command and the size flags
+    behind need."""
     if need > MEMORY_BUDGET:
         given = " ".join(f"--{flag} {getattr(args, flag.replace('-', '_'))}"
                          for flag in flags)
-        parser.error(f"{args.command} {given} needs about {need >> 20} MiB,"
-                     f" over the {MEMORY_BUDGET >> 20} MiB {args.command}"
-                     " budget")
+        raise UsageError(f"{args.command} {given} needs about {need >> 20}"
+                         f" MiB, over the {MEMORY_BUDGET >> 20} MiB"
+                         f" {args.command} budget")
 
 
-def _cmd_walk(parser, args) -> int:
-    model = _build_model(parser, args)
+def _cmd_walk(args) -> str:
+    model = _build_model(args)
     state0 = initial_state(args.chirality)
-    _check_budget(parser, args,
-                  peak_bytes(state0.amplitudes.shape[0], args.steps), "steps")
+    _check_budget(args, peak_bytes(state0.amplitudes.shape[0], args.steps),
+                  "steps")
     norm0 = state0.norm()
     max_drift = 0.0
     state = state0
@@ -248,18 +243,16 @@ def _cmd_walk(parser, args) -> int:
     sim = similarity(dist, oracle)
     print(f"oracle TV distance: {tv:.3e}, similarity: {sim:.12f}",
           file=sys.stderr)
-    emit.write_text(emit.distribution_csv(dist), args.out)
     if args.manifest is not None:
-        text = emit.walk_manifest_json(
+        emit.write_text(emit.walk_manifest_json(
             model, args.steps, args.chirality, norm0, state.norm(),
-            max_drift, sim, tv)
-        emit.write_text(text, args.manifest)
-    return 0
+            max_drift, sim, tv), args.manifest)
+    return emit.distribution_csv(dist)
 
 
-def _cmd_holonomy_sphere(parser, args) -> int:
+def _cmd_holonomy_sphere(args) -> str:
     need = STEP_BYTES * args.steps + emit.CSV_ROW_BYTES * args.loops
-    _check_budget(parser, args, need, "loops", "steps")
+    _check_budget(args, need, "loops", "steps")
     table = np.empty((args.loops, 5))
     for i, row in enumerate(table):
         theta0 = math.pi * (i + 1) / (args.loops + 1)
@@ -270,19 +263,17 @@ def _cmd_holonomy_sphere(parser, args) -> int:
         area = solid_angle(curve, steps=args.steps)
         row[:] = (theta0, rotation, area, abs(fold_angle(rotation - area)),
                   abs(vf.norm - v0.norm))
-    emit.write_text(emit.holonomy_table_csv(table), args.out)
-    return 0
+    return emit.holonomy_table_csv(table)
 
 
-def _cmd_qgt(parser, args) -> int:
+def _cmd_qgt(args) -> str:
     band = _BAND[args.band]
 
     def family(a: float, b: float) -> np.ndarray:
         return bloch_sphere_state(a, b, band)
 
     gt = quantum_geometric_tensor(family, (args.theta, args.phi), h=args.h)
-    emit.write_text(emit.qgt_json(gt, band, args.h), args.out)
-    return 0
+    return emit.qgt_json(gt, band, args.h)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-origin", type=parse_angle, default=0.0)
     sp.add_argument("--n-points", type=_zak_points, default=2048)
     sp.add_argument("--span", choices=("half", "full"), default="half")
-    sp.add_argument("--closed", action="store_true",
-                    help="include the wrap-around overlap (closed chain)")
     _add_out(sp)
     sp.set_defaults(handler=_cmd_zak)
 
@@ -384,16 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves its parser unchanged, so every call can share one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
+        emit.write_text(args.handler(args), args.out)
+        return 0
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.handler(parser, args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+    except UsageError as exc:
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except QwGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -53,7 +53,6 @@ class ZakResult:
     n_points: int
     model: WalkModel
     span: str
-    closed: bool
     converged: bool
 
 
@@ -142,17 +141,15 @@ def _window(k_origin: float, n_points: int, span: str):
 
 
 def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
-                n_points: int = 2048, *, span: str = SPAN_HALF,
-                closed: bool = False) -> ZakResult:
+                n_points: int = 2048, *, span: str = SPAN_HALF) -> ZakResult:
     """Discrete Berry (Zak) phase of one band along a momentum window.
 
     The window is [k_origin - w/2, k_origin + w/2] with w = pi for
     span="half" (the default) and w = 2 pi for span="full", sampled at
-    n_points + 1 uniform k values including both endpoints.  The path is
-    open by default; closed=True appends the explicit wrap overlap
-    <v(end)|v(start)>.  n_points must be even (>= 16) so a half-rate
-    subsample can flag non-convergence: converged is False when the
-    subsampled phase differs by more than 1e-4.
+    n_points + 1 uniform k values including both endpoints, as an open
+    chain.  n_points must be even (>= 16) so a half-rate subsample can
+    flag non-convergence: converged is False when the subsampled phase
+    differs by more than 1e-4.
 
     Raises GaplessPointError if any sampled momentum has gap < 1e-6.
     """
@@ -160,17 +157,11 @@ def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
     if np.any(model.gap(ks) < PATH_GAP_TOL):
         raise GaplessPointError(f"gapless momentum on the Zak path of {model!r}")
     n = model.bloch_numerators(ks)
-
-    def chain(samples: np.ndarray) -> float:
-        if closed:
-            samples = np.concatenate([samples, samples[:1]])
-        return float(_wilson_phase(samples, band, weight))
-
-    phase = chain(n)
-    coarse = chain(n[::2])
+    phase = float(_wilson_phase(n, band, weight))
+    coarse = float(_wilson_phase(n[::2], band, weight))
     converged = circular_distance(phase, coarse) <= CONVERGENCE_FLAG_TOL
     return ZakResult(band=band, phase=phase, k_origin=float(k_origin),
-                     n_points=n_points, model=model, span=span, closed=closed,
+                     n_points=n_points, model=model, span=span,
                      converged=converged)
 
 

@@ -3,6 +3,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,22 @@ import pytest
 from qwgeom import cli, emit, holonomy, walk
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """The CLI in a new interpreter: its first and only call."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "qwgeom.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_parse_angle_pi_forms():
@@ -371,3 +387,46 @@ def test_winding_k_samples_below_sixteen_exit_two(capsys):
     code, out, _ = run(capsys, *argv, "16")
     assert code == 0
     assert json.loads(out)["k_samples"] == 16
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(("spectrum", "--family", "standard", "--theta", "0.3"),
+                 "--out", id="csv"),
+    pytest.param(("qgt", "--theta", "0.4", "--phi", "1.1"), "--out",
+                 id="json"),
+    pytest.param(("walk", "--family", "standard", "--theta", "pi/4",
+                  "--steps", "5"), "--manifest", id="walk-manifest"),
+])
+def test_unwritable_output_exits_two(capsys, tmp_path, argv, flag):
+    path = str(tmp_path / "missing" / "artifact")
+    code, out, err = run(capsys, *argv, flag, path)
+    assert (code, out) == (2, "")
+    assert "error: cannot write output:" in err and path in err
+    code, _, err = run_fresh(*argv, flag, path)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    qgt = ("qgt", "--theta", "0.4", "--phi", "1.1")
+    spectrum = ("spectrum", "--family", "standard", "--theta", "0.3",
+                "--k-samples", "9")
+    # Only the first call of a process may build the parser.
+    expected = [run(capsys, *argv)[1] for argv in (qgt, spectrum)]
+
+    def refuse():
+        raise AssertionError("main built a parser for one call")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for argv, text in zip((qgt, spectrum), expected):
+        assert run(capsys, *argv) == (0, text, "")
+
+
+def test_parsed_flags_do_not_leak_between_calls(capsys):
+    argv = ("zak", "--family", "noncommuting", "--theta", "0.9",
+            "--phi", "0.7", "--band", "plus", "--n-points", "64")
+    code, full, _ = run(capsys, *argv, "--span", "full")
+    assert code == 0 and json.loads(full)["span"] == "full"
+    code, half, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(half)["span"] == "half"
+    assert run_fresh(*argv) == (0, half, "")

@@ -74,13 +74,13 @@ def test_discrete_berry_phase_rejects_orthogonal_neighbors():
         discrete_berry_phase(vecs)
 
 
-def _oracle_phase(model, band, k_origin, n_points, span, closed=False):
+def _oracle_phase(model, band, k_origin, n_points, span):
     """Zak phase from complex eigenvectors and their overlap chain."""
     half_width, weight = (np.pi / 2, 2.0) if span == "half" else (np.pi, 1.0)
     ks = np.linspace(k_origin - half_width, k_origin + half_width,
                      n_points + 1)
     vectors = band_eigenvector(model.bloch_numerators(ks), band)
-    return fold_angle(weight * discrete_berry_phase(vectors, closed=closed))
+    return fold_angle(weight * discrete_berry_phase(vectors))
 
 
 def test_zak_chart_pole_path_raises_gapless():
@@ -121,7 +121,7 @@ def test_zak_trivial_case_both_bands():
         zr = zak_numeric(model, band)
         assert _circ(zr.phase, np.pi) < 1e-7
         assert zr.converged
-        assert zr.span == "half" and not zr.closed
+        assert zr.span == "half"
         assert zr.n_points == 2048
 
 
@@ -185,9 +185,9 @@ def test_zak_full_span_is_quantized_for_gapped_noncommuting():
 
 @given(model=walk_models(), band=st.sampled_from([1, -1]),
        span=st.sampled_from(["half", "full"]), k_origin=angles,
-       closed=st.booleans(), n_points=st.sampled_from([16, 128, 2048]))
+       n_points=st.sampled_from([16, 128, 2048]))
 def test_zak_numeric_matches_eigenvector_chain(model, band, span, k_origin,
-                                               closed, n_points):
+                                               n_points):
     width = np.pi if span == "half" else 2.0 * np.pi
     ks = np.linspace(k_origin - width / 2, k_origin + width / 2,
                      n_points + 1)
@@ -195,16 +195,8 @@ def test_zak_numeric_matches_eigenvector_chain(model, band, span, k_origin,
     # two samples flips the Bloch vector across one link.
     fine = np.linspace(ks[0], ks[-1], 4096 + 1)
     assume(np.min(model.gap(fine)) >= 1e-3)
-    if closed:
-        # A closed half-span chain wraps across a long link whose phase
-        # both paths resolve only to about 1e-16 / |overlap| (for the
-        # standard walk N(k + pi) = -N(k), so it is orthogonal outright).
-        ends = model.bloch_numerators(ks[[0, -1]])
-        ends /= np.linalg.norm(ends, axis=1, keepdims=True)
-        assume(np.linalg.norm(ends[0] + ends[1]) / 2.0 >= 1e-3)
-    zr = zak_numeric(model, band, k_origin, n_points, span=span,
-                     closed=closed)
-    oracle = _oracle_phase(model, band, k_origin, n_points, span, closed)
+    zr = zak_numeric(model, band, k_origin, n_points, span=span)
+    oracle = _oracle_phase(model, band, k_origin, n_points, span)
     assert _circ(zr.phase, oracle) < 1e-11
 
 
@@ -214,13 +206,6 @@ def test_zak_full_span_quantized_property(theta, phi, band):
     assume(np.min(model.gap(np.linspace(-np.pi, np.pi, 1025))) >= 1e-3)
     z = zak_numeric(model, band, span="full", n_points=1024).phase
     assert _circ(z, np.pi) < 1e-9
-
-
-def test_zak_full_span_closed_equals_open():
-    model = NonCommutingWalk(0.9, 0.7)
-    zo = zak_numeric(model, -1, span="full").phase
-    zc = zak_numeric(model, -1, span="full", closed=True).phase
-    assert _circ(zo, zc) < 1e-12
 
 
 def test_zak_difference_origin_invariance():
