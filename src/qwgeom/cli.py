@@ -3,9 +3,11 @@
 Exit codes: 0 success, 2 usage error (argparse, including a non-finite
 angle; a size over the memory budget; an --out or --manifest path that
 cannot be written), 3 domain error (gapless point, degenerate input,
-finite-difference failure).  main parses with one parser per process;
-each _cmd_* handler returns its artifact text and main writes it to
---out (walk also writes --manifest).  Angles are radians, given either
+finite-difference failure).  main parses with one parser per process
+and checks that --out (and walk's --manifest) can be written before it
+runs the command; each _cmd_* handler returns its artifact text (walk
+also its manifest text) and main writes --out, then --manifest, so a
+refused path leaves no half run.  Angles are radians, given either
 as decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
 special points are not blurred by rounding.  A family's angle flags are
 its model's field names.  No command uses threads.  phase-diagram
@@ -28,8 +30,10 @@ holonomy-sphere loops); walk's per-site figure covers its CSV.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import re
 import sys
 from dataclasses import fields
@@ -227,7 +231,7 @@ def _check_budget(args, need: int, *flags: str) -> None:
                          f" {args.command} budget")
 
 
-def _cmd_walk(args) -> str:
+def _cmd_walk(args) -> tuple[str, str]:
     model = _build_model(args)
     state0 = initial_state(args.chirality)
     _check_budget(args, peak_bytes(state0.amplitudes.shape[0], args.steps),
@@ -243,11 +247,10 @@ def _cmd_walk(args) -> str:
     sim = similarity(dist, oracle)
     print(f"oracle TV distance: {tv:.3e}, similarity: {sim:.12f}",
           file=sys.stderr)
-    if args.manifest is not None:
-        emit.write_text(emit.walk_manifest_json(
-            model, args.steps, args.chirality, norm0, state.norm(),
-            max_drift, sim, tv), args.manifest)
-    return emit.distribution_csv(dist)
+    manifest = emit.walk_manifest_json(model, args.steps, args.chirality,
+                                       norm0, state.norm(), max_drift, sim,
+                                       tv)
+    return emit.distribution_csv(dist), manifest
 
 
 def _cmd_holonomy_sphere(args) -> str:
@@ -377,11 +380,38 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise the OSError that writing path would meet for a missing
+    directory, a directory or a read-only place, before any work is
+    done.  None and '-' (stdout) pass."""
+    if path is None or path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        emit.write_text(args.handler(args), args.out)
+        manifest_path = getattr(args, "manifest", None)
+        for path in (args.out, manifest_path):
+            _check_writable(path)
+        outputs = args.handler(args)
+        if isinstance(outputs, str):
+            outputs = (outputs, None)
+        text, manifest = outputs
+        emit.write_text(text, args.out)
+        if manifest_path is not None:
+            emit.write_text(manifest, manifest_path)
         return 0
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0

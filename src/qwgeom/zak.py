@@ -2,8 +2,12 @@
 
 The workhorse is a discrete Wilson-line (overlap-product) Berry phase,
 which is gauge robust by construction; each link is a spherical-triangle
-area of real unit Bloch vectors (_wilson_phase).  The default integration window
-is the half zone [k0 - pi/2, k0 + pi/2]; the reported phase doubles the
+area of real unit Bloch vectors with its apex at -z.  One kernel
+(_wilson_phases) normalises the chain and checks its overlaps once and
+shares each link's in-plane terms between the two bands, so zak_map
+gets both bands for little more than the cost of one and zak_numeric
+asks for its one band only.  The default integration window is the
+half zone [k0 - pi/2, k0 + pi/2]; the reported phase doubles the
 raw Wilson-line value there, which reproduces both the closed-form
 integrand of the non-commuting family and the known trivial value pi
 (see zak_noncommuting_integrand).  Over the full zone the Bloch curve
@@ -19,7 +23,8 @@ import numpy as np
 
 from .errors import GaplessPointError, OrthogonalStatesError
 from .models import (WalkModel, angular_coeffs, splitstep_numerators,
-                     two_angle_cos_energy, two_angle_numerators)
+                     two_angle_cos_energy, two_angle_envelope,
+                     two_angle_numerators)
 from .spin import half_solid_angle
 from .utils import canonical_angle, circular_distance, fold_angle
 
@@ -31,10 +36,10 @@ PI_PIN_TOL = 1e-12
 # Angle nodes per zak_map block: small enough to keep the kernel's
 # temporaries in cache (2-3x faster than whole rows of 201).
 ZAK_BLOCK_NODES = 64
-# Peak bytes per momentum sample of one node's Wilson chain (measured
-# 120-133 in zak_map and zak_numeric from peak RSS growth at 2e3-3.2e6
-# samples, Linux x86-64, numpy 2.4).
-ZAK_CELL_BYTES = 160
+# Peak bytes per momentum sample of one node's Wilson chain, both bands'
+# link temporaries included (measured 89-113 in zak_map and zak_numeric
+# from peak RSS growth at 2e4-3e6 samples, Linux x86-64, numpy 2.4).
+ZAK_CELL_BYTES = 128
 _SOUTH = np.array([0.0, 0.0, -1.0])
 
 SPAN_HALF = "half"
@@ -99,31 +104,57 @@ def discrete_berry_phase(vectors: np.ndarray, closed: bool = False) -> float:
     return float(np.sum(np.angle(overlaps)))
 
 
-def _wilson_phase(numerators: np.ndarray, band: int, weight: float):
-    """Folded weight x Wilson-line phase of one band along axis -2 of
-    (..., m, 3) Bloch numerators.
+def _wilson_phases(numerators: np.ndarray, weight: float,
+                   bands=(+1, -1)) -> list:
+    """Folded weight x Wilson-line phase of each band in bands along
+    axis -2 of (..., m, 3) Bloch numerators, one list entry per band.
 
     In spin.band_eigenvector's gauge the lower component of band s is
     real with sign -s, so each link arg<v_i|v_i+1> is exactly
-    half_solid_angle(-z, s n_i, s n_i+1) of the unit vectors, and
-    |<v_i|v_i+1>| = |n_i + n_i+1| / 2; below 1e-12 that raises
-    OrthogonalStatesError.  At the chart pole s n = +z the kernel reads
-    0 where the gauge jumps; no gapped window of width >= pi gets there,
-    as n_x = n_y = 0 forces a touching at k = 0 or pi (standard,
+    spin.half_solid_angle(-z, s a, s b) of the unit vectors a = n_i,
+    b = n_i+1.  |<v_i|v_i+1>| = |a + b| / 2 is the same for both bands,
+    as (-a - b)^2 = (a + b)^2, so one check refuses overlaps below 1e-12
+    (OrthogonalStatesError).  With the apex at -z, two of the three
+    cross-product terms of half_solid_angle are multiplied by zero, and
+    the link is atan2(num, dot + (a_z - s)(b_z - s)) with
+    num = a_y b_x - a_x b_y and dot = a_x b_x + a_y b_y.  Flipping both
+    vectors leaves num and dot unchanged, so they are computed once and
+    each band costs one product and one atan2.  These are the float
+    operations of half_solid_angle, up to the sign of an exact zero
+    num; where that sign matters (a non-positive denominator, where it
+    picks +pi or -pi) the link is taken from half_solid_angle itself.
+    At the chart pole s n = +z the kernel reads 0 or +-pi where the
+    gauge jumps; no gapped window of width >= pi gets there, as
+    n_x = n_y = 0 forces a touching at k = 0 or pi (standard,
     split-step) or max_k |cos E| = 1 at k* and k* + pi (noncommuting,
     whose |n_perp| is constant in k).
     """
-    if band not in (+1, -1):
+    if any(band not in (+1, -1) for band in bands):
         raise ValueError("band must be +1 or -1")
     xyz = np.moveaxis(numerators, -1, 0)
     x, y, z = xyz
-    n = np.multiply(xyz, band / np.sqrt(x * x + y * y + z * z), order="C")
+    n = np.multiply(xyz, 1.0 / np.sqrt(x * x + y * y + z * z), order="C")
     a, b = n[..., :-1], n[..., 1:]
     if np.any(np.sum((a + b) ** 2, axis=0) < (2.0 * OVERLAP_TOL) ** 2):
         raise OrthogonalStatesError("consecutive states are orthogonal; "
                                     "phase chain is undefined")
-    links = half_solid_angle(_SOUTH, a, b)
-    return fold_angle_array(weight * links.sum(axis=-1))
+    (ax, ay, az), (bx, by, bz) = a, b
+    num = ay * bx
+    num -= ax * by
+    dot = ax * bx
+    dot += ay * by
+    zero = num == 0.0
+    phases = []
+    for band in bands:
+        links = (az - band) * (bz - band)
+        links += dot
+        pole = zero & (links <= 0.0)
+        np.arctan2(num, links, out=links)
+        if pole.any():
+            links[pole] = half_solid_angle(_SOUTH, band * a[:, pole],
+                                           band * b[:, pole])
+        phases.append(fold_angle_array(weight * links.sum(axis=-1)))
+    return phases
 
 
 def _window(k_origin: float, n_points: int, span: str):
@@ -157,8 +188,8 @@ def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
     if np.any(model.gap(ks) < PATH_GAP_TOL):
         raise GaplessPointError(f"gapless momentum on the Zak path of {model!r}")
     n = model.bloch_numerators(ks)
-    phase = float(_wilson_phase(n, band, weight))
-    coarse = float(_wilson_phase(n[::2], band, weight))
+    phase = float(_wilson_phases(n, weight, (band,))[0])
+    coarse = float(_wilson_phases(n[::2], weight, (band,))[0])
     converged = circular_distance(phase, coarse) <= CONVERGENCE_FLAG_TOL
     return ZakResult(band=band, phase=phase, k_origin=float(k_origin),
                      n_points=n_points, model=model, span=span,
@@ -250,19 +281,39 @@ def zak_splitstep_analytic(theta1: float, theta2: float,
     return SplitStepZak(endpoint_form, published, planar)
 
 
+def _path_gapless(family: str, a1, a2, ks: np.ndarray) -> np.ndarray:
+    """Whether any of the uniform momenta ks has gap < 1e-6, per node of
+    the broadcast angle arrays a1, a2 of shape (nodes, 1).
+
+    cos E is a first harmonic plus a constant, so over an arc its
+    sampled |cos E| peaks on the grid neighbours of the envelope's k*
+    and k* + pi or at the two ends of the arc; only those are evaluated.
+    """
+    cells = ks.size - 1
+    k_star = two_angle_envelope(family)(a1, a2)[1]
+    k = np.concatenate([k_star, k_star + np.pi], axis=1)
+    offset = (k - ks[0]) % (2.0 * np.pi)
+    j = np.minimum(np.floor(offset * (cells / (ks[-1] - ks[0]))),
+                   cells - 1).astype(np.intp)
+    ends = np.zeros_like(j[:, :1])
+    idx = np.concatenate([j, j + 1, ends, ends + cells], axis=1)
+    cos_e = two_angle_cos_energy(family)(a1, a2, ks[idx])
+    return (1.0 - np.abs(cos_e) < PATH_GAP_TOL).any(axis=1)
+
+
 def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
             span: str = SPAN_HALF) -> ZakMap:
     """Zak phases of both bands over the [-pi, pi]^2 parameter square.
 
     A node is masked (NaN phases) when any momentum sample on its
     integration path has gap < 1e-6.  Nodes run serially, in blocks of
-    ZAK_BLOCK_NODES, through the kernel of zak_numeric.
+    ZAK_BLOCK_NODES, through the kernel of zak_numeric, which takes
+    both bands in one pass.
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
     ks, weight = _window(0.0, n_points, span)
     numerators = two_angle_numerators(family)
-    cos_e = two_angle_cos_energy(family)
     angles = np.linspace(-np.pi, np.pi, resolution)
 
     a1s, a2s = (g.reshape(-1, 1) for g in
@@ -271,11 +322,12 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     for start in range(0, a1s.size, ZAK_BLOCK_NODES):
         a1 = a1s[start:start + ZAK_BLOCK_NODES]
         a2 = a2s[start:start + ZAK_BLOCK_NODES]
-        mask = (1.0 - np.abs(cos_e(a1, a2, ks)) < PATH_GAP_TOL).any(axis=1)
+        mask = _path_gapless(family, a1, a2, ks)
         n = numerators(a1, a2, ks)
-        n[mask] = (0.0, 0.0, 1.0)  # keeps the kernel defined; blanked below
-        blocks.append((_wilson_phase(n, +1, weight),
-                       _wilson_phase(n, -1, weight), mask))
+        # Off both chart poles, so the kernel is defined and cheap there;
+        # blanked below.
+        n[mask] = (1.0, 0.0, 0.0)
+        blocks.append((*_wilson_phases(n, weight), mask))
     plus, minus, masked = (np.concatenate(b).reshape(resolution, resolution)
                            for b in zip(*blocks))
     plus[masked] = minus[masked] = np.nan

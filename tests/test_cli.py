@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwgeom import cli, emit, holonomy, walk
 
@@ -42,6 +44,20 @@ def test_parse_angle_pi_forms():
     assert cli.parse_angle("-2e-3") == -2e-3
     with pytest.raises(Exception):
         cli.parse_angle("two")
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789.+-/ eEinfpaPI")))
+def test_parse_angle_returns_finite_float_or_argument_error(text):
+    try:
+        value = cli.parse_angle(text)
+    except argparse.ArgumentTypeError:
+        return
+    assert isinstance(value, float) and math.isfinite(value)
+
+
+@given(p=st.integers(-10**6, 10**6), q=st.integers(1, 10**6))
+def test_parse_angle_pi_fraction_round_trip(p, q):
+    assert cli.parse_angle(f"{p}pi/{q}") == p * math.pi / q
 
 
 def test_help_exits_zero(capsys):
@@ -405,6 +421,25 @@ def test_unwritable_output_exits_two(capsys, tmp_path, argv, flag):
     code, _, err = run_fresh(*argv, flag, path)
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+def test_walk_unwritable_out_leaves_no_manifest(capsys, tmp_path,
+                                                monkeypatch):
+    manifest = tmp_path / "run.json"
+    argv = ("walk", "--family", "standard", "--theta", "pi/4", "--steps", "5",
+            "--manifest", str(manifest), "--out")
+    # The paths are refused before the walk runs.
+    monkeypatch.setattr(cli, "trajectory", None)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, stdout, err = run(capsys, *argv, str(out))
+        assert (code, stdout) == (2, "")
+        assert "error: cannot write output:" in err and str(out) in err
+        assert not manifest.exists()
+    monkeypatch.undo()
+    out = tmp_path / "x.csv"
+    assert run(capsys, *argv, str(out))[0] == 0
+    assert out.read_text().startswith("x,p\n")
+    assert json.loads(manifest.read_text())["n_steps"] == 5
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):

@@ -5,18 +5,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import angles, walk_models
+from qwgeom import zak
 from qwgeom.errors import GaplessPointError, OrthogonalStatesError
 from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
-                           make_model)
-from qwgeom.spin import band_eigenvector
+                           make_model, two_angle_cos_energy,
+                           two_angle_numerators)
+from qwgeom.spin import band_eigenvector, half_solid_angle
 from qwgeom.utils import fold_angle
-from qwgeom.zak import (_wilson_phase, discrete_berry_phase, zak_difference,
-                        zak_map, zak_noncommuting_integrand, zak_numeric,
-                        zak_splitstep_analytic)
+from qwgeom.zak import (_path_gapless, _wilson_phases, discrete_berry_phase,
+                        zak_difference, zak_map, zak_noncommuting_integrand,
+                        zak_numeric, zak_splitstep_analytic)
 
 
 def _circ(a, b):
@@ -110,9 +112,70 @@ def test_wilson_links_reject_antipodal_samples():
         for band in (+1, -1):
             if refused:
                 with pytest.raises(OrthogonalStatesError):
-                    _wilson_phase(n, band, 1.0)
+                    _wilson_phases(n, 1.0, (band,))
             else:
-                assert np.isfinite(_wilson_phase(n, band, 1.0))
+                assert np.isfinite(_wilson_phases(n, 1.0, (band,))[0])
+
+
+_SOUTH = np.array([0.0, 0.0, -1.0])
+
+
+def _per_band_phase(numerators, band, weight):
+    """One band's folded Wilson phase the per-band way: every link is a
+    general-apex half_solid_angle(-z, s n_i, s n_i+1)."""
+    xyz = np.moveaxis(numerators, -1, 0)
+    x, y, z = xyz
+    n = np.multiply(xyz, band / np.sqrt(x * x + y * y + z * z), order="C")
+    links = half_solid_angle(_SOUTH, n[..., :-1], n[..., 1:])
+    return zak.fold_angle_array(weight * links.sum(axis=-1))
+
+
+# Axis and diagonal directions make exact zeros in the links' xy cross
+# product, where the sign of a zero decides between +pi and -pi.
+_directions = st.one_of(
+    st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
+                     (0.0, -1.0, 0.0), (1.0, -1.0, 0.0), (-1.0, 1.0, 0.0)]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: math.hypot(*v) > 1e-2))
+
+
+@st.composite
+def unit_chains(draw):
+    """3 to 12 unit vectors; a link may instead lead to a point within
+    1e-3 .. 1e-13 of the antipode of the previous vector."""
+    chain = []
+    for _ in range(draw(st.integers(3, 12))):
+        v = np.array(draw(_directions))
+        eps = draw(st.sampled_from([None] * 4 + [1e-3, 1e-8, 1e-11, 1e-13]))
+        if chain and eps is not None:
+            v = -chain[-1] + eps * v
+        chain.append(v / np.linalg.norm(v))
+    return np.array(chain)
+
+
+@given(chain=unit_chains(), weight=st.sampled_from([1.0, 2.0]))
+@example(chain=np.array([[0.7071067811865476, -0.7071067811865476, 0.0],
+                         [-0.7071064276334225, 0.7071064276334225,
+                          -0.000999999499481581],
+                         [0.0, -1.0, 0.0]]), weight=1.0)
+def test_fused_kernel_equals_per_band_links(chain, weight):
+    chains = np.stack([chain, chain[::-1]])
+    u = chains / np.linalg.norm(chains, axis=-1, keepdims=True)
+    overlaps = np.sum((u[:, :-1] + u[:, 1:]) ** 2, axis=-1)
+    # The kernel refuses |a + b| < 2e-12; chains within rounding of that
+    # bound are skipped.
+    if np.min(overlaps) < (1.5 * zak.OVERLAP_TOL) ** 2:
+        for bands in ((+1, -1), (+1,), (-1,)):
+            with pytest.raises(OrthogonalStatesError):
+                _wilson_phases(chains, weight, bands)
+        return
+    assume(np.min(overlaps) > (2.5 * zak.OVERLAP_TOL) ** 2)
+    plus, minus = _wilson_phases(chains, weight)
+    assert np.array_equal(plus, _per_band_phase(chains, +1, weight))
+    assert np.array_equal(minus, _per_band_phase(chains, -1, weight))
+    for band, expected in ((+1, plus), (-1, minus)):
+        (alone,) = _wilson_phases(chains, weight, (band,))
+        assert np.array_equal(alone, expected)
 
 
 def test_zak_trivial_case_both_bands():
@@ -328,6 +391,59 @@ def test_zak_map_matches_eigenvector_chain(family, span):
             for band, phases in ((+1, zm.zak_plus), (-1, zm.zak_minus)):
                 oracle = _oracle_phase(model, band, 0.0, 64, span)
                 assert _circ(phases[i, j], oracle) < 1e-12
+
+
+def _full_sample_mask(family, a1, a2, ks, chunk=4096):
+    """Whether any momentum in ks has gap < 1e-6, from every sample."""
+    cos_e = two_angle_cos_energy(family)
+    return np.concatenate([
+        (1.0 - np.abs(cos_e(a1[i:i + chunk], a2[i:i + chunk], ks))
+         < zak.PATH_GAP_TOL).any(axis=1)
+        for i in range(0, a1.shape[0], chunk)])
+
+
+def _angle_nodes(resolution):
+    angles = np.linspace(-np.pi, np.pi, resolution)
+    return [g.reshape(-1, 1)
+            for g in np.meshgrid(angles, angles, indexing="ij")]
+
+
+def _oracle_zak_map(family, resolution, n_points, span):
+    """zak_map the per-band way: the mask from every momentum sample and
+    each band's links from half_solid_angle, all nodes in one block."""
+    ks, weight = zak._window(0.0, n_points, span)
+    a1, a2 = _angle_nodes(resolution)
+    mask = _full_sample_mask(family, a1, a2, ks)
+    n = two_angle_numerators(family)(a1, a2, ks)
+    n[mask] = (0.0, 0.0, 1.0)
+    phases = [_per_band_phase(n, band, weight) for band in (+1, -1)]
+    for p in phases:
+        p[mask] = np.nan
+    shape = (resolution, resolution)
+    return [p.reshape(shape) for p in phases], mask.reshape(shape)
+
+
+@pytest.mark.parametrize("family", ["noncommuting", "splitstep"])
+@pytest.mark.parametrize("span", ["half", "full"])
+@pytest.mark.parametrize("resolution, n_points", [(21, 64), (41, 512)])
+def test_zak_map_equals_per_band_oracle(family, span, resolution, n_points):
+    zm = zak_map(family, resolution, n_points, span=span)
+    (plus, minus), masked = _oracle_zak_map(family, resolution, n_points,
+                                            span)
+    assert np.array_equal(zm.masked, masked)
+    assert np.array_equal(zm.zak_plus, plus, equal_nan=True)
+    assert np.array_equal(zm.zak_minus, minus, equal_nan=True)
+
+
+@pytest.mark.parametrize("family", ["noncommuting", "splitstep"])
+@pytest.mark.parametrize("span", ["half", "full"])
+@pytest.mark.parametrize("resolution", [21, 201, 401])
+def test_path_gapless_equals_full_sample_mask(family, span, resolution):
+    ks, _ = zak._window(0.0, 512, span)
+    a1, a2 = _angle_nodes(resolution)
+    mask = _path_gapless(family, a1, a2, ks)
+    assert mask.any() and not mask.all()
+    assert np.array_equal(mask, _full_sample_mask(family, a1, a2, ks))
 
 
 def test_zak_map_parity_symmetry():
