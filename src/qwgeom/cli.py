@@ -13,18 +13,22 @@ special points are not blurred by rounding.  A family's angle flags are
 its model's field names.  No command uses threads.  phase-diagram
 finds the minimum over its --k-samples grid from each node's k*.
 dirac-points evaluates the exact gap envelope on its angle grid, with
-no momentum samples, so its k* is exact.  zak and zak-map evaluate each
-Wilson link as a spherical-triangle area of real unit Bloch vectors,
-which matches the complex eigenvector overlap chain to about 1e-14.
-zak reduces --k-origin into [-pi, pi] before it builds the window and
-echoes the value as given.  winding needs --k-samples >= 16.  A size
-flag whose estimated peak memory exceeds MEMORY_BUDGET bytes is refused
-up front with exit 2, before anything is allocated: --steps of walk,
---loops and --steps of holonomy-sphere, --k-samples of spectrum, bloch
-and winding, --n-points of zak, and --resolution, --k-samples and
---n-points of the grid commands.  Every CSV row costs emit.CSV_ROW_BYTES
-in these estimates (spectrum, bloch, phase-diagram, zak-map and the
-holonomy-sphere loops); walk's per-site figure covers its CSV.
+no momentum samples, so its k* is exact.  zak evaluates each Wilson
+link as a spherical-triangle area of real unit Bloch vectors, which
+matches the complex eigenvector overlap chain to about 1e-14.  zak-map
+takes its phases from closed forms, within 6.2e-15 of that chain at its
+default size, and its --n-points (even, 16 to 2**53) sets only the
+sampled gap mask, which evaluates six momenta per node.  zak reduces
+--k-origin into [-pi, pi] before it builds the window and echoes the
+value as given.  winding needs --k-samples >= 16.  A size flag whose
+estimated peak memory exceeds MEMORY_BUDGET bytes is refused up front
+with exit 2, before anything is allocated: --steps of walk, --loops and
+--steps of holonomy-sphere, --k-samples of spectrum, bloch and winding,
+--n-points of zak, --resolution and --k-samples of phase-diagram, and
+--resolution of dirac-points and zak-map.  Every CSV row costs
+emit.CSV_ROW_BYTES in these estimates (spectrum, bloch, phase-diagram,
+zak-map and the holonomy-sphere loops); zak-map's estimate is that
+alone, one row per node.  walk's per-site figure covers its CSV.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .utils import fold_angle
 from .walk import (initial_state, momentum_oracle, peak_bytes,
                    probability_distribution, similarity, total_variation,
                    trajectory)
-from .zak import ZAK_BLOCK_NODES, ZAK_CELL_BYTES, zak_map, zak_numeric
+from .zak import ZAK_CELL_BYTES, ZAK_MAX_POINTS, zak_map, zak_numeric
 
 _PI_FORM = re.compile(
     r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?pi(?:/(\d+(?:\.\d*)?|\.\d+))?$")
@@ -124,8 +128,9 @@ _k_samples = _int_at_least("k-samples", 8)
 
 def _zak_points(text: str) -> int:
     value = int(text)
-    if value < 16 or value % 2:
-        raise argparse.ArgumentTypeError("n-points must be even and >= 16")
+    if not 16 <= value <= ZAK_MAX_POINTS or value % 2:
+        raise argparse.ArgumentTypeError(
+            "n-points must be even, >= 16 and <= 2**53")
     return value
 
 
@@ -204,9 +209,8 @@ def _cmd_zak(args) -> str:
 
 
 def _cmd_zak_map(args) -> str:
-    need = (emit.CSV_ROW_BYTES * args.resolution**2
-            + ZAK_CELL_BYTES * ZAK_BLOCK_NODES * (args.n_points + 1))
-    _check_budget(args, need, "resolution", "n-points")
+    _check_budget(args, emit.CSV_ROW_BYTES * args.resolution**2,
+                  "resolution")
     zm = zak_map(args.family, resolution=args.resolution,
                  n_points=args.n_points, span=args.span)
     return emit.zak_map_csv(zm)

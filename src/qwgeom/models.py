@@ -18,7 +18,9 @@ dispersion cos E(k) and the (unnormalized) Bloch components, the fast
 paths used by scans; the unnormalized components N(k) defined by
 U(k) = cos E - i (N . sigma) satisfy |N(k)| = sin E(k) identically.
 A two-angle family also carries its exact gap envelope: max_k |cos E|
-and a momentum k* reaching it, as closed forms in the angles.
+and a momentum k* reaching it, as closed forms in the angles.  The
+split-step walk also declares its chiral axis: the normal of the plane
+through the origin that holds its Bloch curve, continuous in the angles.
 """
 
 from __future__ import annotations
@@ -167,6 +169,13 @@ class WalkModel:
     def angles(self) -> tuple[float, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
 
+    @property
+    def chiral_axis(self):
+        """Unit normal of the plane through the origin that holds N(k) for
+        every k, continuous in the angles, or None where the family
+        declares none."""
+        return None
+
     def step_ops(self) -> tuple:
         """Coins (2x2 arrays) and shifts (du, dv), in the order they act."""
         raise NotImplementedError
@@ -275,6 +284,11 @@ class SplitStepWalk(WalkModel):
     numerators = staticmethod(splitstep_numerators)
     dispersion = staticmethod(splitstep_cos_energy)
     envelope = staticmethod(splitstep_envelope)
+
+    @property
+    def chiral_axis(self):
+        """(cos theta1, 0, sin theta1), normal to N(k) at every k."""
+        return np.array([np.cos(self.theta1), 0.0, np.sin(self.theta1)])
 
     def step_ops(self):
         return (rotation_y(self.theta1), SHIFT_V, rotation_y(self.theta2), SHIFT_H)

@@ -265,7 +265,7 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
                          accept_gap=accept_gap)
 
 
-def planar_winding(points: np.ndarray) -> int:
+def planar_winding(points: np.ndarray, normal=None) -> int:
     """Winding number of a closed planar curve about the origin's
     in-plane projection.
 
@@ -273,7 +273,8 @@ def planar_winding(points: np.ndarray) -> int:
     the first point.  The best-fit plane comes from an SVD about the
     centroid; deviations beyond 1e-6 (relative to the curve size) raise
     NonPlanarCurveError.  The in-plane frame is fixed deterministically:
-    the normal's largest component is made positive, the first basis
+    its normal is the given unit normal of the curve's plane, or else the
+    SVD normal with its largest component made positive; the first basis
     vector is a projected coordinate axis, and the second completes a
     right-handed triple.  If the curve approaches the projected origin
     closer than 1e-9 the winding is undefined and GaplessPointError is
@@ -286,13 +287,14 @@ def planar_winding(points: np.ndarray) -> int:
     rel = pts - centroid
     scale = max(1.0, float(np.abs(rel).max()))
     _, sing, vt = np.linalg.svd(rel, full_matrices=False)
-    normal = vt[2]
     if sing[2] > 1e-6 * scale:
         raise NonPlanarCurveError(
             f"curve is not planar: residual {sing[2]:.3e} exceeds tolerance")
-    pivot = int(np.argmax(np.abs(normal)))
-    if normal[pivot] < 0.0:
-        normal = -normal
+    if normal is None:
+        normal = vt[2]
+        pivot = int(np.argmax(np.abs(normal)))
+        if normal[pivot] < 0.0:
+            normal = -normal
     # First in-plane axis: the coordinate axis least aligned with normal,
     # projected into the plane.
     seed_axis = np.zeros(3)
@@ -319,8 +321,11 @@ def winding_number(model, k_samples: int = 1024) -> int:
     """Winding of the Bloch curve N(k) of a walk model about the origin.
 
     Samples k uniformly over one zone without the duplicate endpoint.
+    The sign is taken about the model's chiral axis where it declares
+    one, so it changes only where the gap closes; otherwise about
+    planar_winding's SVD normal.
     """
     if k_samples < 16:
         raise ValueError("k_samples must be at least 16")
     ks = np.linspace(-np.pi, np.pi, k_samples, endpoint=False)
-    return planar_winding(model.bloch_numerators(ks))
+    return planar_winding(model.bloch_numerators(ks), model.chiral_axis)

@@ -295,8 +295,8 @@ def test_holonomy_loops_over_memory_budget_exits_two(capsys, tmp_path,
                   "--resolution", "1000000"),
                  "--resolution 1000000", id="dirac-points"),
     pytest.param(("zak-map", "--family", "noncommuting",
-                  "--n-points", "1000000"),
-                 "--resolution 201 --n-points 1000000", id="zak-map"),
+                  "--resolution", "100000"),
+                 "--resolution 100000", id="zak-map"),
 ])
 def test_grid_command_over_memory_budget_exits_two(capsys, tmp_path,
                                                    monkeypatch, argv, sizes):
@@ -313,6 +313,23 @@ def test_grid_command_over_memory_budget_exits_two(capsys, tmp_path,
     assert f"{argv[0]} {sizes} needs about" in err
     assert f"MiB {argv[0]} budget" in err
     assert not out_path.exists()
+
+
+def test_zak_map_n_points_sets_only_the_mask(capsys):
+    # Six momenta per node build the mask, so no --n-points allocates a
+    # sample grid; the phases are closed forms.
+    rows = {}
+    for n_points in ("1000000000000", "16"):
+        code, out, _ = run(capsys, "zak-map", "--family", "splitstep",
+                           "--resolution", "5", "--n-points", n_points)
+        assert code == 0
+        rows[n_points] = out.splitlines()
+    assert len(rows["16"]) == 26
+    assert rows["16"] == rows["1000000000000"]
+    code, out, err = run(capsys, "zak-map", "--family", "splitstep",
+                         "--n-points", str(2**53 + 2))
+    assert (code, out) == (2, "")
+    assert "n-points must be even" in err
 
 
 @pytest.mark.parametrize("argv, sizes", [

@@ -153,6 +153,16 @@ def test_bloch_numerators_norm_squared_property(model, k):
     assert abs(float(n @ n) - (1.0 - ce * ce)) < 1e-12
 
 
+@given(model=walk_models(), k=angles)
+def test_chiral_axis_is_a_unit_normal_of_the_bloch_curve(model, k):
+    axis = model.chiral_axis
+    if model.family != "splitstep":
+        assert axis is None
+        return
+    assert abs(float(axis @ axis) - 1.0) < 1e-15
+    assert abs(float(np.asarray(model.bloch_numerators(k)) @ axis)) < 1e-15
+
+
 @given(family=st.sampled_from(TWO_ANGLE_FAMILIES), a1=angles, a2=angles)
 def test_envelope_is_max_abs_cos_energy(family, a1, a2):
     env, k_star = two_angle_envelope(family)(a1, a2)

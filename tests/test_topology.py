@@ -9,6 +9,8 @@ from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
                            two_angle_envelope)
 from qwgeom.topology import (find_dirac_points, planar_winding, scan_gap,
                              winding_number)
+from qwgeom.utils import fold_angle
+from qwgeom.zak import zak_map
 
 
 def test_scan_gap_grid_and_values():
@@ -194,6 +196,29 @@ def test_winding_number_goldens():
     assert winding_number(SplitStepWalk(0.2, 0.9)) == 0
     assert winding_number(SplitStepWalk(0.9, 0.2)) == -1
     assert winding_number(StandardWalk(0.6)) == -1
+
+
+@pytest.mark.parametrize("centre", [-np.pi / 4, 3 * np.pi / 4])
+@pytest.mark.parametrize("theta2", [0.1, 0.5, -0.3, 1.2, 2.9])
+def test_splitstep_winding_constant_where_the_gap_stays_open(centre, theta2):
+    # The chiral axis (cos theta1, 0, sin theta1) swaps its largest
+    # component at these theta1, where planar_winding's SVD pivot rule
+    # would flip the winding's sign.
+    theta1 = centre + np.linspace(-0.2, 0.2, 41)
+    envelope = two_angle_envelope("splitstep")(theta1, theta2)[0]
+    assert np.min(1.0 - envelope) > 1e-3
+    windings = {winding_number(SplitStepWalk(t1, theta2)) for t1 in theta1}
+    assert len(windings) == 1
+
+
+def test_splitstep_full_zone_zak_phase_is_pi_times_winding():
+    zm = zak_map("splitstep", resolution=41, n_points=512, span="full")
+    live = np.argwhere(~zm.masked)
+    assert 0 < len(live) < zm.masked.size
+    for i, j in live:
+        nu = winding_number(SplitStepWalk(zm.angles1[i], zm.angles2[j]))
+        for phase in (zm.zak_plus[i, j], zm.zak_minus[i, j]):
+            assert abs(fold_angle(phase - np.pi * abs(nu))) < 1e-12
 
 
 def test_winding_number_gapped_noncommuting_is_unit():

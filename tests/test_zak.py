@@ -1,6 +1,7 @@
 """Zak phases: discrete Wilson chains, numeric integration, closed forms,
 and the two-angle phase maps."""
 
+import functools
 import math
 
 import numpy as np
@@ -408,10 +409,16 @@ def _angle_nodes(resolution):
             for g in np.meshgrid(angles, angles, indexing="ij")]
 
 
+def _window_samples(n_points, span):
+    """The n_points + 1 momenta of zak_map's window, and its weight."""
+    lo, hi, weight = zak._window(0.0, n_points, span)
+    return np.linspace(lo, hi, n_points + 1), weight
+
+
 def _oracle_zak_map(family, resolution, n_points, span):
     """zak_map the per-band way: the mask from every momentum sample and
     each band's links from half_solid_angle, all nodes in one block."""
-    ks, weight = zak._window(0.0, n_points, span)
+    ks, weight = _window_samples(n_points, span)
     a1, a2 = _angle_nodes(resolution)
     mask = _full_sample_mask(family, a1, a2, ks)
     n = two_angle_numerators(family)(a1, a2, ks)
@@ -423,25 +430,106 @@ def _oracle_zak_map(family, resolution, n_points, span):
     return [p.reshape(shape) for p in phases], mask.reshape(shape)
 
 
+@functools.cache
+def _chain_zak_map(family, resolution, n_points, span):
+    """zak_map by the sampled Wilson chain, the oracle of its closed
+    forms: _path_gapless's mask, then _wilson_phases over each node's
+    n_points + 1 momenta, 64 nodes at a time.  Cached; the arrays are
+    read only."""
+    ks, weight = _window_samples(n_points, span)
+    a1s, a2s = _angle_nodes(resolution)
+    blocks = []
+    for start in range(0, a1s.size, 64):
+        a1, a2 = a1s[start:start + 64], a2s[start:start + 64]
+        mask = _path_gapless(family, a1, a2, ks[0], ks[-1], n_points)
+        n = two_angle_numerators(family)(a1, a2, ks)
+        # Off both chart poles, so the kernel is defined there.
+        n[mask] = (1.0, 0.0, 0.0)
+        blocks.append((*_wilson_phases(n, weight), mask))
+    plus, minus, masked = (np.concatenate(b).reshape(resolution, resolution)
+                           for b in zip(*blocks))
+    plus[masked] = minus[masked] = np.nan
+    return plus, minus, masked
+
+
 @pytest.mark.parametrize("family", ["noncommuting", "splitstep"])
 @pytest.mark.parametrize("span", ["half", "full"])
 @pytest.mark.parametrize("resolution, n_points", [(21, 64), (41, 512)])
 def test_zak_map_equals_per_band_oracle(family, span, resolution, n_points):
+    # The fused kernel over a whole map, bit for bit.
+    plus, minus, masked = _chain_zak_map(family, resolution, n_points, span)
+    (oracle_plus, oracle_minus), oracle_masked = _oracle_zak_map(
+        family, resolution, n_points, span)
+    assert np.array_equal(masked, oracle_masked)
+    assert np.array_equal(plus, oracle_plus, equal_nan=True)
+    assert np.array_equal(minus, oracle_minus, equal_nan=True)
+
+
+# Largest |closed form - chain| measured: 6.2e-15 at 201 x 512 and
+# 8.9e-15 at 301 x 128, both families and spans.
+CLOSED_FORM_TOL = 1e-13
+
+
+@pytest.mark.parametrize("family", ["noncommuting", "splitstep"])
+@pytest.mark.parametrize("span", ["half", "full"])
+@pytest.mark.parametrize("resolution, n_points",
+                         [(21, 64), (41, 512), (201, 512)])
+def test_zak_map_closed_form_equals_chain_map(family, span, resolution,
+                                              n_points):
     zm = zak_map(family, resolution, n_points, span=span)
-    (plus, minus), masked = _oracle_zak_map(family, resolution, n_points,
-                                            span)
+    plus, minus, masked = _chain_zak_map(family, resolution, n_points, span)
     assert np.array_equal(zm.masked, masked)
-    assert np.array_equal(zm.zak_plus, plus, equal_nan=True)
-    assert np.array_equal(zm.zak_minus, minus, equal_nan=True)
+    live = ~masked
+    for got, chain in ((zm.zak_plus, plus), (zm.zak_minus, minus)):
+        assert np.all(np.isnan(got[masked]))
+        # A plain difference: a +pi / -pi flip would fail it too.
+        assert np.max(np.abs(got[live] - chain[live])) < CLOSED_FORM_TOL
+
+
+@given(family=st.sampled_from(["noncommuting", "splitstep"]), a1=angles,
+       a2=angles, span=st.sampled_from(["half", "full"]))
+def test_closed_forms_match_zak_numeric(family, a1, a2, span):
+    model = make_model(family, [a1, a2])
+    ks, _ = _window_samples(4096, span)
+    assume(np.min(model.gap(ks)) >= 1e-3)
+    plus, minus = zak._CLOSED_FORMS[family](a1, a2, span)
+    for band, phase in ((+1, plus), (-1, minus)):
+        chain = zak_numeric(model, band, n_points=512, span=span).phase
+        assert _circ(float(phase), chain) < CLOSED_FORM_TOL
+
+
+# Split-step nodes next to the gap-closing lines theta2 = +-theta1 and
+# cos(theta2) = 0, where the Bloch curve turns fastest.
+_near_closing = st.tuples(
+    angles, st.sampled_from([1.0, -1.0]),
+    st.sampled_from([0.0, 1e-9, 1e-7, -1e-6, 1e-4, -1e-2])).map(
+        lambda t: (t[0], t[1] * t[0] + t[2]))
+
+
+@given(nodes=st.one_of(st.tuples(angles, angles), _near_closing,
+                       st.tuples(angles, st.sampled_from([np.pi / 2,
+                                                          -np.pi / 2]))),
+       span=st.sampled_from(["half", "full"]),
+       n_points=st.sampled_from([16, 512, 2**40]))
+def test_splitstep_coarse_chain_is_defined_on_unmasked_nodes(nodes, span,
+                                                             n_points):
+    a1, a2 = nodes
+    lo, hi, _ = zak._window(0.0, n_points, span)
+    masked = _path_gapless("splitstep", np.array([[a1]]), np.array([[a2]]),
+                           lo, hi, n_points)
+    assume(not masked[0])
+    # Raises OrthogonalStatesError should a coarse link meet antipodes.
+    plus, minus = zak._splitstep_phases(a1, a2, span)
+    assert np.isfinite(plus) and np.isfinite(minus)
 
 
 @pytest.mark.parametrize("family", ["noncommuting", "splitstep"])
 @pytest.mark.parametrize("span", ["half", "full"])
 @pytest.mark.parametrize("resolution", [21, 201, 401])
 def test_path_gapless_equals_full_sample_mask(family, span, resolution):
-    ks, _ = zak._window(0.0, 512, span)
+    ks, _ = _window_samples(512, span)
     a1, a2 = _angle_nodes(resolution)
-    mask = _path_gapless(family, a1, a2, ks)
+    mask = _path_gapless(family, a1, a2, ks[0], ks[-1], 512)
     assert mask.any() and not mask.all()
     assert np.array_equal(mask, _full_sample_mask(family, a1, a2, ks))
 
