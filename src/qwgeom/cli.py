@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage error (argparse, including a non-finite
 angle; a size over the memory budget; an --out or --manifest path that
-cannot be written), 3 domain error (gapless point, degenerate input,
-finite-difference failure).  main parses with one parser per process
+cannot be written; a MemoryError), 3 domain error (gapless point,
+degenerate input, finite-difference failure, or any other ValueError
+the library raises).  main parses with one parser per process
 and checks that --out (and walk's --manifest) can be written before it
 runs the command; each _cmd_* handler returns its artifact text (walk
 also its manifest text) and main writes --out, then --manifest, so a
@@ -426,9 +427,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except QwGeomError as exc:
+    except (QwGeomError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}".removesuffix(": "),
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

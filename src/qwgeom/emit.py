@@ -8,6 +8,13 @@ details (a run manifest holds metadata separately).
 
 Every CSV table goes through csv_text as arrays, CSV_BLOCK_ROWS rows per
 % string; a grid map's axes broadcast as angles1[:, None] and angles2.
+A table longer than one block formats each distinct value of a float64
+column once, taken from the column before broadcasting and told apart by
+bit pattern (so -0.0 and 0.0, or two NaN payloads, keep their own
+text), when the column has at most half as many distinct values as the
+table has rows; its cells then enter the block through %s.  The grid
+maps' axes and most of their value columns repeat that much.  Shorter
+tables, other float columns and the %d columns format every cell.
 """
 
 from __future__ import annotations
@@ -27,10 +34,12 @@ from .zak import ZakMap, ZakResult
 CSV_BLOCK_ROWS = 4096
 # Peak bytes per row of any CSV command, counting the row's share of the
 # arrays it renders and of the text (the formatted blocks and the joined
-# text coexist once).  Peak RSS growth measured 161-196 for phase-diagram
-# at 801-1601 nodes a side, 194-236 for zak-map at 401-1201, 191-197 for
-# spectrum and bloch at 1e6-3e6 samples, and 225 per holonomy-sphere
-# loop at 1e5 loops (Linux x86-64, numpy 2.4).
+# text coexist once).  Peak RSS growth measured 178-199 for phase-diagram
+# at 801-1601 nodes a side, 186-207 for zak-map at 401-1201, 191-221 for
+# spectrum and bloch at 1e6-3e6 samples, and 223 per holonomy-sphere
+# loop at 4e4 loops (Linux x86-64, numpy 2.4).  The distinct-value path
+# adds up to 20-40 of these bytes on some tables: its sort buffers, freed
+# before the text is joined, leave the heap holding more of the blocks.
 CSV_ROW_BYTES = 256
 
 
@@ -39,20 +48,59 @@ def csv_text(header, columns) -> str:
 
     Integer and bool columns print with %d, all others with %.17g.
     """
-    columns = np.broadcast_arrays(*columns)
-    width = len(columns)
-    row_format = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
-                          for c in columns) + "\n"
     parts = [",".join(header) + "\n"]
-    for start in range(0, columns[0].size, CSV_BLOCK_ROWS):
-        block = [c.flat[start:start + CSV_BLOCK_ROWS].tolist()
-                 for c in columns]
-        n = len(block[0])
-        cells = [None] * (width * n)
-        for j, values in enumerate(block):
-            cells[j::width] = values
-        parts.append((row_format * n) % tuple(cells))
+    parts.extend(_csv_blocks(columns))
     return "".join(parts)
+
+
+def _csv_blocks(columns):
+    """The CSV text of the broadcast columns, CSV_BLOCK_ROWS rows a string,
+    with the float columns that repeat enough (see the module docstring)
+    formatted once per distinct value.  The lookup tables die with this
+    generator, before csv_text joins the blocks.
+    """
+    sources = [np.asarray(c) for c in columns]
+    columns = np.broadcast_arrays(*sources)
+    width = len(columns)
+    rows = columns[0].size
+    lookups, cell_formats = [], []
+    for source, column in zip(sources, columns):
+        shared = None
+        if rows > CSV_BLOCK_ROWS and column.dtype == np.float64:
+            shared = _distinct_text(source, rows)
+        lookups.append(shared)
+        cell_formats.append("%d" if column.dtype.kind in "biu"
+                            else "%.17g" if shared is None else "%s")
+    row_format = ",".join(cell_formats) + "\n"
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        n = min(CSV_BLOCK_ROWS, rows - start)
+        cells = [None] * (width * n)
+        for j, (column, shared) in enumerate(zip(columns, lookups)):
+            values = column.flat[start:start + n]
+            if shared is not None:
+                distinct, text = shared
+                values = text[np.searchsorted(distinct,
+                                              values.view(np.uint64))]
+            cells[j::width] = values.tolist()
+        yield (row_format * n) % tuple(cells)
+
+
+def _distinct_text(column, rows):
+    """The sorted distinct bit patterns of a float64 column and their
+    %.17g text, or None when there are more than rows / 2 of them.
+
+    Bit patterns keep -0.0 apart from 0.0 and NaN payloads apart.
+    """
+    bits = np.sort(column.view(np.uint64), axis=None)
+    first = np.empty(bits.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    if 2 * np.count_nonzero(first) > rows:
+        return None
+    distinct = bits[first]
+    text = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()],
+                    dtype=object)
+    return distinct, text
 
 
 def json_text(payload) -> str:

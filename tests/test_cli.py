@@ -411,6 +411,22 @@ def test_domain_errors_exit_three(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("error, code", [(ValueError("bad angle"), 3),
+                                         (MemoryError(), 2),
+                                         (MemoryError("cannot allocate"), 2)])
+def test_library_errors_exit_with_one_line(capsys, monkeypatch, error, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(emit, "spectrum_csv", fail)
+    status, out, err = run(capsys, "spectrum", "--family", "standard",
+                           "--theta", "0.3", "--k-samples", "9")
+    assert (status, out) == (code, "")
+    # main returned, so no traceback escaped; stderr is one error line.
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(error) in err
+
+
 def test_winding_k_samples_below_sixteen_exit_two(capsys):
     argv = ("winding", "--family", "standard", "--theta", "0.9",
             "--k-samples")
