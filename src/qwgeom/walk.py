@@ -5,10 +5,18 @@ light cone; each site carries a two-component spin amplitude (H, V).
 One step runs through the model's step_ops() in order: a coin (2x2
 matrix) acts sitewise, and a shift (du, dv) moves the H amplitudes du
 sites and the V amplitudes dv sites (+1 is right), widening the window
-to hold both.  All steps of a walk update one preallocated buffer in
-place (trajectory).  The same list gives the momentum unitary U(k) that
-the FFT oracle below powers, but the oracle never calls the position
-step.
+to hold both.  The same list gives the momentum unitary U(k) that the
+FFT oracle below powers, but the oracle never calls the position step.
+
+All steps of a walk update one preallocated spin-major buffer in place
+(trajectory): row 0 holds the H and row 1 the V amplitudes, so a shift
+is a memmove of one row and a real coin (standard, split-step) runs on
+the buffer's float64 view, treating real and imaginary parts alike.
+Only a live range of sites is touched; it drops, every TRIM_STEPS
+steps, the outer tail sites whose floats have all underflowed below
+np.finfo(float).tiny.  That changes no probability (see trajectory).
+Its rounding differs from a site-major complex matrix product, the
+tests' reference kernel, by at most TV 1e-14 and max |dp| 1e-15.
 """
 
 from __future__ import annotations
@@ -21,11 +29,17 @@ from .errors import GridMismatchError
 from .models import WalkModel
 
 # Peak bytes per lattice site of a walk checked against the oracle and
-# written as CSV (`qwgeom walk`): the position buffer and its coin
-# temporary (64), the oracle's amplitude and 2x2 unitary stacks (~330)
-# and the CSV text (~200).  Peak RSS growth measured 0.6-1.0 kB per site
-# at 3000-20000 steps (Linux x86-64, numpy 2.4).
+# written as CSV (`qwgeom walk`): trajectory's spin-major buffer (32)
+# and its two scratch rows (32), the oracle's amplitude and 2x2 unitary
+# stacks (~330) and the CSV text (~200), not all live at once.  Peak RSS
+# growth measured 0.32-0.47 kB per site at 3000-20000 steps for all
+# three families (Linux x86-64, numpy 2.4), so 1 kB leaves 2x headroom.
 SITE_BYTES = 1024
+
+# trajectory drops underflowed tails from its live range every
+# TRIM_STEPS steps: below this magnitude a float is zero or subnormal.
+TRIM_STEPS = 32
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -79,12 +93,34 @@ def peak_bytes(width0: int, n_steps: int) -> int:
 def trajectory(state0: WalkerState, model: WalkModel, n_steps: int):
     """Yield the state after each of n_steps walk steps, evolved in place.
 
-    One buffer wide enough for every window of the walk is allocated up
-    front: for the built-in families, whose shifts all straddle zero,
-    that is exactly the final window.  A coin acts on the live window
-    and a shift moves each spin column inside the buffer, zeroing the
-    sites it vacates, so the buffer is zero outside the window.  Each
-    yielded WalkerState is a view of the buffer that the next step
+    One spin-major (2, L) complex buffer, wide enough for every window
+    of the walk, is allocated up front with two scratch rows of 2 L
+    floats; each yielded amplitudes array is the (width, 2) view
+    buf[:, a:b].T of the window [a, b).  Rows only ever move left: a
+    shift (du, dv) moves spin s by d_s - max(du, dv) sites, a memmove of
+    one contiguous row (numpy runs an overlapping right shift several
+    times slower), and the position held at every buffer index advances
+    by max(du, dv).  The buffer is then exactly the final window,
+    width0 + n_steps * sum(max(op) - min(op)) sites.
+
+    A coin whose imaginary part is exactly zero (standard, split-step)
+    acts alike on the real and imaginary parts, so it runs on the
+    buffer's float64 view with out= ufuncs into the scratch rows; a
+    complex coin (noncommuting) runs the same ufuncs on the complex
+    views of both.
+
+    Coins and shifts touch only a live range [lo, hi) of the window
+    outside which the buffer is exactly zero.  Every TRIM_STEPS steps
+    the range shrinks from its outer ends to the outermost sites with
+    a float component of at least np.finfo(float).tiny, zeroing the
+    sites dropped; interior zeros are kept.  This removes the light
+    cone's underflowed tails and the subnormal arithmetic on them.  It
+    leaves every probability as it was: a dropped site's own p is 0
+    (its squares underflow), and unitarity bounds the norm of all the
+    flushed perturbation, carried to every other site, by about 1e-296,
+    far below half an ulp of any amplitude whose square is nonzero.
+
+    Each yielded WalkerState is a view of the buffer that the next step
     overwrites; copy it to keep it.  state0 is never modified.
     """
     if not isinstance(model, WalkModel):
@@ -92,28 +128,49 @@ def trajectory(state0: WalkerState, model: WalkModel, n_steps: int):
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     ops = model.step_ops()
-    shifts = [op for op in ops if isinstance(op, tuple)]
+    spread = sum(max(op) - min(op) for op in ops if isinstance(op, tuple))
     width0 = state0.amplitudes.shape[0]
-    a = n_steps * sum(max(0, -min(s)) for s in shifts)
+    a = n_steps * spread
     b = a + width0
-    buf = np.zeros((b + n_steps * sum(max(0, *s) for s in shifts), 2),
-                   dtype=complex)
-    buf[a:b] = state0.amplitudes
+    buf = np.zeros((2, b), dtype=complex)
+    buf[:, a:b] = state0.amplitudes.T
+    floats = buf.view(float)
+    scratch = np.empty((2, 2 * b))
+    coins = [None if isinstance(op, tuple)
+             else (op, buf, scratch.view(complex), 1) if np.any(op.imag)
+             else (op.real, floats, scratch, 2) for op in ops]
     base = state0.offset - a
-    for count in range(state0.step_count + 1,
-                       state0.step_count + n_steps + 1):
-        for op in ops:
-            if isinstance(op, tuple):
-                for spin, d in enumerate(op):
-                    if d:
-                        buf[a + d:b + d, spin] = buf[a:b, spin]
-                        vacated = slice(a, a + d) if d > 0 else slice(b + d, b)
-                        buf[vacated, spin] = 0.0
-                a, b = a + min(op), b + max(op)
+    lo, hi = a, b
+    for i in range(1, n_steps + 1):
+        for op, coin in zip(ops, coins):
+            if coin is None:
+                top = max(op)
+                for row, d in zip(buf, op):
+                    if d < top:
+                        row[lo + d - top:hi + d - top] = row[lo:hi]
+                        row[hi + d - top:hi] = 0.0
+                base += top
+                a, lo = a - (top - min(op)), lo - (top - min(op))
             else:
-                buf[a:b] = buf[a:b] @ op.T
-        yield WalkerState(amplitudes=buf[a:b], offset=base + a,
-                          step_count=count)
+                ((c00, c01), (c10, c11)), rows, tmp, k = coin
+                h, v = rows[0, k * lo:k * hi], rows[1, k * lo:k * hi]
+                t0, t1 = tmp[0, :k * (hi - lo)], tmp[1, :k * (hi - lo)]
+                np.multiply(h, c10, out=t1)
+                np.multiply(v, c01, out=t0)
+                h *= c00
+                h += t0
+                v *= c11
+                v += t1
+        if i % TRIM_STEPS == 0:
+            live = np.flatnonzero(
+                (np.abs(floats[:, 2 * lo:2 * hi]) >= _TINY).any(axis=0)) // 2
+            new_lo, new_hi = ((lo + live[0], lo + live[-1] + 1) if live.size
+                              else (lo, lo))
+            buf[:, lo:new_lo] = 0.0
+            buf[:, new_hi:hi] = 0.0
+            lo, hi = new_lo, new_hi
+        yield WalkerState(amplitudes=buf[:, a:b].T, offset=base + a,
+                          step_count=state0.step_count + i)
 
 
 def evolve(state0: WalkerState, model: WalkModel, n_steps: int) -> WalkerState:

@@ -15,7 +15,8 @@ from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
 from qwgeom.spin import rotation_x, rotation_y
 from qwgeom.walk import (Distribution, WalkerState, evolve, initial_state,
                          momentum_oracle, probability_distribution,
-                         similarity, step, total_variation, trajectory)
+                         similarity, step, total_variation, trajectory,
+                         TRIM_STEPS)
 
 from conftest import walk_models
 
@@ -50,6 +51,38 @@ def _dense_oracle(state0, model, n_steps):
     p = np.sum(np.abs(psi_n[keep]) ** 2, axis=1)
     return Distribution(positions=xs[keep], p=p,
                         step_count=state0.step_count + n_steps)
+
+
+def _reference_evolve(state0, model, n_steps):
+    """Reference position-space evolution on a site-major buffer.
+
+    One (L, 2) complex buffer; each coin is a complex matrix product on
+    the whole light-cone window, each shift moves a spin column and
+    zeros the sites it vacates, and no site is ever dropped.  trajectory
+    must agree with it to TV <= 1e-14 and max |dp| <= 1e-15.
+    """
+    ops = model.step_ops()
+    shifts = [op for op in ops if isinstance(op, tuple)]
+    width0 = state0.amplitudes.shape[0]
+    a = n_steps * sum(max(0, -min(s)) for s in shifts)
+    b = a + width0
+    buf = np.zeros((b + n_steps * sum(max(0, *s) for s in shifts), 2),
+                   dtype=complex)
+    buf[a:b] = state0.amplitudes
+    base = state0.offset - a
+    for _ in range(n_steps):
+        for op in ops:
+            if isinstance(op, tuple):
+                for spin, d in enumerate(op):
+                    if d:
+                        buf[a + d:b + d, spin] = buf[a:b, spin]
+                        vacated = slice(a, a + d) if d > 0 else slice(b + d, b)
+                        buf[vacated, spin] = 0.0
+                a, b = a + min(op), b + max(op)
+            else:
+                buf[a:b] = buf[a:b] @ op.T
+    return WalkerState(amplitudes=buf[a:b].copy(), offset=base + a,
+                       step_count=state0.step_count + n_steps)
 
 
 def test_initial_state_chirality():
@@ -247,6 +280,13 @@ def test_trajectory_yields_every_step():
     final = evolve(state0, model, 6)
     assert np.array_equal(final.amplitudes,
                           evolve(evolve(state0, model, 2), model, 4).amplitudes)
+    # The live window is trimmed every TRIM_STEPS steps of one trajectory,
+    # so this composition runs across a trim on one side only.
+    assert TRIM_STEPS < 40
+    final = evolve(state0, model, 70)
+    parts = evolve(evolve(state0, model, 40), model, 30)
+    assert (final.offset, final.step_count) == (parts.offset, parts.step_count)
+    assert np.array_equal(final.amplitudes, parts.amplitudes)
     assert list(trajectory(state0, model, 0)) == []
 
 
@@ -272,6 +312,65 @@ def test_walk_conserves_norm_and_matches_oracle(model, chi, n):
     oracle = momentum_oracle(initial_state(chi), model, n)
     assert np.array_equal(dist.positions, oracle.positions)
     assert total_variation(dist, oracle) < 1e-12
+
+
+def _assert_matches_reference(state0, model, n_steps):
+    """The kernel agrees with _reference_evolve within the stated bound."""
+    new = evolve(state0, model, n_steps)
+    ref = _reference_evolve(state0, model, n_steps)
+    assert (new.offset, new.step_count) == (ref.offset, ref.step_count)
+    assert new.amplitudes.shape == ref.amplitudes.shape
+    p, q = probability_distribution(new), probability_distribution(ref)
+    assert total_variation(p, q) <= 1e-14
+    assert np.max(np.abs(p.p - q.p)) <= 1e-15
+    assert abs(new.norm() - ref.norm()) <= 1e-14
+
+
+@given(model=walk_models(), chi=st.sampled_from("+-"),
+       n=st.integers(min_value=0, max_value=400))
+def test_kernel_matches_reference_property(model, chi, n):
+    _assert_matches_reference(initial_state(chi), model, n)
+
+
+@pytest.mark.parametrize("model, n", [(StandardWalk(1.3), 2000),
+                                      (SplitStepWalk(0.9, -0.4), 2000),
+                                      (NonCommutingWalk(0.7, 0.3), 3000)],
+                         ids=["standard", "splitstep", "noncommuting"])
+def test_kernel_matches_reference_with_underflowed_tails(model, n):
+    # Each reference walk carries subnormal tails at n steps (the
+    # noncommuting one first does past 2500), which the kernel drops
+    # from its live window.
+    ref = _reference_evolve(initial_state("+"), model, n)
+    floats = np.abs(ref.amplitudes.view(float))
+    assert np.any((floats > 0) & (floats < np.finfo(float).tiny))
+    _assert_matches_reference(initial_state("+"), model, n)
+
+
+def test_live_window_drops_subnormal_tails():
+    # The site-major reference kernel leaves 2744 subnormal components here.
+    state = evolve(initial_state("+"), SplitStepWalk(0.9, -0.4), 3000)
+    floats = np.abs(state.amplitudes.T.copy().view(float))
+    assert np.count_nonzero((floats > 0) & (floats < np.finfo(float).tiny)) \
+        <= 128
+
+
+def test_live_window_keeps_interior_zeros():
+    # Only the two end sites are nonzero, so a trim that stopped at the
+    # first zero from either end would drop half the walker.
+    amps = np.zeros((121, 2), dtype=complex)
+    amps[0] = (0.6, 0.0)
+    amps[-1] = (0.0, 0.8j)
+    state0 = WalkerState(amplitudes=amps, offset=-60, step_count=0)
+    for model in (StandardWalk(0.4), SplitStepWalk(0.9, -0.4),
+                  NonCommutingWalk(0.7, 0.3)):
+        _assert_matches_reference(state0, model, 3 * TRIM_STEPS + 5)
+    zero = WalkerState(amplitudes=np.zeros((3, 2), dtype=complex), offset=5,
+                       step_count=1)
+    state = evolve(zero, SplitStepWalk(0.9, -0.4), 2 * TRIM_STEPS + 1)
+    assert state.amplitudes.shape == (3 + 2 * (2 * TRIM_STEPS + 1), 2)
+    assert not np.any(state.amplitudes)
+    _assert_matches_reference(zero, SplitStepWalk(0.9, -0.4),
+                              2 * TRIM_STEPS + 1)
 
 
 @given(model=walk_models(), k=st.floats(min_value=-np.pi, max_value=np.pi),
