@@ -12,24 +12,25 @@ refused path leaves no half run.  Angles are radians, given either
 as decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
 special points are not blurred by rounding.  A family's angle flags are
 its model's field names.  No command uses threads.  phase-diagram
-finds the minimum over its --k-samples grid from each node's k*.
-dirac-points evaluates the exact gap envelope on its angle grid, with
-no momentum samples, so its k* is exact.  zak evaluates each Wilson
-link as a spherical-triangle area of real unit Bloch vectors, which
-matches the complex eigenvector overlap chain to about 1e-14.  zak-map
-takes its phases from closed forms, within 6.2e-15 of that chain at its
-default size, and its --n-points (even, 16 to 2**53) sets only the
-sampled gap mask, which evaluates six momenta per node.  zak reduces
---k-origin into [-pi, pi] before it builds the window and echoes the
-value as given.  winding needs --k-samples >= 16.  A size flag whose
-estimated peak memory exceeds MEMORY_BUDGET bytes is refused up front
-with exit 2, before anything is allocated: --steps of walk, --loops and
---steps of holonomy-sphere, --k-samples of spectrum, bloch and winding,
---n-points of zak, --resolution and --k-samples of phase-diagram, and
---resolution of dirac-points and zak-map.  Every CSV row costs
-emit.CSV_ROW_BYTES in these estimates (spectrum, bloch, phase-diagram,
-zak-map and the holonomy-sphere loops); zak-map's estimate is that
-alone, one row per node.  walk's per-site figure covers its CSV.
+(--k-samples 8 to 2**53 + 1) and the zak-map mask read their sampled
+band edge from models.sampled_band_edge, six momenta per node, so no
+momentum grid is built.  dirac-points evaluates the exact gap envelope
+on its angle grid, with no momentum samples, so its k* is exact.  zak
+evaluates each Wilson link as a spherical-triangle area of real unit
+Bloch vectors, which matches the complex eigenvector overlap chain to
+about 1e-14.  zak-map takes its phases from closed forms, within
+6.2e-15 of that chain at its default size, and its --n-points (even,
+16 to 2**53) sets only the mask.  zak reduces --k-origin into
+[-pi, pi] before it builds the window and echoes the value as given.
+winding needs --k-samples >= 16.  A size flag whose estimated peak
+memory exceeds MEMORY_BUDGET bytes is refused up front with exit 2,
+before anything is allocated: --steps of walk, --loops and --steps of
+holonomy-sphere, --k-samples of spectrum, bloch and winding, --n-points
+of zak, and --resolution of phase-diagram, dirac-points and zak-map.
+Every CSV row costs emit.CSV_ROW_BYTES in these estimates (spectrum,
+bloch, phase-diagram, zak-map and the holonomy-sphere loops);
+phase-diagram's and zak-map's estimates are that alone, one row per
+node.  walk's per-site figure covers its CSV.
 """
 
 from __future__ import annotations
@@ -50,16 +51,16 @@ from .errors import QwGeomError
 from .holonomy import (QGT_STEP_RANGE, STEP_BYTES, TangentVector,
                        latitude_loop, parallel_transport,
                        quantum_geometric_tensor, solid_angle, sphere_point)
-from .models import FAMILY_CLASSES, TWO_ANGLE_FAMILIES, WalkModel, make_model
+from .models import (FAMILY_CLASSES, MAX_CELLS, TWO_ANGLE_FAMILIES,
+                     WalkModel, make_model)
 from .spin import bloch_sphere_state
-from .topology import (ENVELOPE_NODE_BYTES, SCAN_SAMPLE_BYTES,
-                       WINDING_SAMPLE_BYTES, find_dirac_points, scan_gap,
-                       winding_number)
+from .topology import (ENVELOPE_NODE_BYTES, WINDING_SAMPLE_BYTES,
+                       find_dirac_points, scan_gap, winding_number)
 from .utils import fold_angle
 from .walk import (initial_state, momentum_oracle, peak_bytes,
                    probability_distribution, similarity, total_variation,
                    trajectory)
-from .zak import ZAK_CELL_BYTES, ZAK_MAX_POINTS, zak_map, zak_numeric
+from .zak import ZAK_CELL_BYTES, zak_map, zak_numeric
 
 _PI_FORM = re.compile(
     r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?pi(?:/(\d+(?:\.\d*)?|\.\d+))?$")
@@ -112,12 +113,15 @@ def _qgt_step(text: str) -> float:
     return value
 
 
-def _int_at_least(flag: str, minimum: int):
-    """argparse type for an integer flag with a lower bound."""
+def _int_at_least(flag: str, minimum: int, maximum: float = math.inf):
+    """argparse type for an integer flag with a lower (and an upper)
+    bound."""
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{flag} must be >= {minimum}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"{flag} must be <= {maximum}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -129,7 +133,7 @@ _k_samples = _int_at_least("k-samples", 8)
 
 def _zak_points(text: str) -> int:
     value = int(text)
-    if not 16 <= value <= ZAK_MAX_POINTS or value % 2:
+    if not 16 <= value <= MAX_CELLS or value % 2:
         raise argparse.ArgumentTypeError(
             "n-points must be even, >= 16 and <= 2**53")
     return value
@@ -179,9 +183,8 @@ def _cmd_bloch(args) -> str:
 
 
 def _cmd_phase_diagram(args) -> str:
-    need = (emit.CSV_ROW_BYTES * args.resolution**2
-            + SCAN_SAMPLE_BYTES * args.k_samples)
-    _check_budget(args, need, "resolution", "k-samples")
+    _check_budget(args, emit.CSV_ROW_BYTES * args.resolution**2,
+                  "resolution")
     gm = scan_gap(args.family, resolution=args.resolution,
                   k_samples=args.k_samples)
     return emit.gap_map_csv(gm)
@@ -307,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="minimum-gap map over a two-angle grid")
     _add_model_args(sp, families=TWO_ANGLE_FAMILIES)
     sp.add_argument("--resolution", type=_resolution, default=201)
-    sp.add_argument("--k-samples", type=_k_samples, default=361)
+    sp.add_argument("--k-samples", default=361,
+                    type=_int_at_least("k-samples", 8, MAX_CELLS + 1))
     _add_out(sp)
     sp.set_defaults(handler=_cmd_phase_diagram)
 

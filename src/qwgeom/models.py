@@ -18,9 +18,11 @@ dispersion cos E(k) and the (unnormalized) Bloch components, the fast
 paths used by scans; the unnormalized components N(k) defined by
 U(k) = cos E - i (N . sigma) satisfy |N(k)| = sin E(k) identically.
 A two-angle family also carries its exact gap envelope: max_k |cos E|
-and a momentum k* reaching it, as closed forms in the angles.  The
-split-step walk also declares its chiral axis: the normal of the plane
-through the origin that holds its Bloch curve, continuous in the angles.
+and a momentum k* reaching it, as closed forms in the angles, from
+which sampled_band_edge reads the band edge of a sampled momentum
+window.  The split-step walk also declares its chiral axis: the normal
+of the plane through the origin that holds its Bloch curve, continuous
+in the angles.
 """
 
 from __future__ import annotations
@@ -135,6 +137,44 @@ def splitstep_envelope(theta1, theta2):
     cc = np.cos(t1) * np.cos(t2)
     ss = np.sin(t1) * np.sin(t2)
     return np.abs(cc) + np.abs(ss), np.where(cc * ss > 0.0, np.pi, 0.0)
+
+
+# Largest cell count of a sampled window: up to 2^53 every grid index and
+# momentum lo + j (hi - lo) / cells is exact in float arithmetic.
+MAX_CELLS = 2**53
+
+
+def sampled_band_edge(family: str, a1, a2, lo: float, hi: float, cells: int):
+    """Largest |cos E| of a two-angle family over the momenta
+    np.linspace(lo, hi, cells + 1), and the first of them reaching it,
+    per node of the broadcast angle arrays a1, a2.
+
+    cos E is a first harmonic plus a constant, so over an arc its
+    sampled |cos E| peaks on a grid neighbour of the envelope's k* or
+    k* + pi, or at an end of the arc.  Only those six momenta are
+    evaluated, whatever the cell count, so no grid is built: a momentum
+    is lo + j (hi - lo) / cells, and hi itself at j = cells, as linspace
+    gives it.  The cell index is wrapped on the circle as an integer,
+    so 2 pi / (hi - lo) must be whole.  Ties go to the lowest grid index.
+    """
+    cls = two_angle_class(family)
+    turns = 2.0 * np.pi / (hi - lo)
+    if turns != round(turns) or not 1 <= cells <= MAX_CELLS:
+        raise ValueError("the window must divide the zone into 1 to 2**53 cells")
+    k_star = cls.envelope(a1, a2)[1]
+    k = np.stack([k_star, k_star + np.pi])
+    j = np.floor((k - lo) * (cells / (hi - lo))).astype(np.intp)
+    j %= cells * round(turns)
+    np.minimum(j, cells - 1, out=j)
+    ends = np.zeros_like(j[:1])
+    idx = np.concatenate([j, j + 1, ends, ends + cells])
+    step = (hi - lo) / cells
+    ks = idx * step + lo
+    ks[idx == cells] = hi
+    c = np.abs(cls.dispersion(a1, a2, ks))
+    best = c.max(axis=0)
+    first = np.where(c == best, idx, cells).min(axis=0)
+    return best, np.where(first == cells, hi, first * step + lo)
 
 
 # Spin-dependent shifts (du, dv): the sites moved by the upper (H) and by
@@ -315,23 +355,9 @@ def make_model(family: str, angles) -> WalkModel:
     return cls(*angles)
 
 
-def _two_angle_class(family: str):
+def two_angle_class(family: str):
+    """The family class of a two-angle family name; its static
+    numerators, dispersion and envelope take (a1, a2, ...)."""
     if family not in TWO_ANGLE_FAMILIES:
         raise ValueError(f"family {family!r} is not a two-angle family")
     return FAMILY_CLASSES[family]
-
-
-def two_angle_numerators(family: str):
-    """Numerator function f(a1, a2, k) for a two-angle family name."""
-    return _two_angle_class(family).numerators
-
-
-def two_angle_cos_energy(family: str):
-    """Dispersion function f(a1, a2, k) for a two-angle family name."""
-    return _two_angle_class(family).dispersion
-
-
-def two_angle_envelope(family: str):
-    """Envelope function f(a1, a2) -> (max_k |cos E|, k*) for a two-angle
-    family name."""
-    return _two_angle_class(family).envelope

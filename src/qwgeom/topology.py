@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaplessPointError, NonPlanarCurveError
-from .models import two_angle_cos_energy, two_angle_envelope
+from .models import MAX_CELLS, sampled_band_edge, two_angle_class
 from .utils import fold_angle
 
 GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
@@ -22,9 +22,6 @@ GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 # Angle rows per scan_gap block: at 721^2 nodes, 0.15 s and 13 MB of peak
 # RSS growth, against 0.31 s and 144 MB for the whole grid at once.
 SCAN_BLOCK_ROWS = 16
-# Peak bytes per momentum of scan_gap's k grid (measured 8.0-8.7 at
-# 1e6-3.2e7 samples, Linux x86-64, numpy 2.4).
-SCAN_SAMPLE_BYTES = 12
 # Peak bytes per node of the envelope grid of find_dirac_points (measured
 # 32-38 from peak RSS growth at 201-2881 nodes a side, Linux x86-64,
 # numpy 2.4).
@@ -88,36 +85,22 @@ def scan_gap(family: str, resolution: int = 201, k_samples: int = 361) -> GapMap
     """Minimum gap over k on a (resolution x resolution) angle grid.
 
     Both angles and the k_samples momenta run over [-pi, pi] inclusive.
-    cos E(k) is a first harmonic, alpha cos k + beta sin k + gamma, so
-    its sampled extremes sit on the grid neighbours of the envelope's k*
-    and of k* + pi.  Each node evaluates cos E only there and at both
-    grid ends (-pi and pi may differ in the last bit), which gives the
-    full sweep's gap.  Ties go to the lowest grid index, as argmax's, so
-    argmin_k is the sweep's too unless cos E is flat to the last bit
-    across several momenta.
+    Each node reads models.sampled_band_edge, six momenta whatever
+    k_samples is, so gap is the full sweep's.  So is argmin_k, unless
+    cos E is flat to the last bit across several momenta.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if k_samples < 8:
-        raise ValueError("k_samples must be at least 8")
-    cos_e = two_angle_cos_energy(family)
-    envelope = two_angle_envelope(family)
+    if not 8 <= k_samples <= MAX_CELLS + 1:
+        raise ValueError("k_samples must be in [8, 2**53 + 1]")
     angles = np.linspace(-np.pi, np.pi, resolution)
-    ks = np.linspace(-np.pi, np.pi, k_samples)
-    cells = k_samples - 1  # grid cells around the circle
     gap = np.empty((resolution, resolution))
     argmin_k = np.empty((resolution, resolution))
     for start in range(0, resolution, SCAN_BLOCK_ROWS):
         rows = slice(start, start + SCAN_BLOCK_ROWS)
-        k_star = envelope(angles[rows, None], angles)[1]
-        k = np.stack([k_star, k_star + np.pi]) + np.pi
-        j = np.floor(k * (cells / (2.0 * np.pi))).astype(np.intp) % cells
-        ends = np.zeros_like(j[:1])
-        idx = np.concatenate([j, j + 1, ends, ends + cells])
-        c = np.abs(cos_e(angles[rows, None], angles, ks[idx]))
-        best = c.max(axis=0)
+        best, argmin_k[rows] = sampled_band_edge(
+            family, angles[rows, None], angles, -np.pi, np.pi, k_samples - 1)
         gap[rows] = 1.0 - best
-        argmin_k[rows] = ks[np.where(c == best, idx, cells).min(axis=0)]
     return GapMap(family=family, angles1=angles.copy(), angles2=angles.copy(),
                   gap=gap, argmin_k=argmin_k, k_samples=k_samples)
 
@@ -220,8 +203,8 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     """
     if coarse_resolution < 2:
         raise ValueError("coarse_resolution must be at least 2")
-    envelope = two_angle_envelope(family)
-    cos_e = two_angle_cos_energy(family)
+    cls = two_angle_class(family)
+    envelope, cos_e = cls.envelope, cls.dispersion
 
     def gap_at(a1, a2):
         return 1.0 - float(envelope(a1, a2)[0])

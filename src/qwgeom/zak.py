@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GaplessPointError, OrthogonalStatesError
-from .models import (WalkModel, angular_coeffs, splitstep_numerators,
-                     two_angle_cos_energy, two_angle_envelope)
+from .models import (MAX_CELLS, WalkModel, angular_coeffs,
+                     sampled_band_edge, splitstep_numerators)
 from .spin import half_solid_angle
 from .utils import canonical_angle, circular_distance, fold_angle
 
@@ -42,9 +42,6 @@ PI_PIN_TOL = 1e-12
 # 89-109 from peak RSS growth at 2e4-3e6 samples, Linux x86-64,
 # numpy 2.4).
 ZAK_CELL_BYTES = 128
-# Largest n_points: up to 2^53 every window index and momentum
-# j * (hi - lo) / n_points is exact in float arithmetic.
-ZAK_MAX_POINTS = 2**53
 _SOUTH = np.array([0.0, 0.0, -1.0])
 
 SPAN_HALF = "half"
@@ -168,7 +165,7 @@ def _window(k_origin: float, n_points: int, span: str):
     phase weight; the window is sampled at n_points + 1 momenta."""
     if span not in _SPANS:
         raise ValueError(f"span must be 'half' or 'full', got {span!r}")
-    if not 16 <= n_points <= ZAK_MAX_POINTS or n_points % 2 != 0:
+    if not 16 <= n_points <= MAX_CELLS or n_points % 2 != 0:
         raise ValueError("n_points must be an even integer in [16, 2**53]")
     half_width, weight = _SPANS[span]
     # Reduced first: far from zero, linspace would repeat one momentum.
@@ -287,31 +284,6 @@ def zak_splitstep_analytic(theta1: float, theta2: float,
     return SplitStepZak(endpoint_form, published, planar)
 
 
-def _path_gapless(family: str, a1, a2, lo: float, hi: float,
-                  cells: int) -> np.ndarray:
-    """Whether any momentum of the uniform window grid lo + j (hi - lo) /
-    cells, j = 0 .. cells (np.linspace's samples, hi itself last), has
-    gap < 1e-6, per node of the broadcast angle arrays a1, a2 of shape
-    (nodes, 1).
-
-    cos E is a first harmonic plus a constant, so over an arc its
-    sampled |cos E| peaks on the grid neighbours of the envelope's k*
-    and k* + pi or at the two ends of the arc; only those six momenta
-    are built and evaluated, whatever the cell count.
-    """
-    k_star = two_angle_envelope(family)(a1, a2)[1]
-    k = np.concatenate([k_star, k_star + np.pi], axis=1)
-    offset = (k - lo) % (2.0 * np.pi)
-    j = np.minimum(np.floor(offset * (cells / (hi - lo))),
-                   cells - 1).astype(np.intp)
-    ends = np.zeros_like(j[:, :1])
-    idx = np.concatenate([j, j + 1, ends, ends + cells], axis=1)
-    ks = idx * ((hi - lo) / cells) + lo
-    ks[idx == cells] = hi
-    cos_e = two_angle_cos_energy(family)(a1, a2, ks)
-    return (1.0 - np.abs(cos_e) < PATH_GAP_TOL).any(axis=1)
-
-
 def _noncommuting_phases(theta, phi, span: str):
     """Both bands' Zak phases of the non-commuting walk on the window
     about k = 0, in closed form, broadcast over the angles.
@@ -362,7 +334,7 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
 
     A node is masked (NaN phases) when any of the n_points + 1 momentum
     samples of its window has gap < 1e-6; n_points sets only that mask,
-    which _path_gapless evaluates at six momenta per node.  The other
+    read from models.sampled_band_edge at six momenta per node.  The other
     nodes' phases are closed forms (_CLOSED_FORMS): at the default size
     they are within 6.2e-15 of the sampled Wilson chain of zak_numeric
     at k_origin = 0.  Rows of the grid run one at a time, so the peak
@@ -380,8 +352,8 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     plus, minus = np.full(shape, np.nan), np.full(shape, np.nan)
     masked = np.empty(shape, dtype=bool)
     for i, a1 in enumerate(angles):
-        masked[i] = _path_gapless(family, a1, angles[:, None], lo, hi,
-                                  n_points)
+        masked[i] = 1.0 - sampled_band_edge(family, a1, angles, lo, hi,
+                                            n_points)[0] < PATH_GAP_TOL
         live = ~masked[i]
         plus[i, live], minus[i, live] = phases(a1, angles[live], span)
     return ZakMap(family=family, angles1=angles, angles2=angles.copy(),

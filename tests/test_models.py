@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from qwgeom.errors import GaplessPointError
 from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
                            SplitStepWalk, StandardWalk, angular_coeffs,
-                           make_model, two_angle_cos_energy,
-                           two_angle_envelope, two_angle_numerators)
+                           make_model, sampled_band_edge, two_angle_class)
 from qwgeom.spin import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 from qwgeom.utils import canonical_angle
 
@@ -165,8 +164,8 @@ def test_chiral_axis_is_a_unit_normal_of_the_bloch_curve(model, k):
 
 @given(family=st.sampled_from(TWO_ANGLE_FAMILIES), a1=angles, a2=angles)
 def test_envelope_is_max_abs_cos_energy(family, a1, a2):
-    env, k_star = two_angle_envelope(family)(a1, a2)
-    cos_e = two_angle_cos_energy(family)
+    env, k_star = two_angle_class(family).envelope(a1, a2)
+    cos_e = two_angle_class(family).dispersion
     assert abs(abs(float(cos_e(a1, a2, k_star))) - env) < 1e-15
     ks = np.linspace(-np.pi, np.pi, 20_001)
     sampled = np.abs(cos_e(a1, a2, ks)).max()
@@ -175,6 +174,36 @@ def test_envelope_is_max_abs_cos_energy(family, a1, a2):
     # a unit-amplitude cosine in k (or flatter) near it.
     dk = ks[1] - ks[0]
     assert env - sampled <= dk * dk / 8 + 1e-15
+
+
+_closings = st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi])
+# Nodes within 1e-9 to 1e-2 of the split-step closing lines theta2 = +-theta1.
+_near_diagonal = st.tuples(
+    angles, st.sampled_from([1.0, -1.0]),
+    st.floats(1e-9, 1e-2).flatmap(lambda d: st.sampled_from([d, -d]))).map(
+        lambda t: (t[0], t[1] * t[0] + t[2]))
+
+
+@given(family=st.sampled_from(TWO_ANGLE_FAMILIES),
+       node=st.one_of(st.tuples(st.one_of(angles, _closings),
+                                st.one_of(angles, _closings)),
+                      _near_diagonal),
+       window=st.sampled_from([(-np.pi / 2, np.pi / 2), (-np.pi, np.pi)]),
+       cells=st.integers(7, 600))
+def test_sampled_band_edge_equals_full_sweep(family, node, window, cells):
+    a1, a2 = node
+    lo, hi = window
+    cos_e = two_angle_class(family).dispersion
+    ks = np.linspace(lo, hi, cells + 1)
+    sweep = np.abs(cos_e(a1, a2, ks))
+    best, k_best = sampled_band_edge(family, a1, a2, lo, hi, cells)
+    assert best == sweep.max()
+    assert abs(cos_e(a1, a2, k_best)) == best
+    # Split-step |cos E| can be flat to the last bit across several
+    # momenta, where the sweep's first argmax need not be a neighbour of
+    # k*; the value there is the same.
+    if family == "noncommuting":
+        assert k_best == ks[np.argmax(sweep)]
 
 
 def test_unitary_reconstruction_from_energy_and_axis():
@@ -271,18 +300,20 @@ def test_models_are_frozen():
 
 
 def test_two_angle_helpers():
-    nums = two_angle_numerators("noncommuting")
-    ce = two_angle_cos_energy("splitstep")
+    nums = two_angle_class("noncommuting").numerators
+    ce = two_angle_class("splitstep").dispersion
     n = np.asarray(nums(0.4, 0.9, 0.3))
     assert n.shape == (3,)
     assert abs(ce(0.4, 0.9, 0.3)
                - SplitStepWalk(0.4, 0.9).cos_energy(0.3)) < 1e-15
+    assert two_angle_class("splitstep") is SplitStepWalk
+    assert two_angle_class("noncommuting") is NonCommutingWalk
     with pytest.raises(ValueError):
-        two_angle_numerators("standard")
+        two_angle_class("standard")
     with pytest.raises(ValueError):
-        two_angle_cos_energy("standard")
+        sampled_band_edge("standard", 0.4, 0.9, -np.pi, np.pi, 8)
     with pytest.raises(ValueError):
-        two_angle_envelope("standard")
+        sampled_band_edge("splitstep", 0.4, 0.9, -1.0, 1.0, 8)
 
 
 def test_family_labels_and_angles():

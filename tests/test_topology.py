@@ -5,8 +5,7 @@ import pytest
 
 from qwgeom.errors import GaplessPointError, NonPlanarCurveError
 from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
-                           SplitStepWalk, StandardWalk, two_angle_cos_energy,
-                           two_angle_envelope)
+                           SplitStepWalk, StandardWalk, two_angle_class)
 from qwgeom.topology import (find_dirac_points, planar_winding, scan_gap,
                              winding_number)
 from qwgeom.utils import fold_angle
@@ -31,7 +30,7 @@ def test_scan_gap_grid_and_values():
 def _row_scan(family, resolution, k_samples):
     """The sampled gap map by a full momentum sweep, one angle row at a
     time: (gap, argmin_k, max |cos E|), ties to the first momentum."""
-    cos_e = two_angle_cos_energy(family)
+    cos_e = two_angle_class(family).dispersion
     angles = np.linspace(-np.pi, np.pi, resolution)
     ks = np.linspace(-np.pi, np.pi, k_samples)
     argmin_k = np.empty((resolution, resolution))
@@ -51,7 +50,7 @@ def test_scan_gap_equals_full_momentum_sweep(family, k_samples):
     # Where a split-step dispersion is flat to the last bit, several
     # momenta tie and the sweep's first one need not be the one found
     # from k*; |cos E| there is the same.
-    cos_e = two_angle_cos_energy(family)
+    cos_e = two_angle_class(family).dispersion
     for resolution in (2, 3, 20, 61):
         gm = scan_gap(family, resolution, k_samples)
         gap, argmin_k, peak = _row_scan(family, resolution, k_samples)
@@ -68,8 +67,8 @@ def test_sampled_scan_brackets_exact_envelope(family):
     # a unit cosine over half a spacing.
     k_samples = 181
     gm = scan_gap(family, resolution=61, k_samples=k_samples)
-    env, _ = two_angle_envelope(family)(gm.angles1[:, None],
-                                        gm.angles2[None, :])
+    env, _ = two_angle_class(family).envelope(gm.angles1[:, None],
+                                              gm.angles2[None, :])
     exact = 1.0 - env
     dk = 2.0 * np.pi / (k_samples - 1)
     assert np.all(gm.gap >= exact - 1e-15)
@@ -205,7 +204,7 @@ def test_splitstep_winding_constant_where_the_gap_stays_open(centre, theta2):
     # component at these theta1, where planar_winding's SVD pivot rule
     # would flip the winding's sign.
     theta1 = centre + np.linspace(-0.2, 0.2, 41)
-    envelope = two_angle_envelope("splitstep")(theta1, theta2)[0]
+    envelope = SplitStepWalk.envelope(theta1, theta2)[0]
     assert np.min(1.0 - envelope) > 1e-3
     windings = {winding_number(SplitStepWalk(t1, theta2)) for t1 in theta1}
     assert len(windings) == 1

@@ -13,11 +13,10 @@ from conftest import angles, walk_models
 from qwgeom import zak
 from qwgeom.errors import GaplessPointError, OrthogonalStatesError
 from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
-                           make_model, two_angle_cos_energy,
-                           two_angle_numerators)
+                           make_model, sampled_band_edge, two_angle_class)
 from qwgeom.spin import band_eigenvector, half_solid_angle
 from qwgeom.utils import fold_angle
-from qwgeom.zak import (_path_gapless, _wilson_phases, discrete_berry_phase,
+from qwgeom.zak import (_wilson_phases, discrete_berry_phase,
                         zak_difference, zak_map, zak_noncommuting_integrand,
                         zak_numeric, zak_splitstep_analytic)
 
@@ -396,11 +395,18 @@ def test_zak_map_matches_eigenvector_chain(family, span):
 
 def _full_sample_mask(family, a1, a2, ks, chunk=4096):
     """Whether any momentum in ks has gap < 1e-6, from every sample."""
-    cos_e = two_angle_cos_energy(family)
+    cos_e = two_angle_class(family).dispersion
     return np.concatenate([
         (1.0 - np.abs(cos_e(a1[i:i + chunk], a2[i:i + chunk], ks))
          < zak.PATH_GAP_TOL).any(axis=1)
         for i in range(0, a1.shape[0], chunk)])
+
+
+def _edge_mask(family, a1, a2, lo, hi, n_points):
+    """zak_map's mask from models.sampled_band_edge, per node of (nodes, 1)
+    angle arrays."""
+    best = sampled_band_edge(family, a1[:, 0], a2[:, 0], lo, hi, n_points)[0]
+    return 1.0 - best < zak.PATH_GAP_TOL
 
 
 def _angle_nodes(resolution):
@@ -421,7 +427,7 @@ def _oracle_zak_map(family, resolution, n_points, span):
     ks, weight = _window_samples(n_points, span)
     a1, a2 = _angle_nodes(resolution)
     mask = _full_sample_mask(family, a1, a2, ks)
-    n = two_angle_numerators(family)(a1, a2, ks)
+    n = two_angle_class(family).numerators(a1, a2, ks)
     n[mask] = (0.0, 0.0, 1.0)
     phases = [_per_band_phase(n, band, weight) for band in (+1, -1)]
     for p in phases:
@@ -433,16 +439,16 @@ def _oracle_zak_map(family, resolution, n_points, span):
 @functools.cache
 def _chain_zak_map(family, resolution, n_points, span):
     """zak_map by the sampled Wilson chain, the oracle of its closed
-    forms: _path_gapless's mask, then _wilson_phases over each node's
-    n_points + 1 momenta, 64 nodes at a time.  Cached; the arrays are
-    read only."""
+    forms: the band-edge kernel's mask, then _wilson_phases over each
+    node's n_points + 1 momenta, 64 nodes at a time.  Cached; the arrays
+    are read only."""
     ks, weight = _window_samples(n_points, span)
     a1s, a2s = _angle_nodes(resolution)
     blocks = []
     for start in range(0, a1s.size, 64):
         a1, a2 = a1s[start:start + 64], a2s[start:start + 64]
-        mask = _path_gapless(family, a1, a2, ks[0], ks[-1], n_points)
-        n = two_angle_numerators(family)(a1, a2, ks)
+        mask = _edge_mask(family, a1, a2, ks[0], ks[-1], n_points)
+        n = two_angle_class(family).numerators(a1, a2, ks)
         # Off both chart poles, so the kernel is defined there.
         n[mask] = (1.0, 0.0, 0.0)
         blocks.append((*_wilson_phases(n, weight), mask))
@@ -515,9 +521,8 @@ def test_splitstep_coarse_chain_is_defined_on_unmasked_nodes(nodes, span,
                                                              n_points):
     a1, a2 = nodes
     lo, hi, _ = zak._window(0.0, n_points, span)
-    masked = _path_gapless("splitstep", np.array([[a1]]), np.array([[a2]]),
-                           lo, hi, n_points)
-    assume(not masked[0])
+    assume(not _edge_mask("splitstep", np.array([[a1]]), np.array([[a2]]),
+                          lo, hi, n_points)[0])
     # Raises OrthogonalStatesError should a coarse link meet antipodes.
     plus, minus = zak._splitstep_phases(a1, a2, span)
     assert np.isfinite(plus) and np.isfinite(minus)
@@ -529,7 +534,7 @@ def test_splitstep_coarse_chain_is_defined_on_unmasked_nodes(nodes, span,
 def test_path_gapless_equals_full_sample_mask(family, span, resolution):
     ks, _ = _window_samples(512, span)
     a1, a2 = _angle_nodes(resolution)
-    mask = _path_gapless(family, a1, a2, ks[0], ks[-1], 512)
+    mask = _edge_mask(family, a1, a2, ks[0], ks[-1], 512)
     assert mask.any() and not mask.all()
     assert np.array_equal(mask, _full_sample_mask(family, a1, a2, ks))
 
