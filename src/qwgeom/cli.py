@@ -13,9 +13,10 @@ as decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
 special points are not blurred by rounding.  A family's angle flags are
 its model's field names.  No command uses threads.  phase-diagram
 (--k-samples 8 to 2**53 + 1) and the zak-map mask read their sampled
-band edge from models.sampled_band_edge, six momenta per node, so no
+band edge from models.sampled_band_edge, five momenta per node, so no
 momentum grid is built.  dirac-points evaluates the exact gap envelope
-on its angle grid, with no momentum samples, so its k* is exact.  zak
+on its angle grid, with no momentum samples, so its k* is exact; its
+--resolution starts at topology.min_census_resolution(), 101.  zak
 evaluates each Wilson link as a spherical-triangle area of real unit
 Bloch vectors, which matches the complex eigenvector overlap chain to
 about 1e-14.  zak-map takes its phases from closed forms, within
@@ -55,7 +56,8 @@ from .models import (FAMILY_CLASSES, MAX_CELLS, TWO_ANGLE_FAMILIES,
                      WalkModel, make_model)
 from .spin import bloch_sphere_state
 from .topology import (ENVELOPE_NODE_BYTES, WINDING_SAMPLE_BYTES,
-                       find_dirac_points, scan_gap, winding_number)
+                       find_dirac_points, min_census_resolution, scan_gap,
+                       winding_number)
 from .utils import fold_angle
 from .walk import (initial_state, momentum_oracle, peak_bytes,
                    probability_distribution, similarity, total_variation,
@@ -319,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="isolated gap closings in the angle square, "
                              "with the exact touching momentum")
     _add_model_args(sp, families=TWO_ANGLE_FAMILIES)
-    sp.add_argument("--resolution", type=_resolution, default=721)
+    sp.add_argument("--resolution", default=721,
+                    type=_int_at_least("resolution", min_census_resolution()))
     sp.add_argument("--tol", type=_positive_float, default=1e-9,
                     help="residual gap accepted after refinement")
     _add_out(sp)

@@ -151,11 +151,16 @@ def sampled_band_edge(family: str, a1, a2, lo: float, hi: float, cells: int):
 
     cos E is a first harmonic plus a constant, so over an arc its
     sampled |cos E| peaks on a grid neighbour of the envelope's k* or
-    k* + pi, or at an end of the arc.  Only those six momenta are
+    k* + pi, or at an end of the arc.  Those four neighbours and lo are
     evaluated, whatever the cell count, so no grid is built: a momentum
     is lo + j (hi - lo) / cells, and hi itself at j = cells, as linspace
-    gives it.  The cell index is wrapped on the circle as an integer,
-    so 2 pi / (hi - lo) must be whole.  Ties go to the lowest grid index.
+    gives it.  hi is never needed on its own: on the half zone whichever
+    of k* and k* + pi falls outside the window is clamped to cell
+    cells - 1, whose neighbour is hi; on the full zone |cos E(pi)| ties
+    |cos E(-pi)| (split-step) or, by the sign of the sin k term, does not
+    beat it for a k* near +-pi (non-commuting).  The cell index is wrapped
+    on the circle as an integer, so 2 pi / (hi - lo) must be whole.  Ties
+    go to the lowest grid index.
     """
     cls = two_angle_class(family)
     turns = 2.0 * np.pi / (hi - lo)
@@ -166,8 +171,7 @@ def sampled_band_edge(family: str, a1, a2, lo: float, hi: float, cells: int):
     j = np.floor((k - lo) * (cells / (hi - lo))).astype(np.intp)
     j %= cells * round(turns)
     np.minimum(j, cells - 1, out=j)
-    ends = np.zeros_like(j[:1])
-    idx = np.concatenate([j, j + 1, ends, ends + cells])
+    idx = np.concatenate([j, j + 1, np.zeros_like(j[:1])])
     step = (hi - lo) / cells
     ks = idx * step + lo
     ks[idx == cells] = hi

@@ -26,6 +26,8 @@ SCAN_BLOCK_ROWS = 16
 # 32-38 from peak RSS growth at 201-2881 nodes a side, Linux x86-64,
 # numpy 2.4).
 ENVELOPE_NODE_BYTES = 48
+# Default gap below which a census grid node is a candidate closing.
+CANDIDATE_GAP = 1e-3
 # Peak bytes per momentum sample of winding_number (Bloch curve, its SVD
 # and in-plane angles; measured 136-139 from peak RSS growth at 2e5-3.2e6
 # samples, Linux x86-64, numpy 2.4).
@@ -85,7 +87,7 @@ def scan_gap(family: str, resolution: int = 201, k_samples: int = 361) -> GapMap
     """Minimum gap over k on a (resolution x resolution) angle grid.
 
     Both angles and the k_samples momenta run over [-pi, pi] inclusive.
-    Each node reads models.sampled_band_edge, six momenta whatever
+    Each node reads models.sampled_band_edge, five momenta whatever
     k_samples is, so gap is the full sweep's.  So is argmin_k, unless
     cos E is flat to the last bit across several momenta.
     """
@@ -147,45 +149,42 @@ def _refine_touching(gap_at, seed, window: float = 0.1, x_tol: float = 1e-9,
     return a1, a2, best
 
 
+def min_census_resolution(candidate_gap: float = CANDIDATE_GAP) -> int:
+    """Smallest coarse_resolution R whose spacing h = 2 pi / (R - 1) puts
+    a node in the candidate disc of every closing: the gap grows as
+    (d1^2 + d2^2) / 2 about it, so the disc has radius
+    sqrt(2 candidate_gap), and no point is farther than h / sqrt(2) from
+    a node."""
+    return math.ceil(math.pi / math.sqrt(candidate_gap)) + 1
+
+
 def _cluster_components(nodes: np.ndarray, cell: float = 0.2):
-    """Group candidate nodes into connected components on a coarse grid.
-
-    Two nodes join the same component when their occupancy cells (side
-    `cell`) coincide or touch, which over-merges slightly but keeps the
-    pass linear in the candidate count.  Returns lists of row indices
-    into `nodes`.
-    """
-    keys = np.floor((nodes[:, :2] + np.pi) / cell).astype(int)
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    occupied = set(map(tuple, keys))
-    for u in occupied:
-        parent.setdefault(u, u)
-    for (ix, iy) in occupied:
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                v = (ix + dx, iy + dy)
-                if v in occupied:
-                    union((ix, iy), v)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for row, key in enumerate(map(tuple, keys)):
-        groups.setdefault(find(key), []).append(row)
-    return list(groups.values())
+    """Group candidate nodes (angle pairs in [-pi, pi]) whose occupancy
+    cells of side `cell` coincide or touch, corners included.  Each
+    occupied cell takes the smallest cell index of its component, spread
+    over occupied neighbours until nothing changes.  Returns arrays of
+    row indices into `nodes`, ascending within each component."""
+    # One empty cell pads each side, so np.roll wraps only empty cells.
+    keys = np.floor((nodes + np.pi) / cell).astype(np.intp) + 1
+    n1, n2 = keys.max(axis=0) + 2
+    flat = keys[:, 0] * n2 + keys[:, 1]
+    label = np.full((n1, n2), n1 * n2)
+    label.flat[flat] = flat
+    empty = label == n1 * n2
+    while True:
+        spread = np.minimum.reduce([np.roll(label, (i, j), axis=(0, 1))
+                                    for i in (-1, 0, 1) for j in (-1, 0, 1)])
+        spread[empty] = n1 * n2
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    of_node = label.flat[flat]
+    rows = np.argsort(of_node, kind="stable")
+    return np.split(rows, np.flatnonzero(np.diff(of_node[rows])) + 1)
 
 
 def find_dirac_points(family: str, coarse_resolution: int = 721,
-                      candidate_gap: float = 1e-3,
+                      candidate_gap: float = CANDIDATE_GAP,
                       accept_gap: float = 1e-9) -> DiracPointSet:
     """Locate all isolated gap closings of a two-angle family.
 
@@ -196,13 +195,15 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     descent on the envelope, in the two angles only.  Components wider
     than half a radian are reported via continuous_boundary instead of
     as points (the split-step family closes its gap along whole lines).
-    Each point's momentum is the envelope's k* at the refined angles,
-    folded into (-pi, pi]; for the non-commuting family cos E = +1 there,
-    so every touching is reported at energy 0.  Points are sorted by
-    angles.
+    A grid coarser than min_census_resolution(candidate_gap) can miss
+    closings, so it raises ValueError.  Each point's momentum is the
+    envelope's k* at the refined angles, folded into (-pi, pi]; for the
+    non-commuting family cos E = +1 there, so every touching is reported
+    at energy 0.  Points are sorted by angles.
     """
-    if coarse_resolution < 2:
-        raise ValueError("coarse_resolution must be at least 2")
+    floor = min_census_resolution(candidate_gap)
+    if coarse_resolution < floor:
+        raise ValueError(f"coarse_resolution must be at least {floor}")
     cls = two_angle_class(family)
     envelope, cos_e = cls.envelope, cls.dispersion
 
@@ -212,28 +213,18 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     angles = np.linspace(-np.pi, np.pi, coarse_resolution)
     gap = 1.0 - envelope(angles[:, None], angles[None, :])[0]
     ii, jj = np.nonzero(gap < candidate_gap)
-    if ii.size == 0:
-        return DiracPointSet(family=family, points=(), continuous_boundary=False,
-                             dropped=0, accept_gap=accept_gap)
-
-    nodes = np.column_stack([angles[ii], angles[jj], gap[ii, jj]])
-    components = _cluster_components(nodes)
+    nodes = np.column_stack([angles[ii], angles[jj]])
+    components = _cluster_components(nodes) if ii.size else []
 
     continuous = False
-    compact: list[np.ndarray] = []
-    for rows in components:
-        pts = nodes[rows]
-        span = pts[:, :2].max(axis=0) - pts[:, :2].min(axis=0)
-        if math.hypot(span[0], span[1]) > 0.5:
-            continuous = True
-        else:
-            compact.append(pts)
-
     points = []
     dropped = 0
-    for pts in compact:
-        seed = pts[np.argmin(pts[:, 2])]
-        a1, a2, g = _refine_touching(gap_at, seed[:2])
+    for rows in components:
+        if math.hypot(*np.ptp(nodes[rows], axis=0)) > 0.5:
+            continuous = True
+            continue
+        seed = nodes[rows[np.argmin(gap[ii[rows], jj[rows]])]]
+        a1, a2, g = _refine_touching(gap_at, seed)
         if g > accept_gap:
             dropped += 1
             continue

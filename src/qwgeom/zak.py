@@ -334,7 +334,7 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
 
     A node is masked (NaN phases) when any of the n_points + 1 momentum
     samples of its window has gap < 1e-6; n_points sets only that mask,
-    read from models.sampled_band_edge at six momenta per node.  The other
+    read from models.sampled_band_edge at five momenta per node.  The other
     nodes' phases are closed forms (_CLOSED_FORMS): at the default size
     they are within 6.2e-15 of the sampled Wilson chain of zak_numeric
     at k_origin = 0.  Rows of the grid run one at a time, so the peak

@@ -239,6 +239,10 @@ def test_integer_flag_errors_name_the_flag(capsys):
                        "--theta", "1", "--k-samples", "many")
     assert code == 2
     assert "invalid int value: 'many'" in err
+    code, out, err = run(capsys, "dirac-points", "--family", "splitstep",
+                         "--resolution", "100")
+    assert (code, out) == (2, "")
+    assert "argument --resolution: resolution must be >= 101" in err
 
 
 def test_walk_over_memory_budget_exits_two(capsys, tmp_path):

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwgeom.errors import GaplessPointError
@@ -184,12 +184,30 @@ _near_diagonal = st.tuples(
         lambda t: (t[0], t[1] * t[0] + t[2]))
 
 
+_HALF, _FULL = (-np.pi / 2, np.pi / 2), (-np.pi, np.pi)
+
+
 @given(family=st.sampled_from(TWO_ANGLE_FAMILIES),
        node=st.one_of(st.tuples(st.one_of(angles, _closings),
                                 st.one_of(angles, _closings)),
                       _near_diagonal),
-       window=st.sampled_from([(-np.pi / 2, np.pi / 2), (-np.pi, np.pi)]),
+       window=st.sampled_from([_HALF, _FULL]),
        cells=st.integers(7, 600))
+# Non-commuting nodes with k* at +-pi and +-pi/2 or 1e-12 to 1e-1 off
+# them, where the window's hi end is a grid neighbour or an end, and a
+# split-step node with k* = pi, where cos E(pi) ties cos E(-pi).
+@example(family="noncommuting", node=(0.7, np.pi), window=_FULL, cells=360)
+@example(family="noncommuting", node=(0.7, 3.1415926524025513),
+         window=_FULL, cells=361)
+@example(family="noncommuting", node=(0.7, -3.1415926535886056),
+         window=_FULL, cells=7)
+@example(family="noncommuting", node=(0.7, np.pi / 2), window=_HALF,
+         cells=600)
+@example(family="noncommuting", node=(0.7, -1.5716386152569353),
+         window=_HALF, cells=512)
+@example(family="noncommuting", node=(0.7, 1.4864859342063195),
+         window=_HALF, cells=9)
+@example(family="splitstep", node=(0.5, 0.7), window=_FULL, cells=360)
 def test_sampled_band_edge_equals_full_sweep(family, node, window, cells):
     a1, a2 = node
     lo, hi = window

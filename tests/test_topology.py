@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwgeom.errors import GaplessPointError, NonPlanarCurveError
 from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
                            SplitStepWalk, StandardWalk, two_angle_class)
-from qwgeom.topology import (find_dirac_points, planar_winding, scan_gap,
+from qwgeom.topology import (_cluster_components, find_dirac_points,
+                             min_census_resolution, planar_winding, scan_gap,
                              winding_number)
 from qwgeom.utils import fold_angle
 from qwgeom.zak import zak_map
+
+from conftest import angles
 
 
 def test_scan_gap_grid_and_values():
@@ -73,6 +78,92 @@ def test_sampled_scan_brackets_exact_envelope(family):
     dk = 2.0 * np.pi / (k_samples - 1)
     assert np.all(gm.gap >= exact - 1e-15)
     assert np.all(gm.gap <= exact + dk * dk / 8)
+
+
+def _union_find_components(nodes, cell=0.2):
+    """The census clustering by a union-find over occupied cells: nodes
+    whose cells coincide or are 8-neighbours share a component."""
+    keys = np.floor((nodes + np.pi) / cell).astype(int)
+    parent = {}
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    occupied = set(map(tuple, keys))
+    for u in occupied:
+        parent.setdefault(u, u)
+    for (ix, iy) in occupied:
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                v = (ix + dx, iy + dy)
+                if v in occupied:
+                    ru, rv = find((ix, iy)), find(v)
+                    if ru != rv:
+                        parent[ru] = rv
+    groups = {}
+    for row, key in enumerate(map(tuple, keys)):
+        groups.setdefault(find(key), []).append(row)
+    return list(groups.values())
+
+
+_edges = st.sampled_from([-np.pi, np.pi])
+_offset = st.floats(-0.4, 0.4)
+_cell_step = st.sampled_from([-2, -1, 1, 2])
+
+
+@st.composite
+def _candidate_nodes(draw):
+    """Candidate sets of the kinds a census meets: clusters, diagonal
+    lines, nodes on the square's edges, cells meeting only at a corner
+    (or one cell apart on a diagonal), single nodes."""
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["cluster", "line", "corner", "single"]), min_size=1,
+            max_size=6)):
+        centre = (draw(st.one_of(angles, _edges)),
+                  draw(st.one_of(angles, _edges)))
+        if kind == "cluster":
+            parts.append(np.add(centre, draw(st.lists(
+                st.tuples(_offset, _offset), min_size=1, max_size=12))))
+        elif kind == "line":
+            t = np.linspace(-1.0, 1.0, draw(st.integers(2, 40)))
+            t *= draw(st.floats(0.0, 2.0))
+            slope = draw(st.sampled_from([1.0, -1.0]))
+            parts.append(np.column_stack([centre[0] + t,
+                                          centre[1] + slope * t]))
+        elif kind == "corner":
+            cell = np.array([draw(st.integers(2, 29)),
+                             draw(st.integers(2, 29))])
+            step = np.array([draw(_cell_step), draw(_cell_step)])
+            parts.append(-np.pi + 0.2 * (np.array([cell, cell + step]) + 0.5))
+        else:
+            parts.append(np.array([centre]))
+    return np.clip(np.concatenate(parts), -np.pi, np.pi)
+
+
+@given(nodes=_candidate_nodes())
+def test_cell_labelling_partitions_like_union_find(nodes):
+    components = _cluster_components(nodes)
+    assert sum(len(rows) for rows in components) == len(nodes)
+    assert all(np.all(np.diff(rows) > 0) for rows in components)
+    assert ({frozenset(rows.tolist()) for rows in components}
+            == {frozenset(rows) for rows in _union_find_components(nodes)})
+
+
+def test_census_refuses_a_grid_coarser_than_its_candidate_disc():
+    # Below 101 nodes a side the 1e-3 candidate discs fall between grid
+    # nodes: the non-commuting census lost closings and the split-step
+    # lines broke into spurious points.
+    assert min_census_resolution() == 101
+    for family in TWO_ANGLE_FAMILIES:
+        with pytest.raises(ValueError, match="at least 101"):
+            find_dirac_points(family, coarse_resolution=100)
+    assert len(find_dirac_points("noncommuting", 101).points) == 13
+    boundary = find_dirac_points("splitstep", 101)
+    assert boundary.continuous_boundary and boundary.points == ()
 
 
 def _analytic_census():
