@@ -393,15 +393,15 @@ _parser = functools.cache(build_parser)
 
 
 def _check_writable(path: str | None) -> None:
-    """Raise the OSError that writing path would meet for a missing
-    directory, a directory or a read-only place, before any work is
-    done.  None and '-' (stdout) pass."""
+    """Raise the OSError that writing path would meet for an empty path,
+    a missing directory, a directory or a read-only place, before any
+    work is done.  None and '-' (stdout) pass."""
     if path is None or path == "-":
         return
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(parent):
+    elif not path or not os.path.isdir(parent):
         code = errno.ENOENT
     elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES

@@ -1,9 +1,9 @@
 """Band-touching structure and winding topology of the walk families.
 
-Provides gap maps over two-angle parameter squares, location and
-refinement of isolated gap closings (Dirac points), and the integer
-winding number of the Bloch curve k -> N(k) about the origin of its
-plane.
+Provides gap maps over two-angle parameter squares, location of
+isolated gap closings (Dirac points), all refined together by one array
+pattern search, and the integer winding number of the Bloch curve
+k -> N(k) about the origin of its plane.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 from .errors import GaplessPointError, NonPlanarCurveError
 from .models import MAX_CELLS, sampled_band_edge, two_angle_class
 from .utils import fold_angle
-
-GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Angle rows per scan_gap block: at 721^2 nodes, 0.15 s and 13 MB of peak
 # RSS growth, against 0.31 s and 144 MB for the whole grid at once.
@@ -107,46 +105,27 @@ def scan_gap(family: str, resolution: int = 201, k_samples: int = 361) -> GapMap
                   gap=gap, argmin_k=argmin_k, k_samples=k_samples)
 
 
-def _golden_min(f, lo: float, hi: float, x_tol: float):
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - GOLDEN_RATIO_CONJ * (b - a)
-    d = a + GOLDEN_RATIO_CONJ * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > x_tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN_RATIO_CONJ * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN_RATIO_CONJ * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _refine_touchings(gap_at, seeds, step: float):
+    """Pattern search for the gap minimum from every seed at once.
 
-
-def _refine_touching(gap_at, seed, window: float = 0.1, x_tol: float = 1e-9,
-                     max_sweeps: int = 200):
-    """Coordinate-descent minimization of gap_at(a1, a2) from a coarse seed.
-
-    Angles stay clamped to the scan square [-pi, pi].  Returns
-    (angle1, angle2, gap).
+    Each point moves to the lowest node of its 3 x 3 stencil of half-width
+    h (the centre comes first, so a tie keeps it), and h, starting at
+    step, halves wherever the centre is lowest, until every h is at most
+    1e-9.  gap_at maps two angle arrays to gaps; angles stay clamped to
+    the scan square [-pi, pi].  Returns (angles, gaps) of shapes (n, 2)
+    and (n,).
     """
-    a1, a2 = (float(v) for v in seed)
-    best = gap_at(a1, a2)
-    for _ in range(max_sweeps):
-        lo1 = max(-math.pi, a1 - window)
-        hi1 = min(math.pi, a1 + window)
-        a1, _ = _golden_min(lambda x: gap_at(x, a2), lo1, hi1, x_tol)
-        lo2 = max(-math.pi, a2 - window)
-        hi2 = min(math.pi, a2 + window)
-        a2, g = _golden_min(lambda x: gap_at(a1, x), lo2, hi2, x_tol)
-        if best - g < 1e-12:
-            best = min(best, g)
-            break
-        best = g
-    return a1, a2, best
+    stencil = np.array([(0, 0)] + [(i, j) for i in (-1, 0, 1)
+                                   for j in (-1, 0, 1) if i or j])
+    pts = np.asarray(seeds, dtype=float)
+    h = np.full(len(pts), step)
+    while np.any(h > 1e-9):
+        trial = np.clip(pts[:, None] + h[:, None, None] * stencil,
+                        -np.pi, np.pi)
+        best = gap_at(trial[..., 0], trial[..., 1]).argmin(axis=1)
+        pts = trial[np.arange(len(pts)), best]
+        h = np.where(best == 0, 0.5 * h, h)
+    return pts, gap_at(pts[:, 0], pts[:, 1])
 
 
 def min_census_resolution(candidate_gap: float = CANDIDATE_GAP) -> int:
@@ -158,12 +137,13 @@ def min_census_resolution(candidate_gap: float = CANDIDATE_GAP) -> int:
     return math.ceil(math.pi / math.sqrt(candidate_gap)) + 1
 
 
-def _cluster_components(nodes: np.ndarray, cell: float = 0.2):
+def _cluster_components(nodes: np.ndarray, cell: float = 0.2) -> np.ndarray:
     """Group candidate nodes (angle pairs in [-pi, pi]) whose occupancy
     cells of side `cell` coincide or touch, corners included.  Each
     occupied cell takes the smallest cell index of its component, spread
-    over occupied neighbours until nothing changes.  Returns arrays of
-    row indices into `nodes`, ascending within each component."""
+    over occupied neighbours until nothing changes.  Returns that label
+    for each row of `nodes`: rows share a label exactly when they share a
+    component."""
     # One empty cell pads each side, so np.roll wraps only empty cells.
     keys = np.floor((nodes + np.pi) / cell).astype(np.intp) + 1
     n1, n2 = keys.max(axis=0) + 2
@@ -178,9 +158,7 @@ def _cluster_components(nodes: np.ndarray, cell: float = 0.2):
         if np.array_equal(spread, label):
             break
         label = spread
-    of_node = label.flat[flat]
-    rows = np.argsort(of_node, kind="stable")
-    return np.split(rows, np.flatnonzero(np.diff(of_node[rows])) + 1)
+    return label.flat[flat]
 
 
 def find_dirac_points(family: str, coarse_resolution: int = 721,
@@ -191,15 +169,17 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     The family's exact gap envelope 1 - max_k |cos E| is evaluated once
     on a coarse_resolution^2 grid over the angle square (no momentum
     grid).  Nodes with gap below candidate_gap are grouped into spatial
-    components, and each compact component is refined by coordinate
-    descent on the envelope, in the two angles only.  Components wider
-    than half a radian are reported via continuous_boundary instead of
-    as points (the split-step family closes its gap along whole lines).
-    A grid coarser than min_census_resolution(candidate_gap) can miss
-    closings, so it raises ValueError.  Each point's momentum is the
-    envelope's k* at the refined angles, folded into (-pi, pi]; for the
-    non-commuting family cos E = +1 there, so every touching is reported
-    at energy 0.  Points are sorted by angles.
+    components.  Components wider than half a radian are reported via
+    continuous_boundary instead of as points (the split-step family
+    closes its gap along whole lines).  Every compact component is seeded
+    at its first lowest node, and all seeds are refined together by a
+    pattern search on the envelope (_refine_touchings), in the two angles
+    only, from the grid spacing down.  A grid coarser than
+    min_census_resolution(candidate_gap) can miss closings, so it raises
+    ValueError.  Each point's momentum is the envelope's k* at the
+    refined angles, folded into (-pi, pi]; for the non-commuting family
+    cos E = +1 there, so every touching is reported at energy 0.  Points
+    are sorted by angles.
     """
     floor = min_census_resolution(candidate_gap)
     if coarse_resolution < floor:
@@ -208,34 +188,37 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     envelope, cos_e = cls.envelope, cls.dispersion
 
     def gap_at(a1, a2):
-        return 1.0 - float(envelope(a1, a2)[0])
+        return 1.0 - envelope(a1, a2)[0]
 
     angles = np.linspace(-np.pi, np.pi, coarse_resolution)
-    gap = 1.0 - envelope(angles[:, None], angles[None, :])[0]
+    gap = gap_at(angles[:, None], angles[None, :])
     ii, jj = np.nonzero(gap < candidate_gap)
     nodes = np.column_stack([angles[ii], angles[jj]])
-    components = _cluster_components(nodes) if ii.size else []
-
+    seeds = np.empty((0, 2))
     continuous = False
+    if ii.size:
+        # Each component's rows, lowest gap first (ties to the lowest row).
+        label = _cluster_components(nodes)
+        rows = np.lexsort((gap[ii, jj], label))
+        starts = np.flatnonzero(np.diff(label[rows], prepend=-1))
+        extent = (np.maximum.reduceat(nodes[rows], starts)
+                  - np.minimum.reduceat(nodes[rows], starts))
+        compact = np.hypot(*extent.T) <= 0.5
+        continuous = not compact.all()
+        seeds = nodes[rows[starts[compact]]]
+    found, gaps = _refine_touchings(gap_at, seeds,
+                                    2.0 * np.pi / (coarse_resolution - 1))
+    accept = gaps <= accept_gap
     points = []
-    dropped = 0
-    for rows in components:
-        if math.hypot(*np.ptp(nodes[rows], axis=0)) > 0.5:
-            continuous = True
-            continue
-        seed = nodes[rows[np.argmin(gap[ii[rows], jj[rows]])]]
-        a1, a2, g = _refine_touching(gap_at, seed)
-        if g > accept_gap:
-            dropped += 1
-            continue
+    for (a1, a2), g in zip(found[accept].tolist(), gaps[accept].tolist()):
         k = fold_angle(float(envelope(a1, a2)[1]))
         energy = 0.0 if float(cos_e(a1, a2, k)) > 0.0 else math.pi
         points.append(DiracPoint(angle1=a1, angle2=a2, momentum=k,
                                  energy=energy, gap=g))
-
     points.sort(key=lambda p: (p.angle1, p.angle2))
     return DiracPointSet(family=family, points=tuple(points),
-                         continuous_boundary=continuous, dropped=dropped,
+                         continuous_boundary=continuous,
+                         dropped=int(np.count_nonzero(~accept)),
                          accept_gap=accept_gap)
 
 

@@ -459,22 +459,29 @@ def test_winding_k_samples_below_sixteen_exit_two(capsys):
     assert json.loads(out)["k_samples"] == 16
 
 
-@pytest.mark.parametrize("argv, flag", [
-    pytest.param(("spectrum", "--family", "standard", "--theta", "0.3"),
-                 "--out", id="csv"),
-    pytest.param(("qgt", "--theta", "0.4", "--phi", "1.1"), "--out",
-                 id="json"),
-    pytest.param(("walk", "--family", "standard", "--theta", "pi/4",
-                  "--steps", "5"), "--manifest", id="walk-manifest"),
-])
-def test_unwritable_output_exits_two(capsys, tmp_path, argv, flag):
-    path = str(tmp_path / "missing" / "artifact")
+_OUTPUT_FLAGS = {
+    "csv": (("spectrum", "--family", "standard", "--theta", "0.3"), "--out"),
+    "json": (("qgt", "--theta", "0.4", "--phi", "1.1"), "--out"),
+    "walk-manifest": (("walk", "--family", "standard", "--theta", "pi/4",
+                       "--steps", "5"), "--manifest"),
+}
+
+
+@pytest.mark.parametrize("argv, flag, path", [
+    pytest.param(argv, flag, path, id=name + suffix)
+    for path, suffix in (("missing/artifact", ""), ("", "-empty"))
+    for name, (argv, flag) in _OUTPUT_FLAGS.items()])
+def test_unwritable_output_exits_two(capsys, tmp_path, monkeypatch, argv,
+                                     flag, path):
+    # Relative to tmp_path, which must stay empty.
+    monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv, flag, path)
     assert (code, out) == (2, "")
-    assert "error: cannot write output:" in err and path in err
-    code, _, err = run_fresh(*argv, flag, path)
-    assert code == 2
+    assert "error: cannot write output:" in err and repr(path) in err
+    code, out, err = run_fresh(*argv, flag, path)
+    assert (code, out) == (2, "")
     assert "error:" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_walk_unwritable_out_leaves_no_manifest(capsys, tmp_path,
@@ -484,10 +491,10 @@ def test_walk_unwritable_out_leaves_no_manifest(capsys, tmp_path,
             "--manifest", str(manifest), "--out")
     # The paths are refused before the walk runs.
     monkeypatch.setattr(cli, "trajectory", None)
-    for out in (tmp_path / "missing" / "x.csv", tmp_path):
-        code, stdout, err = run(capsys, *argv, str(out))
+    for out in (str(tmp_path / "missing" / "x.csv"), str(tmp_path), ""):
+        code, stdout, err = run(capsys, *argv, out)
         assert (code, stdout) == (2, "")
-        assert "error: cannot write output:" in err and str(out) in err
+        assert "error: cannot write output:" in err and repr(out) in err
         assert not manifest.exists()
     monkeypatch.undo()
     out = tmp_path / "x.csv"

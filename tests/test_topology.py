@@ -1,16 +1,19 @@
 """Gap scans, Dirac-point search, and Bloch-curve winding numbers."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qwgeom import cli
 from qwgeom.errors import GaplessPointError, NonPlanarCurveError
 from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
                            SplitStepWalk, StandardWalk, two_angle_class)
-from qwgeom.topology import (_cluster_components, find_dirac_points,
-                             min_census_resolution, planar_winding, scan_gap,
-                             winding_number)
+from qwgeom.topology import (_cluster_components, _refine_touchings,
+                             find_dirac_points, min_census_resolution,
+                             planar_winding, scan_gap, winding_number)
 from qwgeom.utils import fold_angle
 from qwgeom.zak import zak_map
 
@@ -146,11 +149,79 @@ def _candidate_nodes(draw):
 
 @given(nodes=_candidate_nodes())
 def test_cell_labelling_partitions_like_union_find(nodes):
-    components = _cluster_components(nodes)
-    assert sum(len(rows) for rows in components) == len(nodes)
-    assert all(np.all(np.diff(rows) > 0) for rows in components)
-    assert ({frozenset(rows.tolist()) for rows in components}
+    label = _cluster_components(nodes)
+    assert label.shape == (len(nodes),)
+    groups = {}
+    for row, key in enumerate(label.tolist()):
+        groups.setdefault(key, set()).add(row)
+    assert ({frozenset(rows) for rows in groups.values()}
             == {frozenset(rows) for rows in _union_find_components(nodes)})
+
+
+def _bowl(centre, turn, curvatures, floor=0.0):
+    """floor + a rotated anisotropic quadratic with its minimum at centre,
+    as a gap_at for _refine_touchings; also its Hessian."""
+    c, s = np.cos(turn), np.sin(turn)
+    rot = np.array([[c, -s], [s, c]])
+    hess = rot @ np.diag(curvatures) @ rot.T
+
+    def gap_at(a1, a2):
+        d1, d2 = a1 - centre[0], a2 - centre[1]
+        return floor + 0.5 * (hess[0, 0] * d1 * d1 + 2.0 * hess[0, 1] * d1 * d2
+                              + hess[1, 1] * d2 * d2)
+    return gap_at, hess
+
+
+_turns = st.floats(0.0, np.pi)
+_curvatures = st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0))
+_steps = st.floats(1e-3, 0.1)
+_unit_offsets = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                         min_size=1, max_size=6)
+
+
+def _seeds_near(centre, step, offsets):
+    return np.clip(np.add(centre, step * np.array(offsets)), -np.pi, np.pi)
+
+
+@given(centre=st.tuples(angles, angles), turn=_turns, curvatures=_curvatures,
+       step=_steps, offsets=_unit_offsets)
+def test_pattern_search_lands_on_the_bowl_minimum(centre, turn, curvatures,
+                                                  step, offsets):
+    gap_at, _ = _bowl(centre, turn, curvatures)
+    found, gaps = _refine_touchings(gap_at, _seeds_near(centre, step, offsets),
+                                    step)
+    assert found.shape == (len(offsets), 2) and gaps.shape == (len(offsets),)
+    assert np.abs(found - centre).max() < 1e-7
+    assert np.array_equal(gaps, gap_at(found[:, 0], found[:, 1]))
+
+
+@given(side=st.sampled_from([-1.0, 1.0]), beyond=st.floats(1e-3, 0.05),
+       a2=st.floats(-2.0, 2.0), turn=_turns, curvatures=_curvatures,
+       step=_steps, offsets=_unit_offsets)
+def test_pattern_search_clamps_to_the_square(side, beyond, a2, turn,
+                                             curvatures, step, offsets):
+    # The bowl's minimum lies past the edge angle1 = side * pi; on that
+    # edge the gap is least where its angle2 derivative vanishes.
+    centre = (side * (np.pi + beyond), a2)
+    gap_at, hess = _bowl(centre, turn, curvatures)
+    edge_min = a2 + hess[0, 1] / hess[1, 1] * side * beyond
+    seeds = _seeds_near((side * np.pi, a2), step, offsets)
+    found, _ = _refine_touchings(gap_at, seeds, step)
+    assert np.all(found[:, 0] == side * np.pi)
+    assert np.abs(found[:, 1] - edge_min).max() < 1e-7
+
+
+@given(centre=st.tuples(angles, angles), floor=st.floats(1e-6, 0.5),
+       turn=_turns, curvatures=_curvatures, step=_steps,
+       offsets=_unit_offsets)
+def test_pattern_search_returns_a_gap_floor(centre, floor, turn, curvatures,
+                                            step, offsets):
+    # A minimum above zero is what a spurious candidate refines to.
+    gap_at, _ = _bowl(centre, turn, curvatures, floor)
+    found, gaps = _refine_touchings(gap_at, _seeds_near(centre, step, offsets),
+                                    step)
+    assert np.abs(found - centre).max() < 1e-7
+    assert np.all((gaps >= floor) & (gaps - floor < 1e-13))
 
 
 def test_census_refuses_a_grid_coarser_than_its_candidate_disc():
@@ -215,6 +286,37 @@ def test_dirac_census_off_grid_has_exact_momentum():
         # k* = +pi and -pi are the same momentum.
         assert abs((p.momentum - k + np.pi) % (2 * np.pi) - np.pi) < 1e-12
         assert p.energy == 0.0
+
+
+@pytest.mark.parametrize("resolution", [101, 121, 200, 721])
+def test_dirac_census_lands_on_the_touchings(resolution):
+    # The touchings sit at dyadic fractions of the grid step from -pi, so
+    # the pattern search, which halves its step, lands on them.
+    ds = find_dirac_points("noncommuting", resolution)
+    census = np.array([(a1, a2) for a1, a2, _ in _analytic_census()])
+    found = np.array([(p.angle1, p.angle2) for p in ds.points])
+    dist = np.abs(found[:, None] - census[None]).max(axis=-1)
+    assert sorted(dist.argmin(axis=1)) == list(range(13))
+    assert dist.min(axis=1).max() < 1e-15
+
+
+def test_census_drops_candidates_that_do_not_close(monkeypatch, capsys):
+    # A gap floor of about 1e-6 everywhere: every candidate refines to a
+    # minimum above accept_gap.
+    exact = NonCommutingWalk.envelope
+
+    def lifted(theta, phi):
+        env, k_star = exact(theta, phi)
+        return env * (1.0 - 1e-6), k_star
+
+    monkeypatch.setattr(NonCommutingWalk, "envelope", staticmethod(lifted))
+    ds = find_dirac_points("noncommuting", 121)
+    assert (ds.points, ds.dropped, ds.continuous_boundary) == ((), 13, False)
+    code = cli.main(["dirac-points", "--family", "noncommuting",
+                     "--resolution", "121"])
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out)) == (0, [])
+    assert err == "note: 13 candidate cluster(s) failed refinement\n"
 
 
 def test_dirac_points_sorted_deterministically():
