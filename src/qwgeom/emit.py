@@ -19,6 +19,7 @@ tables, other float columns and the %d columns format every cell.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -41,6 +42,9 @@ CSV_BLOCK_ROWS = 4096
 # adds up to 20-40 of these bytes on some tables: its sort buffers, freed
 # before the text is joined, leave the heap holding more of the blocks.
 CSV_ROW_BYTES = 256
+# Characters write_text encodes and writes at a time, so a long text is
+# never held a second time as one encoded buffer.
+WRITE_CHARS = 2**20
 
 
 def csv_text(header, columns) -> str:
@@ -196,6 +200,9 @@ def walk_manifest_json(model: WalkModel, n_steps: int, chirality: str,
                        norm_initial: float, norm_final: float,
                        max_norm_drift: float, similarity_vs_oracle: float,
                        tv_vs_oracle: float) -> str:
+    """The `walk` run manifest.  The CLI passes as max_norm_drift the
+    largest |norm(t) - norm(0)| over the steps t that are multiples of
+    walk.TRIM_STEPS and the last step, not over every step."""
     payload = {
         "model": model_payload(model),
         "n_steps": int(n_steps),
@@ -210,9 +217,9 @@ def walk_manifest_json(model: WalkModel, n_steps: int, chirality: str,
 
 
 def write_text(text: str, out: str | None) -> None:
-    """Write payload text to a path, or to stdout for None or '-'."""
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write payload text to a path, or to stdout for None or '-',
+    WRITE_CHARS characters at a time."""
+    with (contextlib.nullcontext(sys.stdout) if out is None or out == "-"
+          else open(out, "w", encoding="utf-8", newline="")) as fh:
+        for start in range(0, len(text), WRITE_CHARS):
+            fh.write(text[start:start + WRITE_CHARS])

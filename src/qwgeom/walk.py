@@ -12,11 +12,19 @@ All steps of a walk update one preallocated spin-major buffer in place
 (trajectory): row 0 holds the H and row 1 the V amplitudes, so a shift
 is a memmove of one row and a real coin (standard, split-step) runs on
 the buffer's float64 view, treating real and imaginary parts alike.
-Only a live range of sites is touched; it drops, every TRIM_STEPS
-steps, the outer tail sites whose floats have all underflowed below
-np.finfo(float).tiny.  That changes no probability (see trajectory).
-Its rounding differs from a site-major complex matrix product, the
-tests' reference kernel, by at most TV 1e-14 and max |dp| 1e-15.
+Before its loop, trajectory turns step_ops() into a plan: each coin
+becomes its diagonal and off-diagonal as (2, 1) float or complex
+columns, applied as three two-row ufunc calls, and each shift its
+largest move, its widening and the rows it moves.  Only a live range
+of sites is touched; it drops, every TRIM_STEPS steps, the outer tail
+sites whose floats have all underflowed below np.finfo(float).tiny.
+That changes no probability (see trajectory).  Its rounding differs
+from a site-major complex matrix product, the tests' reference kernel,
+by at most TV 1e-14 and max |dp| 1e-15.
+
+The oracle raises each U(k) to the n-th power in closed form
+(unitary_power): U = e^{i gamma}(c I - i v . sigma) gives
+U^n = e^{i n gamma}(cos nE I - i sin nE v^ . sigma), E = atan2(|v|, c).
 """
 
 from __future__ import annotations
@@ -31,9 +39,10 @@ from .models import WalkModel
 # Peak bytes per lattice site of a walk checked against the oracle and
 # written as CSV (`qwgeom walk`): trajectory's spin-major buffer (32)
 # and its two scratch rows (32), the oracle's amplitude and 2x2 unitary
-# stacks (~330) and the CSV text (~200), not all live at once.  Peak RSS
-# growth measured 0.32-0.47 kB per site at 3000-20000 steps for all
-# three families (Linux x86-64, numpy 2.4), so 1 kB leaves 2x headroom.
+# stacks (272 at their peak, by tracemalloc) and the CSV text, not all
+# live at once.  Peak RSS growth measured 0.33-0.40 kB per site at
+# 3000-20000 steps for all three families (Linux x86-64, numpy 2.4), so
+# 1 kB leaves 2x headroom.
 SITE_BYTES = 1024
 
 # trajectory drops underflowed tails from its live range every
@@ -59,7 +68,13 @@ class WalkerState:
         return np.arange(self.offset, self.offset + self.amplitudes.shape[0])
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        """Euclidean norm: a float dot product over each spin's row,
+        contiguous for trajectory's views, with no |psi|^2 array."""
+        total = 0.0
+        for row in self.amplitudes.T:
+            floats = np.ascontiguousarray(row, dtype=complex).view(float)
+            total += np.dot(floats, floats)
+        return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)
@@ -103,11 +118,13 @@ def trajectory(state0: WalkerState, model: WalkModel, n_steps: int):
     by max(du, dv).  The buffer is then exactly the final window,
     width0 + n_steps * sum(max(op) - min(op)) sites.
 
-    A coin whose imaginary part is exactly zero (standard, split-step)
-    acts alike on the real and imaginary parts, so it runs on the
-    buffer's float64 view with out= ufuncs into the scratch rows; a
-    complex coin (noncommuting) runs the same ufuncs on the complex
-    views of both.
+    step_ops() becomes a plan before the loop.  A coin [[c00, c01],
+    [c10, c11]] acts on the two live rows x as t = x[::-1] * [[c01],
+    [c10]] into a scratch view, then x *= [[c00], [c11]] and x += t.  A
+    coin whose imaginary part is exactly zero (standard, split-step)
+    acts alike on the real and imaginary parts, so its columns are real
+    and it runs on the buffer's float64 view and float scratch rows; a
+    complex coin (noncommuting) runs on the complex views of both.
 
     Coins and shifts touch only a live range [lo, hi) of the window
     outside which the buffer is exactly zero.  Every TRIM_STEPS steps
@@ -136,31 +153,38 @@ def trajectory(state0: WalkerState, model: WalkModel, n_steps: int):
     buf[:, a:b] = state0.amplitudes.T
     floats = buf.view(float)
     scratch = np.empty((2, 2 * b))
-    coins = [None if isinstance(op, tuple)
-             else (op, buf, scratch.view(complex), 1) if np.any(op.imag)
-             else (op.real, floats, scratch, 2) for op in ops]
+    plan = []
+    for op in ops:
+        if isinstance(op, tuple):
+            top = max(op)
+            moves = tuple((row, top - d) for row, d in zip(buf, op) if d < top)
+            plan.append((None, (top, top - min(op), moves)))
+        else:
+            if np.any(op.imag):
+                c, rows, tmp, k = op, buf, scratch.view(complex), 1
+            else:
+                c, rows, tmp, k = op.real, floats, scratch, 2
+            diag = np.array([[c[0, 0]], [c[1, 1]]])
+            off = np.array([[c[0, 1]], [c[1, 0]]])
+            plan.append(((diag, off, rows, tmp, k), None))
     base = state0.offset - a
     lo, hi = a, b
     for i in range(1, n_steps + 1):
-        for op, coin in zip(ops, coins):
+        for coin, shift in plan:
             if coin is None:
-                top = max(op)
-                for row, d in zip(buf, op):
-                    if d < top:
-                        row[lo + d - top:hi + d - top] = row[lo:hi]
-                        row[hi + d - top:hi] = 0.0
+                top, widen, moves = shift
+                for row, move in moves:
+                    row[lo - move:hi - move] = row[lo:hi]
+                    row[hi - move:hi] = 0.0
                 base += top
-                a, lo = a - (top - min(op)), lo - (top - min(op))
+                a, lo = a - widen, lo - widen
             else:
-                ((c00, c01), (c10, c11)), rows, tmp, k = coin
-                h, v = rows[0, k * lo:k * hi], rows[1, k * lo:k * hi]
-                t0, t1 = tmp[0, :k * (hi - lo)], tmp[1, :k * (hi - lo)]
-                np.multiply(h, c10, out=t1)
-                np.multiply(v, c01, out=t0)
-                h *= c00
-                h += t0
-                v *= c11
-                v += t1
+                diag, off, rows, tmp, k = coin
+                x = rows[:, k * lo:k * hi]
+                t = tmp[:, :k * (hi - lo)]
+                np.multiply(x[::-1], off, out=t)
+                x *= diag
+                x += t
         if i % TRIM_STEPS == 0:
             live = np.flatnonzero(
                 (np.abs(floats[:, 2 * lo:2 * hi]) >= _TINY).any(axis=0)) // 2
@@ -205,11 +229,11 @@ def momentum_oracle(state0: WalkerState, model: WalkModel,
     psi_hat(k_j) = sum_x psi(x) e^{+i k_j x} equals m * ifft(psi)_j up
     to the phase e^{i k_j x_lo}; that phase is a scalar per k, commutes
     with U(k) and cancels in the inverse transform, so the evolved state
-    is fft(U(k)^n ifft(psi)) with no wrap-around.  U(k)^n is a batched
-    matrix power (repeated squaring) of the (m, 2, 2) stack of momentum
-    unitaries, so time is O(m log m + m log n) and memory O(m): a few
-    arrays of m two-component amplitudes or 2x2 matrices, no m x m
-    transform matrix.  The returned grid matches the one position-space
+    is fft(U(k)^n ifft(psi)) with no wrap-around.  U(k) is folded from
+    step_ops() (momentum_unitaries) and U(k)^n taken in closed form
+    (unitary_power), so time is O(m log m) and memory O(m): a few arrays
+    of m two-component amplitudes or 2x2 matrices, no m x m transform
+    matrix.  The returned grid matches the one position-space
     evolution would produce, so the two pipelines compare directly.
     """
     if n_steps < 0:
@@ -219,13 +243,47 @@ def momentum_oracle(state0: WalkerState, model: WalkModel,
     psi = np.zeros((m, 2), dtype=complex)
     psi[n_steps:n_steps + width0] = state0.amplitudes
     kgrid = 2.0 * np.pi * np.arange(m) / m
-    power = np.linalg.matrix_power(model.momentum_unitaries(kgrid), n_steps)
+    power = unitary_power(model.momentum_unitaries(kgrid), n_steps)
     psi_hat = np.fft.ifft(psi, axis=0)
     psi_n = np.fft.fft(np.einsum("kab,kb->ka", power, psi_hat), axis=0)
     p = np.sum(np.abs(psi_n) ** 2, axis=1)
     x_lo = state0.offset - n_steps
     return Distribution(positions=np.arange(x_lo, x_lo + m), p=p,
                         step_count=state0.step_count + n_steps)
+
+
+def unitary_power(u: np.ndarray, n: int) -> np.ndarray:
+    """u^n for a stack of 2x2 unitaries u, shape (..., 2, 2), in closed form.
+
+    Each u is e^{i gamma}(c I - i v . sigma) with e^{2 i gamma} = det u,
+    c real and v a real 3-vector, so u^n = e^{i n gamma}(cos nE I -
+    i sin nE v^ . sigma) with E = atan2(|v|, c).  Where |v| = 0 exactly,
+    u is +-e^{i gamma} I, sin nE is 0 and v^ is never formed.
+    """
+    gamma = 0.5 * np.angle(u[..., 0, 0] * u[..., 1, 1]
+                           - u[..., 0, 1] * u[..., 1, 0])
+    w = u * np.exp(-1j * gamma)[..., None, None]
+    c = 0.5 * (w[..., 0, 0] + w[..., 1, 1]).real
+    v1 = -0.5 * (w[..., 0, 1] + w[..., 1, 0]).imag
+    v2 = 0.5 * (w[..., 1, 0] - w[..., 0, 1]).real
+    v3 = 0.5 * (w[..., 1, 1] - w[..., 0, 0]).imag
+    r = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    angle = n * np.arctan2(r, c)
+    s = np.divide(np.sin(angle), r, out=np.zeros_like(r), where=r > 0.0)
+    # w's storage becomes u^n, written part by part with no complex
+    # temporaries: cos nE on the diagonal, -i sin nE v^ . sigma, then
+    # the phase.
+    re, im = w.real, w.imag
+    re[..., 0, 0] = re[..., 1, 1] = np.cos(angle)
+    neg = -s
+    np.multiply(neg, v3, out=im[..., 0, 0])
+    np.multiply(s, v3, out=im[..., 1, 1])
+    np.multiply(neg, v2, out=re[..., 0, 1])
+    np.multiply(s, v2, out=re[..., 1, 0])
+    np.multiply(neg, v1, out=im[..., 0, 1])
+    np.multiply(neg, v1, out=im[..., 1, 0])
+    w *= np.exp(1j * n * gamma)[..., None, None]
+    return w
 
 
 def _check_same_grid(p: Distribution, q: Distribution) -> None:

@@ -1,11 +1,11 @@
 """Position-space evolution against the momentum-space oracle."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwgeom import cli
@@ -16,9 +16,9 @@ from qwgeom.spin import rotation_x, rotation_y
 from qwgeom.walk import (Distribution, WalkerState, evolve, initial_state,
                          momentum_oracle, probability_distribution,
                          similarity, step, total_variation, trajectory,
-                         TRIM_STEPS)
+                         unitary_power, TRIM_STEPS)
 
-from conftest import walk_models
+from conftest import angles, walk_models
 
 
 def _dense_oracle(state0, model, n_steps):
@@ -161,20 +161,38 @@ class _HFirstSplitStep(WalkModel):
         return (rotation_y(self.alpha), (1, 0), rotation_x(self.beta), (0, -1))
 
 
+@dataclass(frozen=True)
+class _GlobalPhaseWalk(WalkModel):
+    """A family no built-in uses: a coin with a global phase, det U = e^{2 i alpha}."""
+
+    alpha: float
+    theta: float
+    phi: float
+
+    family = "global-phase"
+
+    def step_ops(self):
+        coin = np.exp(1j * self.alpha) * rotation_y(self.theta) \
+            @ rotation_x(self.phi)
+        return (coin, (1, -1))
+
+
 def test_family_declared_in_test_matches_oracle():
     # Only step_ops() is declared here, so agreement shows that the
-    # position step and the momentum unitary are derived generically.
+    # position step and the momentum unitary are derived generically;
+    # the global-phase family makes the oracle's sqrt(det U) factor count.
     rng = np.random.default_rng(439)
-    for _ in range(6):
-        model = _HFirstSplitStep(*rng.uniform(-np.pi, np.pi, 2))
-        for chi in ("+", "-"):
-            n = int(rng.integers(1, 41))
-            state = evolve(initial_state(chi), model, n)
-            assert abs(state.norm() - 1.0) < 1e-12
-            dist = probability_distribution(state)
-            oracle = momentum_oracle(initial_state(chi), model, n)
-            assert np.array_equal(dist.positions, oracle.positions)
-            assert total_variation(dist, oracle) < 1e-12
+    for cls in (_HFirstSplitStep, _GlobalPhaseWalk):
+        for _ in range(6):
+            model = cls(*rng.uniform(-np.pi, np.pi, len(fields(cls))))
+            for chi in ("+", "-"):
+                n = int(rng.integers(1, 41))
+                state = evolve(initial_state(chi), model, n)
+                assert abs(state.norm() - 1.0) < 1e-12
+                dist = probability_distribution(state)
+                oracle = momentum_oracle(initial_state(chi), model, n)
+                assert np.array_equal(dist.positions, oracle.positions)
+                assert total_variation(dist, oracle) < 1e-12
 
 
 def test_oracle_zero_steps_returns_initial_distribution():
@@ -382,3 +400,44 @@ def test_matrix_power_matches_repeated_products(model, k, n):
         product = u @ product
     powered = np.linalg.matrix_power(model.momentum_unitaries(np.array([k])), n)
     assert np.max(np.abs(powered[0] - product)) < 1e-12
+
+
+# The closed-form power's error grows like n ulps, as matrix_power's
+# does; 300 random draws of the three families peaked at 6.4e-16 n.
+POWER_TOL_PER_STEP = 2e-15
+
+
+@given(model=st.one_of(walk_models(),
+                       st.builds(_GlobalPhaseWalk, angles, angles, angles)),
+       k=st.floats(min_value=-np.pi, max_value=np.pi),
+       n=st.integers(min_value=0, max_value=20_000))
+# StandardWalk(0) is U = I at k = 0, so |v| = 0 exactly there, and -I up
+# to the rounding of e^{i pi} at k = pi; StandardWalk(pi/2) has trace 0
+# up to rounding at k = 0, E = pi/2.
+@example(model=StandardWalk(0.0), k=0.0, n=20_000)
+@example(model=StandardWalk(0.0), k=np.pi, n=20_000)
+@example(model=StandardWalk(np.pi / 2), k=0.0, n=20_000)
+def test_unitary_power_matches_matrix_power(model, k, n):
+    u = model.momentum_unitaries(np.array([k]))
+    with np.errstate(divide="raise", invalid="raise"):
+        power = unitary_power(u, n)
+    assert np.max(np.abs(power - np.linalg.matrix_power(u, n))) \
+        <= POWER_TOL_PER_STEP * max(n, 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 1000])
+def test_walk_manifest_samples_norm_drift(n, tmp_path):
+    # max_norm_drift is taken at every TRIM_STEPS-th step and the last.
+    # At n = 33 this walk's drift peaks at a step that is not sampled.
+    manifest = tmp_path / "run.json"
+    code = cli.main(["walk", "--family", "noncommuting", "--theta", "0.9",
+                     "--phi", "-1.3", "--steps", str(n),
+                     "--out", str(tmp_path / "walk.csv"),
+                     "--manifest", str(manifest)])
+    assert code == 0
+    state0 = initial_state("+")
+    drifts = [abs(s.norm() - state0.norm())
+              for s in trajectory(state0, NonCommutingWalk(0.9, -1.3), n)
+              if s.step_count % TRIM_STEPS == 0 or s.step_count == n]
+    assert json.loads(manifest.read_text())["max_norm_drift"] \
+        == max(drifts, default=0.0)
