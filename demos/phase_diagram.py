@@ -8,7 +8,7 @@ matplotlib is installed.
 
 import numpy as np
 
-from qwgeom.topology import find_dirac_points, scan_gap
+from qwgeom.topology import ACCEPT_GAP, find_dirac_points, scan_gap
 
 
 def main():
@@ -18,7 +18,7 @@ def main():
 
     census = find_dirac_points("noncommuting", coarse_resolution=181)
     print(f"\n{len(census.points)} isolated touchings "
-          f"(refined to gap <= {census.accept_gap:.0e}):")
+          f"(refined to gap <= {ACCEPT_GAP:.0e}):")
     print("  angle1      angle2      k*          E")
     for p in census.points:
         print(f"  {p.angle1:+.6f}   {p.angle2:+.6f}   {p.momentum:+.6f}   "

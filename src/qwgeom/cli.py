@@ -1,17 +1,17 @@
 """Command-line surface: deterministic CSV/JSON artifacts for each tool.
 
 Exit codes: 0 success, 2 usage error (argparse, including a non-finite
-angle; a size over the memory budget; an --out or --manifest path that
-cannot be written; a MemoryError), 3 domain error (gapless point,
-degenerate input, finite-difference failure, or any other ValueError
-the library raises).  main parses with one parser per process
-and checks that --out (and walk's --manifest) can be written before it
-runs the command; each _cmd_* handler returns its artifact text (walk
-also its manifest text) and main writes --out, then --manifest, so a
-refused path leaves no half run.  Angles are radians, given either
-as decimals or as exact multiples of pi ("pi/4", "-pi/2", "1.5pi"), so
-special points are not blurred by rounding.  A family's angle flags are
-its model's field names.  No command uses threads.  phase-diagram
+angle or a flag the command does not take; a size over the memory
+budget; an --out or --manifest path that cannot be written, or both
+naming one destination; a MemoryError), 3 domain error (gapless point,
+degenerate input, finite-difference failure, or any other ValueError the
+library raises).  main parses with one parser per process and checks
+--out (and walk's --manifest) before it runs the command; each _cmd_*
+handler returns its artifact text (walk also its manifest text) and main
+writes --out, then --manifest, so a refused path leaves no half run.
+Angles are radians, decimals or exact pi multiples ("pi/4", "1.5pi")
+that keep special points exact.  Only the model commands take angle
+flags, a family's model field names.  No command uses threads.  phase-diagram
 (--k-samples 8 to 2**53 + 1) and the zak-map mask read their sampled
 band edge from models.sampled_band_edge, five momenta per node, so no
 momentum grid is built.  dirac-points evaluates the exact gap envelope
@@ -100,13 +100,6 @@ def parse_angle(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError("must be finite and > 0")
-    return value
-
-
 def _qgt_step(text: str) -> float:
     value = float(text)
     lo, hi = QGT_STEP_RANGE
@@ -145,8 +138,8 @@ class UsageError(Exception):
     """Arguments argparse accepted but the command refuses (exit 2)."""
 
 
-def _add_model_args(sp: argparse.ArgumentParser, families=tuple(FAMILY_CLASSES)):
-    sp.add_argument("--family", required=True, choices=families)
+def _add_model_args(sp: argparse.ArgumentParser):
+    sp.add_argument("--family", required=True, choices=tuple(FAMILY_CLASSES))
     for name in _ANGLE_FLAGS:
         sp.add_argument(f"--{name}", type=parse_angle, default=None)
 
@@ -195,8 +188,7 @@ def _cmd_phase_diagram(args) -> str:
 def _cmd_dirac_points(args) -> str:
     need = ENVELOPE_NODE_BYTES * args.resolution**2
     _check_budget(args, need, "resolution")
-    ds = find_dirac_points(args.family, coarse_resolution=args.resolution,
-                           accept_gap=args.tol)
+    ds = find_dirac_points(args.family, coarse_resolution=args.resolution)
     if ds.continuous_boundary:
         print("note: gapless set includes extended curves; only isolated "
               "points are listed", file=sys.stderr)
@@ -316,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("phase-diagram",
                         help="minimum-gap map over a two-angle grid")
-    _add_model_args(sp, families=TWO_ANGLE_FAMILIES)
+    sp.add_argument("--family", required=True, choices=TWO_ANGLE_FAMILIES)
     sp.add_argument("--resolution", type=_resolution, default=201)
     sp.add_argument("--k-samples", default=361,
                     type=_int_at_least("k-samples", 8, MAX_CELLS + 1))
@@ -326,11 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dirac-points",
                         help="isolated gap closings in the angle square, "
                              "with the exact touching momentum")
-    _add_model_args(sp, families=TWO_ANGLE_FAMILIES)
+    sp.add_argument("--family", required=True, choices=TWO_ANGLE_FAMILIES)
     sp.add_argument("--resolution", default=721,
                     type=_int_at_least("resolution", min_census_resolution()))
-    sp.add_argument("--tol", type=_positive_float, default=1e-9,
-                    help="residual gap accepted after refinement")
     _add_out(sp)
     sp.set_defaults(handler=_cmd_dirac_points)
 
@@ -345,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("zak-map",
                         help="Zak phases of both bands over an angle grid")
-    _add_model_args(sp, families=TWO_ANGLE_FAMILIES)
+    sp.add_argument("--family", required=True, choices=TWO_ANGLE_FAMILIES)
     sp.add_argument("--resolution", type=_resolution, default=201)
     sp.add_argument("--n-points", type=_zak_points, default=512)
     sp.add_argument("--span", choices=("half", "full"), default="half")
@@ -421,6 +411,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         manifest_path = getattr(args, "manifest", None)
+        dest = [p if p in (None, "-") else os.path.realpath(p)
+                for p in (args.out, manifest_path)]
+        if dest[0] == dest[1]:
+            raise UsageError(f"--manifest {manifest_path!r} is also --out")
         for path in (args.out, manifest_path):
             _check_writable(path)
         outputs = args.handler(args)

@@ -286,6 +286,11 @@ class StandardWalk(WalkModel):
     numerators = staticmethod(standard_numerators)
     dispersion = staticmethod(standard_cos_energy)
 
+    @property
+    def chiral_axis(self):
+        """(cos theta, 0, sin theta), normal to N(k) at every k."""
+        return np.array([np.cos(self.theta), 0.0, np.sin(self.theta)])
+
     def step_ops(self):
         return (rotation_y(self.theta), SHIFT)
 

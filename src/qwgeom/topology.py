@@ -26,6 +26,8 @@ SCAN_BLOCK_ROWS = 16
 ENVELOPE_NODE_BYTES = 48
 # Default gap below which a census grid node is a candidate closing.
 CANDIDATE_GAP = 1e-3
+# Largest gap after refinement at which a census candidate is a point.
+ACCEPT_GAP = 1e-9
 # Peak bytes per momentum sample of winding_number (Bloch curve, its SVD
 # and in-plane angles; measured 136-139 from peak RSS growth at 2e5-3.2e6
 # samples, Linux x86-64, numpy 2.4).
@@ -71,14 +73,13 @@ class DiracPointSet:
     continuous_boundary is True when some gapless component is extended
     (a curve rather than a point); such components are never refined.
     dropped counts compact candidate clusters whose refined gap stayed
-    above accept_gap (spurious shallow minima).
+    above ACCEPT_GAP (spurious shallow minima).
     """
 
     family: str
     points: tuple[DiracPoint, ...]
     continuous_boundary: bool
     dropped: int
-    accept_gap: float
 
 
 def scan_gap(family: str, resolution: int = 201, k_samples: int = 361) -> GapMap:
@@ -162,8 +163,7 @@ def _cluster_components(nodes: np.ndarray, cell: float = 0.2) -> np.ndarray:
 
 
 def find_dirac_points(family: str, coarse_resolution: int = 721,
-                      candidate_gap: float = CANDIDATE_GAP,
-                      accept_gap: float = 1e-9) -> DiracPointSet:
+                      candidate_gap: float = CANDIDATE_GAP) -> DiracPointSet:
     """Locate all isolated gap closings of a two-angle family.
 
     The family's exact gap envelope 1 - max_k |cos E| is evaluated once
@@ -208,7 +208,7 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
         seeds = nodes[rows[starts[compact]]]
     found, gaps = _refine_touchings(gap_at, seeds,
                                     2.0 * np.pi / (coarse_resolution - 1))
-    accept = gaps <= accept_gap
+    accept = gaps <= ACCEPT_GAP
     points = []
     for (a1, a2), g in zip(found[accept].tolist(), gaps[accept].tolist()):
         k = fold_angle(float(envelope(a1, a2)[1]))
@@ -218,8 +218,7 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     points.sort(key=lambda p: (p.angle1, p.angle2))
     return DiracPointSet(family=family, points=tuple(points),
                          continuous_boundary=continuous,
-                         dropped=int(np.count_nonzero(~accept)),
-                         accept_gap=accept_gap)
+                         dropped=int(np.count_nonzero(~accept)))
 
 
 def planar_winding(points: np.ndarray, normal=None) -> int:

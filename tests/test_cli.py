@@ -213,11 +213,6 @@ def test_non_finite_angles_exit_two(capsys):
 
 
 def test_non_finite_or_out_of_range_floats_exit_two(capsys):
-    for tol in ("nan", "inf", "-inf", "0", "-1e-9"):
-        code, out, err = run(capsys, "dirac-points", "--family",
-                             "noncommuting", f"--tol={tol}")
-        assert (code, out) == (2, "")
-        assert "argument --tol: must be finite and > 0" in err
     for h in ("nan", "inf", "-inf", "0", "1e-8", "2e-3"):
         code, out, err = run(capsys, "qgt", "--theta", "0.4", "--phi", "1.1",
                              f"--h={h}")
@@ -225,6 +220,43 @@ def test_non_finite_or_out_of_range_floats_exit_two(capsys):
         assert "argument --h: must lie in [1e-07, 0.001]" in err
     assert run(capsys, "qgt", "--theta", "0.4", "--phi", "1.1",
                "--h", "1e-7")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param((command, family, f"--{flag}", "0.3"),
+                 id=f"{command}-{flag}")
+    for command in ("phase-diagram", "dirac-points", "zak-map")
+    for family, flags in (("noncommuting", ("theta", "phi")),
+                          ("splitstep", ("theta1", "theta2")))
+    for flag in flags] + [
+    pytest.param(("dirac-points", "noncommuting", "--tol", "1e-9"),
+                 id="dirac-points-tol")])
+def test_angle_square_commands_refuse_flags_they_do_not_read(capsys, tmp_path,
+                                                             argv):
+    command, family, *extra = argv
+    out_path = tmp_path / "grid.out"
+    code, out, err = run(capsys, command, "--family", family, *extra,
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("qwgeom: error: unrecognized arguments: "
+                                    + " ".join(extra))
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("spectrum", ("--k-samples", "16")), ("bloch", ("--k-samples", "16")),
+    ("zak", ("--band", "plus", "--n-points", "16")),
+    ("winding", ("--k-samples", "16")), ("walk", ("--steps", "3"))])
+@pytest.mark.parametrize("angles", [
+    ("standard", "--theta", "0.7"),
+    ("noncommuting", "--theta", "0.7", "--phi", "0.3"),
+    ("splitstep", "--theta1", "0.9", "--theta2", "-0.4")],
+    ids=lambda angles: angles[0])
+def test_model_commands_take_their_angle_flags(capsys, command, extra,
+                                               angles):
+    family, *flags = angles
+    code, out, _ = run(capsys, command, "--family", family, *flags, *extra)
+    assert code == 0 and out
 
 
 def test_integer_flag_errors_name_the_flag(capsys):
@@ -501,6 +533,26 @@ def test_walk_unwritable_out_leaves_no_manifest(capsys, tmp_path,
     assert run(capsys, *argv, str(out))[0] == 0
     assert out.read_text().startswith("x,p\n")
     assert json.loads(manifest.read_text())["n_steps"] == 5
+
+
+def test_walk_refuses_one_destination_for_out_and_manifest(capsys, tmp_path,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.symlink("run.txt", "link.txt")
+    # The destinations are refused before the walk runs.
+    monkeypatch.setattr(cli, "trajectory", None)
+    argv = ("walk", "--family", "standard", "--theta", "pi/4", "--steps", "5")
+    for out_path, manifest in ((None, "-"), ("-", "-"),
+                               ("run.txt", "run.txt"),
+                               (str(tmp_path / "run.txt"), "run.txt"),
+                               ("./run.txt", "run.txt"),
+                               ("link.txt", "run.txt")):
+        paths = () if out_path is None else ("--out", out_path)
+        code, out, err = run(capsys, *argv, *paths, "--manifest", manifest)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"qwgeom: error: --manifest {manifest!r} is also --out")
+        assert sorted(os.listdir()) == ["link.txt"]
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):

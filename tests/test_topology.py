@@ -252,8 +252,7 @@ def _analytic_census():
 
 
 def test_dirac_census_noncommuting():
-    ds = find_dirac_points("noncommuting", coarse_resolution=181,
-                           accept_gap=1e-9)
+    ds = find_dirac_points("noncommuting", coarse_resolution=181)
     assert ds.family == "noncommuting"
     assert not ds.continuous_boundary
     assert len(ds.points) == 13
@@ -302,7 +301,7 @@ def test_dirac_census_lands_on_the_touchings(resolution):
 
 def test_census_drops_candidates_that_do_not_close(monkeypatch, capsys):
     # A gap floor of about 1e-6 everywhere: every candidate refines to a
-    # minimum above accept_gap.
+    # minimum above ACCEPT_GAP.
     exact = NonCommutingWalk.envelope
 
     def lifted(theta, phi):
@@ -401,6 +400,16 @@ def test_splitstep_winding_constant_where_the_gap_stays_open(centre, theta2):
     assert np.min(1.0 - envelope) > 1e-3
     windings = {winding_number(SplitStepWalk(t1, theta2)) for t1 in theta1}
     assert len(windings) == 1
+
+
+def test_standard_winding_changes_sign_only_where_the_gap_closes():
+    # The gap 1 - |cos theta| closes at theta = 0 and +-pi only; no node
+    # sits on either.  Index 179 pairs the nodes about 0, and 359 the
+    # last node with the first, across +-pi.
+    theta = -np.pi + (np.arange(360) + 0.5) * np.pi / 180
+    nu = np.array([winding_number(StandardWalk(t)) for t in theta])
+    assert set(np.flatnonzero(nu != np.roll(nu, -1))) <= {179, 359}
+    assert np.array_equal(nu, -np.sign(theta))
 
 
 def test_splitstep_full_zone_zak_phase_is_pi_times_winding():
