@@ -1,14 +1,20 @@
 """Command-line surface: deterministic CSV/JSON artifacts for each tool.
 
-Exit codes: 0 success, 2 usage error (argparse, including a non-finite
-angle or a flag the command does not take; a size over the memory
-budget; an --out or --manifest path that cannot be written, or both
-naming one destination; a MemoryError), 3 domain error (gapless point,
-degenerate input, finite-difference failure, or any other ValueError the
-library raises).  main parses with one parser per process and checks
---out (and walk's --manifest) before it runs the command; each _cmd_*
-handler returns its artifact text (walk also its manifest text) and main
-writes --out, then --manifest, so a refused path leaves no half run.
+Exit codes: 0 success, 2 usage error, 3 domain error.  Usage errors go
+through the failing subcommand's parser, which prints its usage line and
+"qwgeom <command>: error: ...": flags argparse refuses (a non-finite
+angle, a flag the command does not take), angle flags that do not match
+the family, a size over the memory budget, and --out and walk's
+--manifest naming one destination (both '-', one real path, or two names
+of one existing file, such as a hard link).  An unwritable --out or
+--manifest and a MemoryError exit 2 with one "error: ..." line.  Exit 3:
+a gapless point, degenerate input, a finite-difference failure (qgt also
+where rounding distorts its stencil offsets, at large angles) or any
+other ValueError the library raises.  main parses with one parser per
+process and checks --out (and walk's --manifest) before it runs the
+command; each _cmd_* handler returns its artifact text (walk also its
+manifest text) and main writes --out, then --manifest, so a refused
+path leaves no half run.
 Angles are radians, decimals or exact pi multiples ("pi/4", "1.5pi")
 that keep special points exact.  Only the model commands take angle
 flags, a family's model field names.  No command uses threads.  phase-diagram
@@ -134,19 +140,18 @@ def _zak_points(text: str) -> int:
     return value
 
 
-class UsageError(Exception):
-    """Arguments argparse accepted but the command refuses (exit 2)."""
-
-
 def _add_model_args(sp: argparse.ArgumentParser):
     sp.add_argument("--family", required=True, choices=tuple(FAMILY_CLASSES))
     for name in _ANGLE_FLAGS:
         sp.add_argument(f"--{name}", type=parse_angle, default=None)
 
 
-def _add_out(sp: argparse.ArgumentParser):
+def _add_out(sp: argparse.ArgumentParser, handler) -> None:
+    """Add --out, every command's last flag, and keep the handler main
+    runs and the parser the command's refusals go through."""
     sp.add_argument("--out", default="-",
                     help="output path ('-' for stdout, the default)")
+    sp.set_defaults(parser=sp, handler=handler)
 
 
 def _build_model(args: argparse.Namespace) -> WalkModel:
@@ -156,8 +161,8 @@ def _build_model(args: argparse.Namespace) -> WalkModel:
     if args.family == "standard" and given.get("phi") == 0.0:
         del given["phi"]  # a standard walk is the noncommuting one at phi = 0
     if set(given) != set(names):
-        raise UsageError(f"{args.family} family takes "
-                         + " ".join(f"--{n}" for n in names))
+        args.parser.error(f"{args.family} family takes "
+                          + " ".join(f"--{n}" for n in names))
     return make_model(args.family, [given[n] for n in names])
 
 
@@ -222,15 +227,14 @@ def _cmd_winding(args) -> str:
 
 
 def _check_budget(args, need: int, *flags: str) -> None:
-    """Raise UsageError when an estimated peak of need bytes exceeds
-    MEMORY_BUDGET; the message names the command and the size flags
-    behind need."""
+    """Refuse through the command's parser when an estimated peak of need
+    bytes exceeds MEMORY_BUDGET; the message names the size flags behind
+    need."""
     if need > MEMORY_BUDGET:
         given = " ".join(f"--{flag} {getattr(args, flag.replace('-', '_'))}"
                          for flag in flags)
-        raise UsageError(f"{args.command} {given} needs about {need >> 20}"
-                         f" MiB, over the {MEMORY_BUDGET >> 20} MiB"
-                         f" {args.command} budget")
+        args.parser.error(f"{given} needs about {need >> 20} MiB, over the"
+                          f" {MEMORY_BUDGET >> 20} MiB budget")
 
 
 def _cmd_walk(args) -> tuple[str, str]:
@@ -297,14 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="quasi-energy curve E(k)")
     _add_model_args(sp)
     sp.add_argument("--k-samples", type=_k_samples, default=361)
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_spectrum)
+    _add_out(sp, _cmd_spectrum)
 
     sp = sub.add_parser("bloch", help="Bloch vector samples n(k)")
     _add_model_args(sp)
     sp.add_argument("--k-samples", type=_k_samples, default=361)
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_bloch)
+    _add_out(sp, _cmd_bloch)
 
     sp = sub.add_parser("phase-diagram",
                         help="minimum-gap map over a two-angle grid")
@@ -312,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resolution", type=_resolution, default=201)
     sp.add_argument("--k-samples", default=361,
                     type=_int_at_least("k-samples", 8, MAX_CELLS + 1))
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_phase_diagram)
+    _add_out(sp, _cmd_phase_diagram)
 
     sp = sub.add_parser("dirac-points",
                         help="isolated gap closings in the angle square, "
@@ -321,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, choices=TWO_ANGLE_FAMILIES)
     sp.add_argument("--resolution", default=721,
                     type=_int_at_least("resolution", min_census_resolution()))
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_dirac_points)
+    _add_out(sp, _cmd_dirac_points)
 
     sp = sub.add_parser("zak", help="Zak phase of one band")
     _add_model_args(sp)
@@ -330,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-origin", type=parse_angle, default=0.0)
     sp.add_argument("--n-points", type=_zak_points, default=2048)
     sp.add_argument("--span", choices=("half", "full"), default="half")
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_zak)
+    _add_out(sp, _cmd_zak)
 
     sp = sub.add_parser("zak-map",
                         help="Zak phases of both bands over an angle grid")
@@ -339,16 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resolution", type=_resolution, default=201)
     sp.add_argument("--n-points", type=_zak_points, default=512)
     sp.add_argument("--span", choices=("half", "full"), default="half")
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_zak_map)
+    _add_out(sp, _cmd_zak_map)
 
     sp = sub.add_parser("winding",
                         help="winding number of the Bloch curve")
     _add_model_args(sp)
     sp.add_argument("--k-samples", type=_int_at_least("k-samples", 16),
                     default=1024)
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_winding)
+    _add_out(sp, _cmd_winding)
 
     sp = sub.add_parser("walk",
                         help="position distribution after N steps")
@@ -359,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chirality", choices=("+", "-"), default="+")
     sp.add_argument("--manifest", default=None,
                     help="also write a JSON run manifest to this path")
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_walk)
+    _add_out(sp, _cmd_walk)
 
     sp = sub.add_parser("holonomy-sphere",
                         help="parallel-transport table for latitude loops")
@@ -368,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of latitude loops (>= 3)")
     sp.add_argument("--steps", type=_int_at_least("steps", 100), default=20_000,
                     help="curve samples per loop (>= 100)")
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_holonomy_sphere)
+    _add_out(sp, _cmd_holonomy_sphere)
 
     sp = sub.add_parser("qgt",
                         help="quantum geometric tensor of the spin family")
@@ -378,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--band", choices=("plus", "minus"), default="plus")
     sp.add_argument("--h", type=_qgt_step, default=1e-4,
                     help="finite-difference step, in [1e-7, 1e-3]")
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_qgt)
+    _add_out(sp, _cmd_qgt)
 
     return parser
 
@@ -406,15 +400,23 @@ def _check_writable(path: str | None) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
+def _one_destination(a: str, b: str) -> bool:
+    """Whether paths a and b name one destination: both '-' (stdout), one
+    existing file (also through a symlink or a hard link), or one path."""
+    if "-" in (a, b):
+        return a == b
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samestat(os.stat(a), os.stat(b))
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         manifest_path = getattr(args, "manifest", None)
-        dest = [p if p in (None, "-") else os.path.realpath(p)
-                for p in (args.out, manifest_path)]
-        if dest[0] == dest[1]:
-            raise UsageError(f"--manifest {manifest_path!r} is also --out")
+        if (manifest_path is not None
+                and _one_destination(args.out, manifest_path)):
+            args.parser.error(f"--manifest {manifest_path!r} is also --out")
         for path in (args.out, manifest_path):
             _check_writable(path)
         outputs = args.handler(args)
@@ -427,10 +429,6 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

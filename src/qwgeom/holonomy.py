@@ -240,11 +240,24 @@ def quantum_geometric_tensor(family, at: tuple[float, float],
     widths h and h/2 are combined by one Richardson step; their
     disagreement, divided by 3, is the reported error bound.  h must lie
     in [1e-7, 1e-3]; a disagreement above 1e-4 raises
-    FiniteDifferenceError (cancellation or non-smooth family).
+    FiniteDifferenceError (cancellation or non-smooth family).  So does
+    a parameter point where rounding moves any stencil offset
+    (x +- w) - x, for w = h and h/2, off +-w by more than 1e-6 w: at
+    large |x| the widths shrink or collapse together, and the two
+    Richardson widths then agree on a wrong tensor.  Inside [-pi, pi]
+    the offsets stay within 3e-9 w for every accepted h.
     """
     lo, hi = QGT_STEP_RANGE
     if not lo <= h <= hi:
         raise ValueError(f"h must lie in [{lo:g}, {hi:g}]")
+    widths = np.array([h, -h, 0.5 * h, -0.5 * h])
+    x = np.array(at, dtype=float)[:, None]
+    distortion = float(np.max(np.abs((x + widths) - x - widths)
+                              / np.abs(widths)))
+    if distortion > 1e-6:
+        raise FiniteDifferenceError(
+            f"rounding moves a stencil offset by {distortion:.1e} of its "
+            f"width at parameters {tuple(map(float, at))}, over 1e-6")
     coarse = _projected_tensor(family, at, h)
     fine = _projected_tensor(family, at, 0.5 * h)
     disagreement = float(np.max(np.abs(fine - coarse)))

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, outputs, exit codes, determinism."""
 
 import argparse
+import fnmatch
 import json
 import math
 import os
@@ -283,7 +284,8 @@ def test_walk_over_memory_budget_exits_two(capsys, tmp_path):
                          "--theta", "pi/4", "--steps", "100000000000",
                          "--out", str(out_path))
     assert (code, out) == (2, "")
-    assert "walk budget" in err
+    assert err.splitlines()[-1].startswith(
+        "qwgeom walk: error: --steps 100000000000 needs about ")
     assert not out_path.exists()
     limit = (cli.MEMORY_BUDGET // walk.SITE_BYTES - 1) // 2
     assert walk.peak_bytes(1, limit) <= cli.MEMORY_BUDGET
@@ -295,7 +297,9 @@ def test_holonomy_over_memory_budget_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "holonomy-sphere", "--steps", "1000000000000",
                          "--out", str(out_path))
     assert (code, out) == (2, "")
-    assert "holonomy-sphere budget" in err
+    assert err.splitlines()[-1].startswith(
+        "qwgeom holonomy-sphere: error: --loops 9 --steps 1000000000000 "
+        "needs about ")
     assert not out_path.exists()
     limit = cli.MEMORY_BUDGET // holonomy.STEP_BYTES
     assert run(capsys, "holonomy-sphere", "--steps", str(limit + 1))[0] == 2
@@ -315,8 +319,8 @@ def test_holonomy_loops_over_memory_budget_exits_two(capsys, tmp_path,
     code, out, err = run(capsys, "holonomy-sphere", "--loops", "10000000000",
                          "--out", str(out_path))
     assert (code, out) == (2, "")
-    assert ("holonomy-sphere --loops 10000000000 --steps 20000 needs about"
-            in err)
+    assert ("qwgeom holonomy-sphere: error: --loops 10000000000 --steps 20000"
+            " needs about" in err)
     assert not out_path.exists()
 
 
@@ -343,8 +347,9 @@ def test_grid_command_over_memory_budget_exits_two(capsys, tmp_path,
     out_path = tmp_path / "grid.out"
     code, out, err = run(capsys, *argv, "--out", str(out_path))
     assert (code, out) == (2, "")
-    assert f"{argv[0]} {sizes} needs about" in err
-    assert f"MiB {argv[0]} budget" in err
+    assert f"qwgeom {argv[0]}: error: {sizes} needs about" in err
+    assert err.endswith(
+        f" MiB, over the {cli.MEMORY_BUDGET >> 20} MiB budget\n")
     assert not out_path.exists()
 
 
@@ -411,8 +416,9 @@ def test_curve_command_over_memory_budget_exits_two(capsys, tmp_path,
                          "--theta", "0.9", "--phi", "0.7", *argv[1:],
                          "--out", str(out_path))
     assert (code, out) == (2, "")
-    assert f"{argv[0]} {sizes} needs about" in err
-    assert f"MiB {argv[0]} budget" in err
+    assert f"qwgeom {argv[0]}: error: {sizes} needs about" in err
+    assert err.endswith(
+        f" MiB, over the {cli.MEMORY_BUDGET >> 20} MiB budget\n")
     assert not out_path.exists()
 
 
@@ -462,6 +468,10 @@ def test_domain_errors_exit_three(capsys):
     code, _, _ = run(capsys, "zak", "--family", "noncommuting",
                      "--theta", "0", "--phi", "0", "--band", "minus")
     assert code == 3
+    # Rounding collapses the stencil offsets x +- h at this angle.
+    code, out, err = run(capsys, "qgt", "--theta", "1e13", "--phi", "0.3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: rounding moves a stencil offset")
 
 
 @pytest.mark.parametrize("error, code", [(ValueError("bad angle"), 3),
@@ -535,24 +545,78 @@ def test_walk_unwritable_out_leaves_no_manifest(capsys, tmp_path,
     assert json.loads(manifest.read_text())["n_steps"] == 5
 
 
-def test_walk_refuses_one_destination_for_out_and_manifest(capsys, tmp_path,
-                                                           monkeypatch):
+_WALK = ("walk", "--family", "standard", "--theta", "0.3", "--steps")
+_BUDGET = f" MiB, over the {cli.MEMORY_BUDGET >> 20} MiB budget"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("spectrum", "--family", "standard", "--theta", "0.3",
+                  "--phi", "0.5", "--out", "x.csv"),
+                 "standard family takes --theta", id="angles-spectrum"),
+    pytest.param(("walk", "--family", "splitstep", "--theta1", "0.5",
+                  "--steps", "3", "--out", "x.csv", "--manifest", "m.json"),
+                 "splitstep family takes --theta1 --theta2", id="angles-walk"),
+    pytest.param((*_WALK, "100000000", "--out", "x.csv", "--manifest",
+                  "m.json"),
+                 "--steps 100000000 needs about *" + _BUDGET,
+                 id="budget-walk"),
+    pytest.param(("phase-diagram", "--family", "noncommuting",
+                  "--resolution", "3000", "--out", "x.csv"),
+                 "--resolution 3000 needs about *" + _BUDGET,
+                 id="budget-phase-diagram"),
+    pytest.param(("holonomy-sphere", "--loops", "100000000", "--out",
+                  "x.csv"),
+                 "--loops 100000000 --steps 20000 needs about *" + _BUDGET,
+                 id="budget-holonomy-sphere"),
+    pytest.param((*_WALK, "3", "--manifest", "-"),
+                 "--manifest '-' is also --out", id="destination-stdout"),
+    pytest.param((*_WALK, "3", "--out", "-", "--manifest", "-"),
+                 "--manifest '-' is also --out", id="destination-both-stdout"),
+    pytest.param((*_WALK, "3", "--out", "run.txt", "--manifest", "run.txt"),
+                 "--manifest 'run.txt' is also --out", id="destination-path"),
+    pytest.param((*_WALK, "3", "--out", "./run.txt", "--manifest", "run.txt"),
+                 "--manifest 'run.txt' is also --out",
+                 id="destination-relative"),
+    pytest.param((*_WALK, "3", "--out", "ABS/run.txt", "--manifest",
+                  "run.txt"),
+                 "--manifest 'run.txt' is also --out",
+                 id="destination-absolute"),
+    pytest.param((*_WALK, "3", "--out", "link.txt", "--manifest", "run.txt"),
+                 "--manifest 'run.txt' is also --out",
+                 id="destination-symlink"),
+    pytest.param((*_WALK, "3", "--out", "a.csv", "--manifest", "b.json"),
+                 "--manifest 'b.json' is also --out",
+                 id="destination-hard-link"),
+])
+def test_post_parse_refusals_print_the_subcommand_usage(capsys, tmp_path,
+                                                        monkeypatch, argv,
+                                                        message):
+    # Arguments argparse accepts but the command refuses: each refusal
+    # comes before any work, through the subcommand's own parser.
     monkeypatch.chdir(tmp_path)
     os.symlink("run.txt", "link.txt")
-    # The destinations are refused before the walk runs.
-    monkeypatch.setattr(cli, "trajectory", None)
-    argv = ("walk", "--family", "standard", "--theta", "pi/4", "--steps", "5")
-    for out_path, manifest in ((None, "-"), ("-", "-"),
-                               ("run.txt", "run.txt"),
-                               (str(tmp_path / "run.txt"), "run.txt"),
-                               ("./run.txt", "run.txt"),
-                               ("link.txt", "run.txt")):
-        paths = () if out_path is None else ("--out", out_path)
-        code, out, err = run(capsys, *argv, *paths, "--manifest", manifest)
-        assert (code, out) == (2, "")
-        assert err.splitlines()[-1] == (
-            f"qwgeom: error: --manifest {manifest!r} is also --out")
-        assert sorted(os.listdir()) == ["link.txt"]
+    Path("a.csv").write_text("kept\n")
+    os.link("a.csv", "b.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused command started its work")
+
+    for name in ("trajectory", "scan_gap", "parallel_transport"):
+        monkeypatch.setattr(cli, name, refuse)
+    before = {p: (p.is_symlink(), p.read_bytes() if p.exists() else None)
+              for p in tmp_path.iterdir()}
+    argv = [str(tmp_path / "run.txt") if a == "ABS/run.txt" else a
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: qwgeom {argv[0]} ")
+    # A budget message matches its MiB figure with *.
+    assert fnmatch.fnmatchcase(lines[-1],
+                               f"qwgeom {argv[0]}: error: {message}")
+    after = {p: (p.is_symlink(), p.read_bytes() if p.exists() else None)
+             for p in tmp_path.iterdir()}
+    assert after == before
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):

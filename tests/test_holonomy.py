@@ -3,7 +3,7 @@ finite-difference quantum geometric tensor."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwgeom.errors import (CurveNotSupportedError, FiniteDifferenceError,
@@ -319,3 +319,28 @@ def test_qgt_h_validation_and_rough_family():
 
     with pytest.raises(FiniteDifferenceError):
         quantum_geometric_tensor(jumpy, (0.0, 0.4))
+
+
+@pytest.mark.parametrize("theta", [1e8, 1e13])
+def test_qgt_refuses_a_stencil_that_rounding_distorts(theta):
+    # At 1e10 the offsets x +- h are off by 0.8% and both Richardson
+    # widths agree on g_tt = 0.2459 instead of 1/4; from 1e13 they collapse.
+    def family(a, b):
+        return bloch_sphere_state(a, b, +1)
+
+    with pytest.raises(FiniteDifferenceError, match="stencil offset"):
+        quantum_geometric_tensor(family, (theta, 0.3), h=1e-4)
+    with pytest.raises(FiniteDifferenceError, match="stencil offset"):
+        quantum_geometric_tensor(family, (0.3, theta), h=1e-4)
+
+
+@given(theta=st.floats(-np.pi, np.pi), phi=st.floats(-np.pi, np.pi),
+       h=st.floats(1e-7, 1e-3), band=st.sampled_from((+1, -1)))
+@example(theta=np.pi, phi=-np.pi, h=1e-7, band=+1)
+@example(theta=-np.pi, phi=np.pi, h=1e-3, band=-1)
+def test_qgt_stencil_guard_passes_every_in_range_point(theta, phi, h, band):
+    def family(a, b):
+        return bloch_sphere_state(a, b, band)
+
+    gt = quantum_geometric_tensor(family, (theta, phi), h=h)
+    assert abs(gt.g[0, 0] - 0.25) < 1e-6
