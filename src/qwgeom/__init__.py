@@ -17,7 +17,7 @@ from .holonomy import (GeometricTensor, SphereCurve, TangentVector,
 from .models import (NonCommutingWalk, SplitStepWalk, StandardWalk, WalkModel,
                      angular_coeffs, make_model)
 from .spin import (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, band_eigenvector,
-                   bloch_sphere_state, eig_h2, rotation_axis, rotation_x,
+                   bloch_sphere_state, rotation_axis, rotation_x,
                    rotation_y)
 from .topology import (DiracPoint, DiracPointSet, GapMap, find_dirac_points,
                        planar_winding, scan_gap, winding_number)
@@ -40,8 +40,7 @@ __all__ = [
     "NonCommutingWalk", "SplitStepWalk", "StandardWalk", "WalkModel",
     "angular_coeffs", "make_model",
     "IDENTITY_2", "PAULI_X", "PAULI_Y", "PAULI_Z", "band_eigenvector",
-    "bloch_sphere_state", "eig_h2", "rotation_axis", "rotation_x",
-    "rotation_y",
+    "bloch_sphere_state", "rotation_axis", "rotation_x", "rotation_y",
     "DiracPoint", "DiracPointSet", "GapMap", "find_dirac_points",
     "planar_winding", "scan_gap", "winding_number",
     "Distribution", "WalkerState", "evolve", "initial_state",

@@ -21,11 +21,11 @@ flags, a family's model field names.  No command uses threads.  phase-diagram
 (--k-samples 8 to 2**53 + 1) and the zak-map mask read their sampled
 band edge from models.sampled_band_edge, five momenta per node, so no
 momentum grid is built.  dirac-points evaluates the exact gap envelope
-on its angle grid, with no momentum samples, so its k* is exact; its
---resolution starts at topology.min_census_resolution(), 101.  zak
-evaluates each Wilson link as a spherical-triangle area of real unit
-Bloch vectors, which matches the complex eigenvector overlap chain to
-about 1e-14.  zak-map takes its phases from closed forms, within
+that models derives from each family's step on its angle grid, with
+no momentum samples, so its k* is exact; its --resolution starts at
+topology.min_census_resolution(), 101.  zak evaluates each Wilson link
+as a spherical-triangle area of real unit Bloch vectors, which matches
+the complex eigenvector overlap chain to about 1e-14.  zak-map takes its phases from closed forms, within
 6.2e-15 of that chain at its default size, and its --n-points (even,
 16 to 2**53) sets only the mask.  zak reduces --k-origin into
 [-pi, pi] before it builds the window and echoes the value as given.

@@ -1,28 +1,19 @@
 """One-dimensional discrete-time quantum walk families.
 
-Three coined walks on the line.  Each family is declared once, as a
-frozen dataclass whose fields are its coin angles, and its step_ops()
-lists in order of action the coins (2x2 matrices) and spin-dependent
-shifts of one step.  A shift is a pair (du, dv): the sites moved by the
-upper and by the lower spin component.  The full shift is (1, -1), with
-momentum-space form T(k) = diag(e^{+ik}, e^{-ik}); the split-step
-family uses the partial shifts (0, -1) and (1, 0), i.e.
-T_V(k) = diag(1, e^{-ik}) and T_H(k) = diag(e^{+ik}, 1).  The momentum
-unitary U(k), the position-space step (walk.step) and the CLI angle
-flags are all derived from that declaration.
-
-Every family's U(k) is an SU(2) element, so it can be written as
-exp(-i E(k) n(k) . sigma) with quasi-energy E in [0, pi] and a unit
-Bloch vector n(k).  Each family also carries closed forms for the
-dispersion cos E(k) and the (unnormalized) Bloch components, the fast
-paths used by scans; the unnormalized components N(k) defined by
-U(k) = cos E - i (N . sigma) satisfy |N(k)| = sin E(k) identically.
-A two-angle family also carries its exact gap envelope: max_k |cos E|
-and a momentum k* reaching it, as closed forms in the angles, from
-which sampled_band_edge reads the band edge of a sampled momentum
-window.  The split-step walk also declares its chiral axis: the normal
-of the plane through the origin that holds its Bloch curve, continuous
-in the angles.
+Each family is declared once, as a frozen dataclass whose fields are its
+coin angles and whose static step(*angles) lists in order of action the
+coins (2x2 matrices, stacked with the matrix axes last for angle arrays)
+and shifts of one step.  A shift (du, dv) moves the upper spin component
+du sites and the lower dv; (1, -1) is T(k) = diag(e^{ik}, e^{-ik}).  The
+position-space walk (walk.trajectory), the CLI angle flags and all below
+derive from that declaration.  Multiplied out as a Laurent polynomial in
+e^{ik}, a step gives U(k) = A e^{ik} + B + C e^{-ik} with no momentum
+sampled.  U = cos E - i N . sigma is in SU(2), |N| = sin E, so
+cos E = Re tr U / 2 = alpha + beta cos k + gamma sin k, with
+alpha = Re tr B / 2, beta = Re tr(A + C) / 2, gamma = -Im tr(A - C) / 2,
+and the Bloch components N_j = -Im tr(sigma_j U) / 2 are first harmonics
+too.  The exact gap envelope max_k |cos E| is |alpha| + hypot(beta,
+gamma), at k* = atan2(gamma, beta), turned by pi where alpha < 0.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import GaplessPointError
-from .spin import IDENTITY_2, rotation_x, rotation_y
+from .spin import rotation_x, rotation_y
 from .utils import canonical_angle
 
 DIRECTION_NORM_TOL = 1e-12
@@ -43,100 +34,102 @@ def angular_coeffs(theta: float, phi: float) -> tuple[float, float, float, float
 
     a = sin(phi) cos(theta), b = cos(phi) sin(theta),
     c = sin(phi) sin(theta), d = cos(phi) cos(theta).
-    They satisfy a^2 + b^2 + c^2 + d^2 = 1 and parametrize everything
-    about the non-commuting walk: cos E = d cos k + c sin k and the
-    Bloch components below.
+    They satisfy a^2 + b^2 + c^2 + d^2 = 1 and parametrize the
+    non-commuting walk: cos E = d cos k + c sin k.
     """
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     return sp * ct, cp * st, sp * st, cp * ct
 
 
-def standard_numerators(theta, k):
-    """Unnormalized Bloch components of the standard walk, shape (..., 3)."""
-    theta = np.asarray(theta, dtype=float)
+def _parts(coin) -> dict:
+    """{(r, j, q): part q (0 real, 1 imaginary) of a coin's entry (r, j)},
+    leaving out the parts that are zero at every angle."""
+    c = np.ascontiguousarray(coin)
+    if c.ndim == 2:
+        return {(r, j, q): v for r, row in enumerate(c.tolist()) for j, z
+                in enumerate(row) for q, v in enumerate((z.real, z.imag)) if v}
+    live = c.reshape(-1, 4).view(float).any(axis=0).reshape(2, 2, 2)
+    return {(r, j, q): (c.real, c.imag)[q][..., r, j]
+            for r, j, q in zip(*np.nonzero(live))}
+
+
+def _laurent(ops, diagonal: bool = False) -> dict:
+    """{(p, r, j, q): part q of entry (r, j) of P_p} for a step's ops, with
+    U(k) = sum_p P_p e^{ipk}; parts that are zero at every angle are left
+    out.  With diagonal, the last coin forms only the diagonal entries,
+    all that tr P_p reads."""
+    last = max(i for i, op in enumerate(ops) if not isinstance(op, tuple))
+    terms = {(0, 0, 0, 0): 1.0, (0, 1, 1, 0): 1.0}
+    for i, op in enumerate(ops):
+        if isinstance(op, tuple):
+            terms = {(p + op[r], r, j, q): x for (p, r, j, q), x in terms.items()}
+            continue
+        new = {}
+        for (r, s, q1), c in _parts(op).items():
+            for (p, s2, j, q2), x in terms.items():
+                if s2 != s or diagonal and i == last and r != j:
+                    continue
+                key = (p, r, j, q1 ^ q2)
+                term = -c * x if q1 & q2 else c * x  # i * i = -1
+                new[key] = new[key] + term if key in new else term
+        terms = new
+    if any(abs(key[0]) > 1 for key in terms):
+        raise ValueError("a step moves a spin component more than one site")
+    return terms
+
+
+# tr(S P) = sum of i^n P[r][j] over {(r, j): n}, for S = 1, i sigma_x,
+# i sigma_y and i sigma_z; half its real part, summed over U's
+# coefficients, is cos E, N_x, N_y and N_z.
+_TRACES = ({(0, 0): 0, (1, 1): 0}, {(0, 1): 1, (1, 0): 1},
+           {(1, 0): 0, (0, 1): 2}, {(0, 0): 1, (1, 1): 3})
+
+
+def _harmonics(terms: dict, trace: dict) -> dict:
+    """{0: h0, 1: hc, 2: hs} with Re sum_p tr(S P_p) e^{ipk} / 2 =
+    h0 + hc cos k + hs sin k, the zero ones left out."""
+    h = {}
+    for (p, r, j, q), x in terms.items():
+        if (r, j) in trace:
+            # x i^n e^{ipk} has the real part
+            # x (cos(n pi/2) cos k - p sin(n pi/2) sin k), p = 0 or +-1.
+            n = (trace[r, j] + q) % 4
+            slot, sign = (1 if p else 0, 1 - n) if n % 2 == 0 else (2, p * (n - 2))
+            if sign:
+                term = x if sign > 0 else -x
+                h[slot] = h[slot] + term if slot in h else term
+    return {slot: 0.5 * v for slot, v in h.items()}
+
+
+def _fourier(harmonics, k, shape) -> list:
+    """Each {0: h0, 1: hc, 2: hs} as h0 + hc cos k + hs sin k, shaped."""
     k = np.asarray(k, dtype=float)
-    st, ct = np.sin(theta), np.cos(theta)
-    sk, ck = np.sin(k), np.cos(k)
-    return np.stack(np.broadcast_arrays(sk * st, ck * st, -sk * ct), axis=-1)
+    out = [None] * len(harmonics)
+    for slot, wave in ((1, np.cos), (2, np.sin), (0, None)):
+        w = wave(k) if wave and any(slot in h for h in harmonics) else None
+        for i, h in enumerate(harmonics):
+            if slot in h:
+                term = h[slot] if wave is None else h[slot] * w
+                out[i] = term if out[i] is None else out[i] + term
+    return [v if v is not None and np.shape(v) == shape else
+            np.broadcast_to(0.0 if v is None else v, shape) for v in out]
 
 
-def standard_cos_energy(theta, k):
-    return np.cos(k) * np.cos(theta)
-
-
-def noncommuting_numerators(theta, phi, k):
-    """Unnormalized Bloch components of the non-commuting walk.
-
-    N1 = -a cos k + b sin k
-    N2 =  b cos k + a sin k
-    N3 =  c cos k - d sin k
-    with (a, b, c, d) = angular_coeffs(theta, phi).  Broadcasts over all
-    three arguments; the result has shape broadcast(...) + (3,).
-    """
-    a, b, c, d = angular_coeffs(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    k = np.asarray(k, dtype=float)
-    sk, ck = np.sin(k), np.cos(k)
-    return np.stack(
-        np.broadcast_arrays(-a * ck + b * sk, b * ck + a * sk, c * ck - d * sk),
-        axis=-1,
-    )
-
-
-def noncommuting_cos_energy(theta, phi, k):
-    _, _, c, d = angular_coeffs(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    return np.cos(k) * d + np.sin(k) * c
-
-
-def noncommuting_envelope(theta, phi):
-    """Exact band-edge envelope (max_k |cos E|, k*) of the non-commuting walk.
-
-    cos E = d cos k + c sin k peaks at sqrt(c^2 + d^2) for
-    k* = atan2(c, d), where cos E is +max, so a touching found there sits
-    at E = 0.  Broadcasts over both angles.
-    """
-    _, _, c, d = angular_coeffs(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    return np.hypot(c, d), np.arctan2(c, d)
-
-
-def splitstep_numerators(theta1, theta2, k):
-    """Unnormalized Bloch components of the split-step walk.
-
-    N1 = sin k sin(theta1) cos(theta2)
-    N2 = cos k sin(theta1) cos(theta2) + sin(theta2) cos(theta1)
-    N3 = -sin k cos(theta1) cos(theta2)
-    """
-    t1 = np.asarray(theta1, dtype=float)
-    t2 = np.asarray(theta2, dtype=float)
-    k = np.asarray(k, dtype=float)
-    s1, c1 = np.sin(t1), np.cos(t1)
-    s2, c2 = np.sin(t2), np.cos(t2)
-    sk, ck = np.sin(k), np.cos(k)
-    return np.stack(
-        np.broadcast_arrays(sk * s1 * c2, ck * s1 * c2 + s2 * c1, -sk * c1 * c2),
-        axis=-1,
-    )
-
-
-def splitstep_cos_energy(theta1, theta2, k):
-    t1 = np.asarray(theta1, dtype=float)
-    t2 = np.asarray(theta2, dtype=float)
-    return np.cos(k) * np.cos(t1) * np.cos(t2) - np.sin(t1) * np.sin(t2)
-
-
-def splitstep_envelope(theta1, theta2):
-    """Exact band-edge envelope (max_k |cos E|, k*) of the split-step walk.
-
-    cos E = cos k cos(theta1) cos(theta2) - sin(theta1) sin(theta2) is
-    extremal only at k = 0 and k = pi, so the envelope is
-    |cos(theta1) cos(theta2)| + |sin(theta1) sin(theta2)|, reached at
-    k* = 0 when the two products differ in sign and at k* = pi otherwise.
-    """
-    t1 = np.asarray(theta1, dtype=float)
-    t2 = np.asarray(theta2, dtype=float)
-    cc = np.cos(t1) * np.cos(t2)
-    ss = np.sin(t1) * np.sin(t2)
-    return np.abs(cc) + np.abs(ss), np.where(cc * ss > 0.0, np.pi, 0.0)
+def _edge(h: dict, shape):
+    """max_k |cos E| and a k* in [-pi, pi] reaching it, for the harmonics
+    h of cos E; with no sin k term, k* is 0 or pi without an arctangent."""
+    alpha, beta, gamma = h.get(0), h.get(1, 0.0), h.get(2)
+    if gamma is None:
+        peak, k_star, turn = np.abs(beta), 0.0, beta < 0.0
+    else:
+        peak, k_star, turn = np.hypot(beta, gamma), np.arctan2(gamma, beta), False
+    if alpha is not None:
+        peak, turn = np.abs(alpha) + peak, turn != (alpha < 0.0)
+    if turn is not False:
+        k_star = np.where(turn, k_star + np.pi, k_star)
+        k_star = np.where(k_star > np.pi, k_star - 2.0 * np.pi, k_star)
+    return np.broadcast_to(peak, shape), np.broadcast_to(k_star, shape)
 
 
 # Largest cell count of a sampled window: up to 2^53 every grid index and
@@ -160,13 +153,15 @@ def sampled_band_edge(family: str, a1, a2, lo: float, hi: float, cells: int):
     |cos E(-pi)| (split-step) or, by the sign of the sin k term, does not
     beat it for a k* near +-pi (non-commuting).  The cell index is wrapped
     on the circle as an integer, so 2 pi / (hi - lo) must be whole.  Ties
-    go to the lowest grid index.
+    go to the lowest grid index.  The harmonics of cos E are derived once
+    per call.
     """
     cls = two_angle_class(family)
     turns = 2.0 * np.pi / (hi - lo)
     if turns != round(turns) or not 1 <= cells <= MAX_CELLS:
         raise ValueError("the window must divide the zone into 1 to 2**53 cells")
-    k_star = cls.envelope(a1, a2)[1]
+    h = _harmonics(_laurent(cls.step(a1, a2), diagonal=True), _TRACES[0])
+    k_star = _edge(h, np.broadcast(a1, a2).shape)[1]
     k = np.stack([k_star, k_star + np.pi])
     j = np.floor((k - lo) * (cells / (hi - lo))).astype(np.intp)
     j %= cells * round(turns)
@@ -175,7 +170,7 @@ def sampled_band_edge(family: str, a1, a2, lo: float, hi: float, cells: int):
     step = (hi - lo) / cells
     ks = idx * step + lo
     ks[idx == cells] = hi
-    c = np.abs(cls.dispersion(a1, a2, ks))
+    c = np.abs(_fourier([h], ks, ks.shape)[0])
     best = c.max(axis=0)
     first = np.where(c == best, idx, cells).min(axis=0)
     return best, np.where(first == cells, hi, first * step + lo)
@@ -189,20 +184,14 @@ SHIFT_H = (1, 0)
 
 
 class WalkModel:
-    """Everything a walk family derives from its declaration.
-
-    A family is a frozen dataclass subclass whose fields are its coin
-    angles, sets its closed forms numerators(*angles, k) and
-    dispersion(*angles, k) (a two-angle family also envelope(*angles))
-    as static class attributes, and lists its step in step_ops().
-    Angles are canonicalised here, and the momentum unitary is folded
-    from step_ops().
+    """Everything a walk family derives from its declaration: a frozen
+    dataclass subclass whose fields are its coin angles (canonicalised
+    here) and whose static step(*angles) lists its coins and shifts.
+    The class methods numerators, dispersion and envelope broadcast over
+    angle and momentum arrays; a model reads them at its own angles.
     """
 
     family = "abstract"
-    numerators = None
-    dispersion = None
-    envelope = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -220,9 +209,43 @@ class WalkModel:
         declares none."""
         return None
 
-    def step_ops(self) -> tuple:
-        """Coins (2x2 arrays) and shifts (du, dv), in the order they act."""
+    @staticmethod
+    def step(*angles) -> tuple:
+        """Coins and shifts (du, dv) of one step, in the order they act."""
         raise NotImplementedError
+
+    def step_ops(self) -> tuple:
+        """The step at these angles, runs of coins multiplied into one."""
+        ops = []
+        for op in self.step(*self.angles):
+            if ops and not isinstance(op, tuple) and not isinstance(ops[-1], tuple):
+                ops[-1] = op @ ops[-1]
+            else:
+                ops.append(op)
+        return tuple(ops)
+
+    @classmethod
+    def numerators(cls, *args):
+        """Unnormalized Bloch components N(k) at the angles and momentum
+        args = (*angles, k), broadcast, shape (..., 3)."""
+        terms = _laurent(cls.step(*args[:-1]))
+        return np.stack(_fourier([_harmonics(terms, tr) for tr in _TRACES[1:]],
+                                 args[-1], np.broadcast(*args).shape), axis=-1)
+
+    @classmethod
+    def dispersion(cls, *args):
+        """cos E(k) at the angles and momentum args = (*angles, k),
+        broadcast."""
+        terms = _laurent(cls.step(*args[:-1]), diagonal=True)
+        return _fourier([_harmonics(terms, _TRACES[0])], args[-1],
+                        np.broadcast(*args).shape)[0]
+
+    @classmethod
+    def envelope(cls, *angles):
+        """Exact band-edge envelope (max_k |cos E|, k*) at the angles,
+        broadcast; k* lies in [-pi, pi]."""
+        terms = _laurent(cls.step(*angles), diagonal=True)
+        return _edge(_harmonics(terms, _TRACES[0]), np.broadcast(*angles).shape)
 
     def quasi_energy(self, k):
         """Quasi-energy band E(k) in [0, pi] (element-wise arccos)."""
@@ -260,19 +283,12 @@ class WalkModel:
         return self.dispersion(*self.angles, k)
 
     def momentum_unitaries(self, ks):
-        """U(k) for every momentum in ks, shape ks.shape + (2, 2).
-
-        Folds step_ops(): a coin left-multiplies, and a shift (du, dv)
-        left-multiplies by diag(e^{i du k}, e^{i dv k}).
-        """
+        """U(k) = sum_p P_p e^{ipk} for every momentum in ks, shape
+        ks.shape + (2, 2)."""
         ks = np.asarray(ks, dtype=float)
-        u = np.broadcast_to(IDENTITY_2, ks.shape + (2, 2))
-        for op in self.step_ops():
-            if isinstance(op, tuple):
-                phases = np.exp(1j * np.multiply.outer(ks, op))
-                u = phases[..., None] * u
-            else:
-                u = op @ u
+        u = np.zeros(ks.shape + (2, 2), dtype=complex)
+        for (p, r, j, q), x in _laurent(self.step_ops()).items():
+            u[..., r, j] += x * 1j**q * np.exp(1j * p * ks)
         return u
 
 
@@ -283,37 +299,33 @@ class StandardWalk(WalkModel):
     theta: float
 
     family = "standard"
-    numerators = staticmethod(standard_numerators)
-    dispersion = staticmethod(standard_cos_energy)
 
     @property
     def chiral_axis(self):
         """(cos theta, 0, sin theta), normal to N(k) at every k."""
         return np.array([np.cos(self.theta), 0.0, np.sin(self.theta)])
 
-    def step_ops(self):
-        return (rotation_y(self.theta), SHIFT)
+    @staticmethod
+    def step(theta):
+        return (rotation_y(theta), SHIFT)
 
 
 @dataclass(frozen=True)
 class NonCommutingWalk(WalkModel):
     """Shift times two non-commuting coins: U(k) = T(k) R_y(theta) R_x(phi).
 
-    R_x acts first on the state, then R_y, then the spin-dependent shift;
-    the two are declared as their product, one coin.  Setting phi = 0
-    recovers StandardWalk(theta) exactly.
+    R_x acts first on the state, then R_y, then the spin-dependent shift.
+    Setting phi = 0 recovers StandardWalk(theta) exactly.
     """
 
     theta: float
     phi: float
 
     family = "noncommuting"
-    numerators = staticmethod(noncommuting_numerators)
-    dispersion = staticmethod(noncommuting_cos_energy)
-    envelope = staticmethod(noncommuting_envelope)
 
-    def step_ops(self):
-        return (rotation_y(self.theta) @ rotation_x(self.phi), SHIFT)
+    @staticmethod
+    def step(theta, phi):
+        return (rotation_x(phi), rotation_y(theta), SHIFT)
 
 
 @dataclass(frozen=True)
@@ -330,17 +342,15 @@ class SplitStepWalk(WalkModel):
     theta2: float
 
     family = "splitstep"
-    numerators = staticmethod(splitstep_numerators)
-    dispersion = staticmethod(splitstep_cos_energy)
-    envelope = staticmethod(splitstep_envelope)
 
     @property
     def chiral_axis(self):
         """(cos theta1, 0, sin theta1), normal to N(k) at every k."""
         return np.array([np.cos(self.theta1), 0.0, np.sin(self.theta1)])
 
-    def step_ops(self):
-        return (rotation_y(self.theta1), SHIFT_V, rotation_y(self.theta2), SHIFT_H)
+    @staticmethod
+    def step(theta1, theta2):
+        return (rotation_y(theta1), SHIFT_V, rotation_y(theta2), SHIFT_H)
 
 
 FAMILY_CLASSES = {cls.family: cls
@@ -365,7 +375,7 @@ def make_model(family: str, angles) -> WalkModel:
 
 
 def two_angle_class(family: str):
-    """The family class of a two-angle family name; its static
+    """The family class of a two-angle family name; its class methods
     numerators, dispersion and envelope take (a1, a2, ...)."""
     if family not in TWO_ANGLE_FAMILIES:
         raise ValueError(f"family {family!r} is not a two-angle family")

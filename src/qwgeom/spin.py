@@ -16,16 +16,20 @@ for _m in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2):
     _m.setflags(write=False)
 
 
-def rotation_y(theta: float) -> np.ndarray:
-    """Real rotation [[cos, -sin], [sin, cos]], i.e. exp(-i theta sigma_y)."""
+def rotation_y(theta) -> np.ndarray:
+    """Real rotation [[cos, -sin], [sin, cos]], i.e. exp(-i theta sigma_y),
+    shape np.shape(theta) + (2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    m = np.array([[c, -s], [s, c]], dtype=complex)
+    return m.transpose(*range(2, m.ndim), 0, 1)
 
 
-def rotation_x(phi: float) -> np.ndarray:
-    """Coin [[cos, i sin], [i sin, cos]], i.e. exp(+i phi sigma_x)."""
+def rotation_x(phi) -> np.ndarray:
+    """Coin [[cos, i sin], [i sin, cos]], i.e. exp(+i phi sigma_x),
+    shape np.shape(phi) + (2, 2)."""
     c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, 1.0j * s], [1.0j * s, c]], dtype=complex)
+    m = np.array([[c, 1.0j * s], [1.0j * s, c]], dtype=complex)
+    return m.transpose(*range(2, m.ndim), 0, 1)
 
 
 def rotation_axis(axis, theta: float) -> np.ndarray:
@@ -127,20 +131,3 @@ def half_solid_angle(apex, a, b) -> np.ndarray:
     return np.arctan2(px * (uy * vz - uz * vy) + py * (uz * vx - ux * vz)
                       + pz * (ux * vy - uy * vx),
                       ux * vx + uy * vy + uz * vz)
-
-
-def eig_h2(n) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Closed-form spectral data of H = n . sigma for a single 3-vector.
-
-    Returns (lam_plus, lam_minus, v_plus, v_minus) with lam_plus = +|n|,
-    unit eigenvectors, and the same phase convention as band_eigenvector.
-    """
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("n must be a 3-vector")
-    r = float(np.sqrt(np.dot(n, n)))
-    if r < 1e-150:
-        raise DegeneratePointError("zero Bloch vector has no eigenbasis")
-    v_plus = band_eigenvector(n, +1)
-    v_minus = band_eigenvector(n, -1)
-    return r, -r, v_plus, v_minus

@@ -20,10 +20,12 @@ from .utils import fold_angle
 # Angle rows per scan_gap block: at 721^2 nodes, 0.15 s and 13 MB of peak
 # RSS growth, against 0.31 s and 144 MB for the whole grid at once.
 SCAN_BLOCK_ROWS = 16
-# Peak bytes per node of the envelope grid of find_dirac_points (measured
-# 32-38 from peak RSS growth at 201-2881 nodes a side, Linux x86-64,
-# numpy 2.4).
+# Peak bytes per node of the envelope grid of find_dirac_points, evaluated
+# ENVELOPE_BLOCK_ROWS angle rows at a time (measured 9-25 from peak RSS
+# growth at 201-2881 nodes a side, Linux x86-64, numpy 2.4; 13 ms at 721^2
+# against 27 ms for the whole grid at once).
 ENVELOPE_NODE_BYTES = 48
+ENVELOPE_BLOCK_ROWS = 64
 # Default gap below which a census grid node is a candidate closing.
 CANDIDATE_GAP = 1e-3
 # Largest gap after refinement at which a census candidate is a point.
@@ -167,19 +169,19 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     """Locate all isolated gap closings of a two-angle family.
 
     The family's exact gap envelope 1 - max_k |cos E| is evaluated once
-    on a coarse_resolution^2 grid over the angle square (no momentum
-    grid).  Nodes with gap below candidate_gap are grouped into spatial
-    components.  Components wider than half a radian are reported via
-    continuous_boundary instead of as points (the split-step family
-    closes its gap along whole lines).  Every compact component is seeded
-    at its first lowest node, and all seeds are refined together by a
-    pattern search on the envelope (_refine_touchings), in the two angles
-    only, from the grid spacing down.  A grid coarser than
-    min_census_resolution(candidate_gap) can miss closings, so it raises
-    ValueError.  Each point's momentum is the envelope's k* at the
-    refined angles, folded into (-pi, pi]; for the non-commuting family
-    cos E = +1 there, so every touching is reported at energy 0.  Points
-    are sorted by angles.
+    on a coarse_resolution^2 grid over the angle square, in blocks of
+    ENVELOPE_BLOCK_ROWS rows (no momentum grid).  Nodes with gap below
+    candidate_gap are grouped into spatial components.  Components wider
+    than half a radian are reported via continuous_boundary instead of
+    as points (the split-step family closes its gap along whole lines).
+    Every compact component is seeded at its first lowest node, and all
+    seeds are refined together by a pattern search on the envelope
+    (_refine_touchings), in the two angles only, from the grid spacing
+    down.  A grid coarser than min_census_resolution(candidate_gap) can
+    miss closings, so it raises ValueError.  Each point's momentum is
+    the envelope's k* at the refined angles, folded into (-pi, pi]; for
+    the non-commuting family cos E = +1 there, so every touching is
+    reported at energy 0.  Points are sorted by angles.
     """
     floor = min_census_resolution(candidate_gap)
     if coarse_resolution < floor:
@@ -191,7 +193,10 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
         return 1.0 - envelope(a1, a2)[0]
 
     angles = np.linspace(-np.pi, np.pi, coarse_resolution)
-    gap = gap_at(angles[:, None], angles[None, :])
+    gap = np.empty((coarse_resolution, coarse_resolution))
+    for start in range(0, coarse_resolution, ENVELOPE_BLOCK_ROWS):
+        rows = slice(start, start + ENVELOPE_BLOCK_ROWS)
+        gap[rows] = gap_at(angles[rows, None], angles)
     ii, jj = np.nonzero(gap < candidate_gap)
     nodes = np.column_stack([angles[ii], angles[jj]])
     seeds = np.empty((0, 2))

@@ -1,4 +1,4 @@
-"""Small shared helpers: angle folding and circular comparison."""
+"""Small shared helpers: angle folding and canonical angles."""
 
 from __future__ import annotations
 
@@ -30,11 +30,6 @@ def canonical_angle(x: float) -> float:
     if -math.pi <= x <= math.pi:
         return x
     return math.remainder(x, TWO_PI)
-
-
-def circular_distance(a: float, b: float) -> float:
-    """Distance between two angles on the circle, in [0, pi]."""
-    return abs(fold_angle(a - b))
 
 
 def worker_count() -> int:

@@ -229,8 +229,8 @@ def momentum_oracle(state0: WalkerState, model: WalkModel,
     psi_hat(k_j) = sum_x psi(x) e^{+i k_j x} equals m * ifft(psi)_j up
     to the phase e^{i k_j x_lo}; that phase is a scalar per k, commutes
     with U(k) and cancels in the inverse transform, so the evolved state
-    is fft(U(k)^n ifft(psi)) with no wrap-around.  U(k) is folded from
-    step_ops() (momentum_unitaries) and U(k)^n taken in closed form
+    is fft(U(k)^n ifft(psi)) with no wrap-around.  U(k) is the Laurent
+    sum of step_ops() (momentum_unitaries) and U(k)^n taken in closed form
     (unitary_power), so time is O(m log m) and memory O(m): a few arrays
     of m two-component amplitudes or 2x2 matrices, no m x m transform
     matrix.  The returned grid matches the one position-space

@@ -28,10 +28,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GaplessPointError, OrthogonalStatesError
-from .models import (MAX_CELLS, WalkModel, angular_coeffs,
-                     sampled_band_edge, splitstep_numerators)
+from .models import (MAX_CELLS, SplitStepWalk, WalkModel, angular_coeffs,
+                     sampled_band_edge)
 from .spin import half_solid_angle
-from .utils import canonical_angle, circular_distance, fold_angle
+from .topology import SCAN_BLOCK_ROWS
+from .utils import canonical_angle, fold_angle
 
 PATH_GAP_TOL = 1e-6
 OVERLAP_TOL = 1e-12
@@ -193,7 +194,7 @@ def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
     n = model.bloch_numerators(ks)
     phase = float(_wilson_phases(n, weight, (band,))[0])
     coarse = float(_wilson_phases(n[::2], weight, (band,))[0])
-    converged = circular_distance(phase, coarse) <= CONVERGENCE_FLAG_TOL
+    converged = abs(fold_angle(phase - coarse)) <= CONVERGENCE_FLAG_TOL
     return ZakResult(band=band, phase=phase, k_origin=float(k_origin),
                      n_points=n_points, model=model, span=span,
                      converged=converged)
@@ -273,7 +274,7 @@ def zak_splitstep_analytic(theta1: float, theta2: float,
         raise ValueError("n_samples must be at least 16")
     planar = bool(min(abs(np.cos(theta1)), abs(np.cos(theta2))) <= 1e-9)
     ks = np.linspace(-np.pi / 2.0, np.pi / 2.0, n_samples + 1)
-    n = splitstep_numerators(theta1, theta2, ks)
+    n = SplitStepWalk.numerators(theta1, theta2, ks)
     if np.any(np.hypot(n[:, 0], n[:, 1]) < 1e-12):
         raise GaplessPointError("in-plane Bloch component vanishes on the path; "
                                 "endpoint form undefined")
@@ -318,8 +319,8 @@ def _splitstep_phases(theta1, theta2, span: str):
     """
     half_width, weight = _SPANS[span]
     ks = np.linspace(-half_width, half_width, 3 if span == SPAN_HALF else 5)
-    n = splitstep_numerators(np.asarray(theta1)[..., None],
-                             np.asarray(theta2)[..., None], ks)
+    n = SplitStepWalk.numerators(np.asarray(theta1)[..., None],
+                                 np.asarray(theta2)[..., None], ks)
     return _wilson_phases(n, weight)
 
 
@@ -337,9 +338,9 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     read from models.sampled_band_edge at five momenta per node.  The other
     nodes' phases are closed forms (_CLOSED_FORMS): at the default size
     they are within 6.2e-15 of the sampled Wilson chain of zak_numeric
-    at k_origin = 0.  Rows of the grid run one at a time, so the peak
-    memory is that of the map itself; the default map takes 0.04-0.09 s
-    (one thread, 2-vCPU x86-64 VM).
+    at k_origin = 0.  The grid runs topology.SCAN_BLOCK_ROWS rows at a
+    time, so the peak memory is that of the map and one block; the
+    default map takes 0.02-0.04 s (one thread, 2-vCPU x86-64 VM).
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
@@ -351,11 +352,13 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     shape = (resolution, resolution)
     plus, minus = np.full(shape, np.nan), np.full(shape, np.nan)
     masked = np.empty(shape, dtype=bool)
-    for i, a1 in enumerate(angles):
-        masked[i] = 1.0 - sampled_band_edge(family, a1, angles, lo, hi,
-                                            n_points)[0] < PATH_GAP_TOL
-        live = ~masked[i]
-        plus[i, live], minus[i, live] = phases(a1, angles[live], span)
+    for start in range(0, resolution, SCAN_BLOCK_ROWS):
+        rows = slice(start, start + SCAN_BLOCK_ROWS)
+        a1, a2 = np.meshgrid(angles[rows], angles, indexing="ij")
+        masked[rows] = 1.0 - sampled_band_edge(family, a1, a2, lo, hi,
+                                               n_points)[0] < PATH_GAP_TOL
+        live = ~masked[rows]
+        plus[rows][live], minus[rows][live] = phases(a1[live], a2[live], span)
     return ZakMap(family=family, angles1=angles, angles2=angles.copy(),
                   zak_plus=plus, zak_minus=minus, masked=masked,
                   n_points=n_points, span=span)

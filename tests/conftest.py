@@ -1,15 +1,18 @@
 """Shared test configuration: deterministic Hypothesis runs and the
 strategies several test modules draw from."""
 
+import contextlib
 import functools
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from qwgeom.models import FAMILY_CLASSES, make_model
+from qwgeom import models
+from qwgeom.models import FAMILY_CLASSES, WalkModel, make_model
+from qwgeom.spin import rotation_x, rotation_y
 from qwgeom.zak import zak_map
 
 # Examples derive from each test's source rather than a random seed, and
@@ -34,3 +37,41 @@ def default_zak_map():
     """zak_map(family, span=span) at the zak-map command's default grid,
     computed once per (family, span) for the whole session."""
     return functools.cache(lambda family, span: zak_map(family, span=span))
+
+
+@dataclass(frozen=True)
+class SwappedCoinWalk(WalkModel):
+    """A test-only two-angle family, declared by its fields and its step
+    alone: the non-commuting walk's coins in the opposite order, R_y
+    first, then R_x, then the full shift."""
+
+    theta: float
+    phi: float
+
+    family = "swapped-coins"
+
+    @staticmethod
+    def step(theta, phi):
+        return (rotation_y(theta), rotation_x(phi), (1, -1))
+
+
+def swapped_coin_unitary(theta, phi, k):
+    """SwappedCoinWalk's U(k) = T(k) R_x(phi) R_y(theta), built densely
+    here, independent of the model code."""
+    ry = np.array([[np.cos(theta), -np.sin(theta)],
+                   [np.sin(theta), np.cos(theta)]])
+    rx = np.array([[np.cos(phi), 1j * np.sin(phi)],
+                   [1j * np.sin(phi), np.cos(phi)]])
+    shift = np.diag([np.exp(1j * k), np.exp(-1j * k)])
+    return shift @ rx @ ry
+
+
+@contextlib.contextmanager
+def swapped_coins_registered():
+    """SwappedCoinWalk as a two-angle family of qwgeom.models while the
+    block runs (usable inside Hypothesis tests, unlike the fixture)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(FAMILY_CLASSES, SwappedCoinWalk.family, SwappedCoinWalk)
+        mp.setattr(models, "TWO_ANGLE_FAMILIES",
+                   (*models.TWO_ANGLE_FAMILIES, SwappedCoinWalk.family))
+        yield

@@ -1,5 +1,6 @@
 """CSV formatting: the block formatter against a per-cell row writer."""
 
+import io
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import SwappedCoinWalk, swapped_coin_unitary
 from qwgeom import emit
 from qwgeom.holonomy import (TangentVector, latitude_loop, parallel_transport,
                               solid_angle, sphere_point)
@@ -154,6 +156,23 @@ def test_curve_emitters_match_cell_oracle():
         dist = probability_distribution(evolve(initial_state("+"), model, 25))
         assert emit.distribution_csv(dist) == oracle_csv(
             ("x", "p"), zip(dist.positions, dist.p))
+
+
+def test_spectrum_of_a_family_declared_in_the_test():
+    # Declared by its fields and step alone; every column against the
+    # test's own dense U(k): cos E = Re tr U / 2, E = |arg| of each
+    # eigenvalue.
+    ks = np.linspace(-np.pi, np.pi, 37)
+    table = np.loadtxt(io.StringIO(emit.spectrum_csv(SwappedCoinWalk(0.9, 0.3),
+                                                     ks)),
+                       delimiter=",", skiprows=1)
+    us = [swapped_coin_unitary(0.9, 0.3, k) for k in ks]
+    cos_e = np.array([0.5 * np.trace(u).real for u in us])
+    phases = np.abs(np.angle([np.linalg.eigvals(u) for u in us]))
+    assert np.array_equal(table[:, 0], ks)
+    assert np.max(np.abs(table[:, 1] - cos_e)) <= 1e-15
+    assert np.max(np.abs(table[:, 2, None] - phases)) <= 1e-12
+    assert np.max(np.abs(table[:, 3] - (1.0 - np.abs(cos_e)))) <= 1e-15
 
 
 @pytest.mark.parametrize("family", ["noncommuting", "splitstep"])

@@ -14,7 +14,8 @@ from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
 from qwgeom.spin import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 from qwgeom.utils import canonical_angle
 
-from conftest import angles, walk_models
+from conftest import (SwappedCoinWalk, angles, swapped_coin_unitary,
+                      swapped_coins_registered, walk_models)
 
 
 def _ry(theta):
@@ -51,6 +52,100 @@ def _random_models(rng, count):
         else:
             yield SplitStepWalk(rng.uniform(-np.pi, np.pi),
                                 rng.uniform(-np.pi, np.pi))
+
+
+# The closed forms each family used to state beside its step, kept as
+# oracles of the forms WalkModel derives from the step.
+def _standard_numerators(theta, k):
+    st, ct = np.sin(theta), np.cos(theta)
+    sk, ck = np.sin(k), np.cos(k)
+    return np.stack(np.broadcast_arrays(sk * st, ck * st, -sk * ct), axis=-1)
+
+
+def _standard_cos_energy(theta, k):
+    return np.cos(k) * np.cos(theta)
+
+
+def _noncommuting_numerators(theta, phi, k):
+    a, b, c, d = angular_coeffs(theta, phi)
+    sk, ck = np.sin(k), np.cos(k)
+    return np.stack(
+        np.broadcast_arrays(-a * ck + b * sk, b * ck + a * sk, c * ck - d * sk),
+        axis=-1)
+
+
+def _noncommuting_cos_energy(theta, phi, k):
+    _, _, c, d = angular_coeffs(theta, phi)
+    return np.cos(k) * d + np.sin(k) * c
+
+
+def _noncommuting_envelope(theta, phi):
+    _, _, c, d = angular_coeffs(theta, phi)
+    return np.hypot(c, d), np.arctan2(c, d)
+
+
+def _splitstep_numerators(theta1, theta2, k):
+    s1, c1 = np.sin(theta1), np.cos(theta1)
+    s2, c2 = np.sin(theta2), np.cos(theta2)
+    sk, ck = np.sin(k), np.cos(k)
+    return np.stack(
+        np.broadcast_arrays(sk * s1 * c2, ck * s1 * c2 + s2 * c1, -sk * c1 * c2),
+        axis=-1)
+
+
+def _splitstep_cos_energy(theta1, theta2, k):
+    return (np.cos(k) * np.cos(theta1) * np.cos(theta2)
+            - np.sin(theta1) * np.sin(theta2))
+
+
+def _splitstep_envelope(theta1, theta2):
+    cc = np.cos(theta1) * np.cos(theta2)
+    ss = np.sin(theta1) * np.sin(theta2)
+    return np.abs(cc) + np.abs(ss), np.where(cc * ss > 0.0, np.pi, 0.0)
+
+
+def _check_derived_forms(a1, a2, k):
+    exact = [
+        (StandardWalk.numerators(a1, k), _standard_numerators(a1, k)),
+        (StandardWalk.dispersion(a1, k), _standard_cos_energy(a1, k)),
+        (NonCommutingWalk.numerators(a1, a2, k),
+         _noncommuting_numerators(a1, a2, k)),
+        (NonCommutingWalk.dispersion(a1, a2, k),
+         _noncommuting_cos_energy(a1, a2, k)),
+        (NonCommutingWalk.envelope(a1, a2)[0], _noncommuting_envelope(a1, a2)[0]),
+        (SplitStepWalk.envelope(a1, a2)[0], _splitstep_envelope(a1, a2)[0]),
+    ]
+    for derived, oracle in exact:
+        assert np.shape(derived) == np.shape(oracle)
+        assert np.array_equal(derived, oracle)
+    # beta cos k rounds apart from cos k cos(theta1) cos(theta2): 1 ulp.
+    for derived, oracle in (
+            (SplitStepWalk.numerators(a1, a2, k), _splitstep_numerators(a1, a2, k)),
+            (SplitStepWalk.dispersion(a1, a2, k), _splitstep_cos_energy(a1, a2, k))):
+        assert np.shape(derived) == np.shape(oracle)
+        assert np.max(np.abs(derived - oracle)) <= np.finfo(float).eps
+    # k* +pi and -pi are one momentum.  Where sin(theta1) sin(theta2) = 0
+    # a split-step |cos E| peaks at both 0 and pi, and either is k*.
+    for derived, oracle, tie in (
+            (NonCommutingWalk.envelope(a1, a2)[1],
+             _noncommuting_envelope(a1, a2)[1], False),
+            (SplitStepWalk.envelope(a1, a2)[1], _splitstep_envelope(a1, a2)[1],
+             np.sin(a1) * np.sin(a2) == 0.0)):
+        same = (np.remainder(derived, 2.0 * np.pi)
+                == np.remainder(oracle, 2.0 * np.pi))
+        assert np.all(same | tie)
+
+
+_angle_lists = st.lists(angles, min_size=1, max_size=4)
+
+
+@given(a1=_angle_lists, a2=_angle_lists, k=_angle_lists)
+def test_derived_forms_match_hand_written_oracles(a1, a2, k):
+    # One node with scalar angles (float coin entries), then every node
+    # of the lists with broadcast angle arrays.
+    _check_derived_forms(a1[0], a2[0], np.array(k))
+    _check_derived_forms(np.array(a1)[:, None, None],
+                         np.array(a2)[None, :, None], np.array(k))
 
 
 def test_angular_coeffs_values_and_identity():
@@ -187,7 +282,7 @@ _near_diagonal = st.tuples(
 _HALF, _FULL = (-np.pi / 2, np.pi / 2), (-np.pi, np.pi)
 
 
-@given(family=st.sampled_from(TWO_ANGLE_FAMILIES),
+@given(family=st.sampled_from((*TWO_ANGLE_FAMILIES, SwappedCoinWalk.family)),
        node=st.one_of(st.tuples(st.one_of(angles, _closings),
                                 st.one_of(angles, _closings)),
                       _near_diagonal),
@@ -209,19 +304,26 @@ _HALF, _FULL = (-np.pi / 2, np.pi / 2), (-np.pi, np.pi)
          window=_HALF, cells=9)
 @example(family="splitstep", node=(0.5, 0.7), window=_FULL, cells=360)
 def test_sampled_band_edge_equals_full_sweep(family, node, window, cells):
+    # The test-only family also runs, against its own dense U(k) too.
     a1, a2 = node
     lo, hi = window
-    cos_e = two_angle_class(family).dispersion
     ks = np.linspace(lo, hi, cells + 1)
-    sweep = np.abs(cos_e(a1, a2, ks))
-    best, k_best = sampled_band_edge(family, a1, a2, lo, hi, cells)
+    with swapped_coins_registered():
+        cos_e = two_angle_class(family).dispersion
+        sweep = np.abs(cos_e(a1, a2, ks))
+        best, k_best = sampled_band_edge(family, a1, a2, lo, hi, cells)
     assert best == sweep.max()
     assert abs(cos_e(a1, a2, k_best)) == best
     # Split-step |cos E| can be flat to the last bit across several
     # momenta, where the sweep's first argmax need not be a neighbour of
     # k*; the value there is the same.
-    if family == "noncommuting":
+    if family != "splitstep":
         assert k_best == ks[np.argmax(sweep)]
+    if family == SwappedCoinWalk.family:
+        dense = np.abs([0.5 * np.trace(swapped_coin_unitary(a1, a2, k)).real
+                        for k in (*ks, k_best)])
+        assert abs(best - dense[:-1].max()) <= 1e-15
+        assert abs(dense[-1] - dense[:-1].max()) <= 1e-15
 
 
 def test_unitary_reconstruction_from_energy_and_axis():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qwgeom.errors import DegeneratePointError
 from qwgeom.spin import (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z,
-                         band_eigenvector, bloch_sphere_state, eig_h2,
+                         band_eigenvector, bloch_sphere_state,
                          half_solid_angle, rotation_axis, rotation_x,
                          rotation_y)
 
@@ -40,6 +40,15 @@ def test_rotation_x_entries():
     expected = np.array([[np.cos(ph), 1j * np.sin(ph)],
                          [1j * np.sin(ph), np.cos(ph)]])
     assert np.array_equal(m, expected)
+
+
+def test_rotations_broadcast_with_matrix_axes_last():
+    angles = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+    for rot in (rotation_y, rotation_x):
+        stack = rot(angles)
+        assert stack.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(stack[idx], rot(angles[idx]))
 
 
 def test_rotations_are_unitary_and_compose():
@@ -137,6 +146,15 @@ def test_band_eigenvector_eigen_equation_random():
               + n[:, 2, None] * (PAULI_Z @ v[..., None])[..., 0])
         residual = np.linalg.norm(hv - band * r[:, None] * v, axis=1)
         assert np.max(residual / r) < 1e-12
+    # Against the general Hermitian solver: eigh sorts ascending, so
+    # column 0 holds the -|n| and column 1 the +|n| eigenvector.
+    h = np.einsum("ni,ijk->njk", n, np.array([PAULI_X, PAULI_Y, PAULI_Z]))
+    w, vecs = np.linalg.eigh(h)
+    assert np.max(np.abs(w - r[:, None] * [-1.0, 1.0]) / r[:, None]) < 1e-14
+    for band, col in ((+1, 1), (-1, 0)):
+        overlap = np.abs(np.sum(vecs[:, :, col].conj()
+                                * band_eigenvector(n, band), axis=1))
+        assert np.max(np.abs(overlap - 1.0)) < 1e-12
 
 
 def test_band_eigenvectors_are_orthogonal():
@@ -199,28 +217,6 @@ def test_band_eigenvector_shape_validation():
         band_eigenvector(np.ones((4, 2)), +1)
     with pytest.raises(ValueError):
         band_eigenvector(np.ones(3), 2)
-
-
-def test_eig_h2_against_general_solver():
-    rng = np.random.default_rng(47)
-    for _ in range(30):
-        n = rng.normal(size=3)
-        lam_p, lam_m, vp, vm = eig_h2(n)
-        r = np.linalg.norm(n)
-        assert abs(lam_p - r) < 1e-14
-        assert abs(lam_m + r) < 1e-14
-        h = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-        w, vecs = np.linalg.eigh(h)
-        # eigh sorts ascending, so column 1 is the +r eigenvector.
-        assert abs(abs(np.vdot(vecs[:, 1], vp)) - 1.0) < 1e-12
-        assert abs(abs(np.vdot(vecs[:, 0], vm)) - 1.0) < 1e-12
-
-
-def test_eig_h2_matches_batch_solver():
-    n = np.array([0.3, -1.1, 0.4])
-    _, _, vp, vm = eig_h2(n)
-    assert np.allclose(vp, band_eigenvector(n, +1))
-    assert np.allclose(vm, band_eigenvector(n, -1))
 
 
 def test_half_solid_angle_octant_orientation_and_degenerate():

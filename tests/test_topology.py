@@ -17,7 +17,8 @@ from qwgeom.topology import (_cluster_components, _refine_touchings,
 from qwgeom.utils import fold_angle
 from qwgeom.zak import zak_map
 
-from conftest import angles
+from conftest import (SwappedCoinWalk, angles, swapped_coin_unitary,
+                      swapped_coins_registered)
 
 
 def test_scan_gap_grid_and_values():
@@ -316,6 +317,30 @@ def test_census_drops_candidates_that_do_not_close(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert (code, json.loads(out)) == (0, [])
     assert err == "note: 13 candidate cluster(s) failed refinement\n"
+
+
+def test_scan_and_census_of_a_family_declared_in_the_test():
+    # Declared by its fields and step alone, registered as a two-angle
+    # family; the scan and the census against the test's own dense U(k).
+    family = SwappedCoinWalk.family
+    with swapped_coins_registered():
+        gm = scan_gap(family, resolution=9, k_samples=33)
+        ds = find_dirac_points(family, 121)
+
+    def dense_gap(a1, a2, k):
+        return 1.0 - abs(0.5 * np.trace(swapped_coin_unitary(a1, a2, k)).real)
+
+    ks = np.linspace(-np.pi, np.pi, 33)
+    for i, a1 in enumerate(gm.angles1):
+        for j, a2 in enumerate(gm.angles2):
+            sweep = min(dense_gap(a1, a2, k) for k in ks)
+            assert abs(gm.gap[i, j] - sweep) <= 1e-15
+            assert abs(dense_gap(a1, a2, gm.argmin_k[i, j]) - sweep) <= 1e-15
+    # The coins close the gap where the non-commuting walk's do: 13 nodes.
+    assert (len(ds.points), ds.dropped, ds.continuous_boundary) == (13, 0, False)
+    for p in ds.points:
+        u = swapped_coin_unitary(p.angle1, p.angle2, p.momentum)
+        assert np.max(np.abs(np.linalg.eigvals(u) - np.cos(p.energy))) <= 1e-7
 
 
 def test_dirac_points_sorted_deterministically():

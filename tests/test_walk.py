@@ -157,8 +157,9 @@ class _HFirstSplitStep(WalkModel):
 
     family = "h-first-splitstep"
 
-    def step_ops(self):
-        return (rotation_y(self.alpha), (1, 0), rotation_x(self.beta), (0, -1))
+    @staticmethod
+    def step(alpha, beta):
+        return (rotation_y(alpha), (1, 0), rotation_x(beta), (0, -1))
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,14 @@ class _GlobalPhaseWalk(WalkModel):
 
     family = "global-phase"
 
-    def step_ops(self):
-        coin = np.exp(1j * self.alpha) * rotation_y(self.theta) \
-            @ rotation_x(self.phi)
+    @staticmethod
+    def step(alpha, theta, phi):
+        coin = np.exp(1j * alpha) * rotation_y(theta) @ rotation_x(phi)
         return (coin, (1, -1))
 
 
 def test_family_declared_in_test_matches_oracle():
-    # Only step_ops() is declared here, so agreement shows that the
+    # Only the step is declared here, so agreement shows that the
     # position step and the momentum unitary are derived generically;
     # the global-phase family makes the oracle's sqrt(det U) factor count.
     rng = np.random.default_rng(439)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import angles, walk_models
+from conftest import SwappedCoinWalk, angles, swapped_coin_unitary, walk_models
 from qwgeom import zak
 from qwgeom.errors import GaplessPointError, OrthogonalStatesError
 from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
@@ -83,6 +83,26 @@ def _oracle_phase(model, band, k_origin, n_points, span):
                      n_points + 1)
     vectors = band_eigenvector(model.bloch_numerators(ks), band)
     return fold_angle(weight * discrete_berry_phase(vectors))
+
+
+def test_zak_of_a_family_declared_in_the_test():
+    # Declared by its fields and step alone; both spans against the
+    # overlap chain of the test's own dense eigenvectors.  The band s
+    # state has the eigenvalue e^{-i s E}, E in (0, pi), and is taken in
+    # band_eigenvector's gauge (lower component real, of sign -s), which
+    # fixes the open chain's ends.
+    theta, phi = 0.9, 0.3
+    for span, width, weight in (("half", np.pi / 2, 2.0), ("full", np.pi, 1.0)):
+        for band in (+1, -1):
+            vectors = []
+            for k in np.linspace(-width, width, 513):
+                lam, vec = np.linalg.eig(swapped_coin_unitary(theta, phi, k))
+                v = vec[:, np.argmin(band * lam.imag)]
+                vectors.append(v * (-band * abs(v[1]) / v[1]))
+            oracle = weight * discrete_berry_phase(np.array(vectors))
+            zr = zak_numeric(SwappedCoinWalk(theta, phi), band, n_points=512,
+                             span=span)
+            assert _circ(zr.phase, oracle) < 1e-12
 
 
 def test_zak_chart_pole_path_raises_gapless():
