@@ -8,8 +8,8 @@ quantum geometric tensor, plus a deterministic CLI over all of it.
 
 from .errors import (CurveNotSupportedError, DegeneratePointError,
                      FiniteDifferenceError, GaplessPointError,
-                     GridMismatchError, NonPlanarCurveError,
-                     OrthogonalStatesError, QwGeomError)
+                     GridMismatchError, OrthogonalStatesError,
+                     QwGeomError)
 from .holonomy import (GeometricTensor, SphereCurve, TangentVector,
                        berry_overlap_phase, latitude_loop,
                        parallel_transport, quantum_geometric_tensor,
@@ -17,10 +17,9 @@ from .holonomy import (GeometricTensor, SphereCurve, TangentVector,
 from .models import (NonCommutingWalk, SplitStepWalk, StandardWalk, WalkModel,
                      angular_coeffs, make_model)
 from .spin import (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, band_eigenvector,
-                   bloch_sphere_state, rotation_axis, rotation_x,
-                   rotation_y)
+                   bloch_sphere_state, rotation_x, rotation_y)
 from .topology import (DiracPoint, DiracPointSet, GapMap, find_dirac_points,
-                       planar_winding, scan_gap, winding_number)
+                       scan_gap, winding_number)
 from .walk import (Distribution, WalkerState, evolve, initial_state,
                    momentum_oracle, probability_distribution, similarity,
                    step, total_variation, trajectory)
@@ -32,17 +31,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CurveNotSupportedError", "DegeneratePointError", "FiniteDifferenceError",
-    "GaplessPointError", "GridMismatchError", "NonPlanarCurveError",
-    "OrthogonalStatesError", "QwGeomError",
+    "GaplessPointError", "GridMismatchError", "OrthogonalStatesError",
+    "QwGeomError",
     "GeometricTensor", "SphereCurve", "TangentVector", "berry_overlap_phase",
     "latitude_loop", "parallel_transport", "quantum_geometric_tensor",
     "solid_angle", "sphere_point", "state_distance",
     "NonCommutingWalk", "SplitStepWalk", "StandardWalk", "WalkModel",
     "angular_coeffs", "make_model",
     "IDENTITY_2", "PAULI_X", "PAULI_Y", "PAULI_Z", "band_eigenvector",
-    "bloch_sphere_state", "rotation_axis", "rotation_x", "rotation_y",
+    "bloch_sphere_state", "rotation_x", "rotation_y",
     "DiracPoint", "DiracPointSet", "GapMap", "find_dirac_points",
-    "planar_winding", "scan_gap", "winding_number",
+    "scan_gap", "winding_number",
     "Distribution", "WalkerState", "evolve", "initial_state",
     "momentum_oracle", "probability_distribution", "similarity", "step",
     "total_variation", "trajectory",

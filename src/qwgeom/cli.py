@@ -29,11 +29,13 @@ the complex eigenvector overlap chain to about 1e-14.  zak-map takes its phases 
 6.2e-15 of that chain at its default size, and its --n-points (even,
 16 to 2**53) sets only the mask.  zak reduces --k-origin into
 [-pi, pi] before it builds the window and echoes the value as given.
-winding needs --k-samples >= 16.  A size flag whose estimated peak
+winding reads the Bloch ellipse off three momenta in closed form and
+takes no size flag; it exits 3 where the exact gap envelope is within
+topology.CLOSING_GAP of closing.  A size flag whose estimated peak
 memory exceeds MEMORY_BUDGET bytes is refused up front with exit 2,
 before anything is allocated: --steps of walk, --loops and --steps of
-holonomy-sphere, --k-samples of spectrum, bloch and winding, --n-points
-of zak, and --resolution of phase-diagram, dirac-points and zak-map.
+holonomy-sphere, --k-samples of spectrum and bloch, --n-points of zak,
+and --resolution of phase-diagram, dirac-points and zak-map.
 Every CSV row costs emit.CSV_ROW_BYTES in these estimates (spectrum,
 bloch, phase-diagram, zak-map and the holonomy-sphere loops);
 phase-diagram's and zak-map's estimates are that alone, one row per
@@ -61,9 +63,8 @@ from .holonomy import (QGT_STEP_RANGE, STEP_BYTES, TangentVector,
 from .models import (FAMILY_CLASSES, MAX_CELLS, TWO_ANGLE_FAMILIES,
                      WalkModel, make_model)
 from .spin import bloch_sphere_state
-from .topology import (ENVELOPE_NODE_BYTES, WINDING_SAMPLE_BYTES,
-                       find_dirac_points, min_census_resolution, scan_gap,
-                       winding_number)
+from .topology import (ENVELOPE_NODE_BYTES, find_dirac_points,
+                       min_census_resolution, scan_gap, winding_number)
 from .utils import fold_angle
 from .walk import (TRIM_STEPS, initial_state, momentum_oracle, peak_bytes,
                    probability_distribution, similarity, total_variation,
@@ -221,9 +222,7 @@ def _cmd_zak_map(args) -> str:
 
 def _cmd_winding(args) -> str:
     model = _build_model(args)
-    _check_budget(args, WINDING_SAMPLE_BYTES * args.k_samples, "k-samples")
-    w = winding_number(model, k_samples=args.k_samples)
-    return emit.winding_json(model, w, args.k_samples)
+    return emit.winding_json(model, winding_number(model))
 
 
 def _check_budget(args, need: int, *flags: str) -> None:
@@ -343,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("winding",
                         help="winding number of the Bloch curve")
     _add_model_args(sp)
-    sp.add_argument("--k-samples", type=_int_at_least("k-samples", 16),
-                    default=1024)
     _add_out(sp, _cmd_winding)
 
     sp = sub.add_parser("walk",

@@ -168,11 +168,10 @@ def distribution_csv(d: Distribution) -> str:
     return csv_text(("x", "p"), (d.positions, d.p))
 
 
-def winding_json(model: WalkModel, winding: int, k_samples: int) -> str:
+def winding_json(model: WalkModel, winding: int) -> str:
     payload = {
         "model": model_payload(model),
         "winding": int(winding),
-        "k_samples": int(k_samples),
     }
     return json_text(payload)
 

@@ -17,10 +17,6 @@ class GaplessPointError(QwGeomError):
     """A quantity was requested at or too close to a band-touching point."""
 
 
-class NonPlanarCurveError(QwGeomError):
-    """A curve expected to lie in a plane through the origin does not."""
-
-
 class CurveNotSupportedError(QwGeomError):
     """A transport curve violates a precondition (not closed, bad shape, ...)."""
 

@@ -32,25 +32,6 @@ def rotation_x(phi) -> np.ndarray:
     return m.transpose(*range(2, m.ndim), 0, 1)
 
 
-def rotation_axis(axis, theta: float) -> np.ndarray:
-    """exp(-i theta n . sigma) for a unit axis n = (nx, ny, nz).
-
-    Raises ValueError if the axis is not normalized to 1 within 1e-9.
-    """
-    nx, ny, nz = (float(a) for a in axis)
-    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"rotation axis must be a unit vector, |n| = {norm!r}")
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array(
-        [
-            [c - 1.0j * nz * s, (1.0j * nx - ny) * s],
-            [(1.0j * nx + ny) * s, c + 1.0j * nz * s],
-        ],
-        dtype=complex,
-    )
-
-
 def bloch_sphere_state(theta: float, phi: float, band: int) -> np.ndarray:
     """Eigenstate of n(theta, phi) . sigma in the symmetric half-angle gauge.
 

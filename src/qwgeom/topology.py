@@ -3,7 +3,10 @@
 Provides gap maps over two-angle parameter squares, location of
 isolated gap closings (Dirac points), all refined together by one array
 pattern search, and the integer winding number of the Bloch curve
-k -> N(k) about the origin of its plane.
+k -> N(k) about the origin of its plane.  Every family's N(k) is a first
+harmonic, so its Bloch curve is an ellipse and the winding is read off
+three momenta in closed form (winding_number); a step whose N(k) has
+degree 2 in e^{ik} would need the argument principle.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaplessPointError, NonPlanarCurveError
+from .errors import GaplessPointError
 from .models import MAX_CELLS, sampled_band_edge, two_angle_class
 from .utils import fold_angle
 
@@ -30,10 +33,9 @@ ENVELOPE_BLOCK_ROWS = 64
 CANDIDATE_GAP = 1e-3
 # Largest gap after refinement at which a census candidate is a point.
 ACCEPT_GAP = 1e-9
-# Peak bytes per momentum sample of winding_number (Bloch curve, its SVD
-# and in-plane angles; measured 136-139 from peak RSS growth at 2e5-3.2e6
-# samples, Linux x86-64, numpy 2.4).
-WINDING_SAMPLE_BYTES = 160
+# Largest exact envelope gap at which winding_number refuses a model:
+# exact closings give gaps within 2.2e-16 of 0.
+CLOSING_GAP = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -226,67 +228,41 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
                          dropped=int(np.count_nonzero(~accept)))
 
 
-def planar_winding(points: np.ndarray, normal=None) -> int:
-    """Winding number of a closed planar curve about the origin's
-    in-plane projection.
+def winding_number(model) -> int:
+    """Winding of the Bloch curve k -> N(k) of a walk model about the
+    origin's projection onto the curve's plane, in closed form.
 
-    points has shape (n, 3) and samples the loop once, without repeating
-    the first point.  The best-fit plane comes from an SVD about the
-    centroid; deviations beyond 1e-6 (relative to the curve size) raise
-    NonPlanarCurveError.  The in-plane frame is fixed deterministically:
-    its normal is the given unit normal of the curve's plane, or else the
-    SVD normal with its largest component made positive; the first basis
-    vector is a projected coordinate axis, and the second completes a
-    right-handed triple.  If the curve approaches the projected origin
-    closer than 1e-9 the winding is undefined and GaplessPointError is
-    raised.
+    Every family's N(k) is a first harmonic n0 + nc cos k + ns sin k
+    (models._laurent refuses a step that moves a spin component two
+    sites), so N(0), N(pi/2) and N(pi) give n0 = (N(0) + N(pi)) / 2,
+    nc = (N(0) - N(pi)) / 2 and ns = N(pi/2) - n0 exactly, and the curve
+    is an ellipse traced counterclockwise about t = nc x ns.  Writing
+    -n0 = a nc + b ns + c t, the origin's projection lies inside it when
+    a^2 + b^2 < 1, that is X^2 + Y^2 < (t.t)^2 with X = (ns x n0).t and
+    Y = (n0 x nc).t, which needs no division: a constant N or a segment
+    (t = 0) winds 0.  Inside, the winding is the sign of axis.t, about
+    the model's chiral axis where it declares one, so it changes only
+    where the gap closes; otherwise about t with its largest-magnitude
+    component made positive.  A step of degree 2 in e^{ik} would need
+    the argument principle instead.
+
+    Raises GaplessPointError where the exact envelope gap
+    1 - max_k |cos E| is at most CLOSING_GAP; the closed form decides
+    every other model, so a refusal means min_k |N| = sin E below about
+    sqrt(2 CLOSING_GAP) = 4.2e-8.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-        raise ValueError("points must have shape (n, 3) with n >= 3")
-    centroid = pts.mean(axis=0)
-    rel = pts - centroid
-    scale = max(1.0, float(np.abs(rel).max()))
-    _, sing, vt = np.linalg.svd(rel, full_matrices=False)
-    if sing[2] > 1e-6 * scale:
-        raise NonPlanarCurveError(
-            f"curve is not planar: residual {sing[2]:.3e} exceeds tolerance")
-    if normal is None:
-        normal = vt[2]
-        pivot = int(np.argmax(np.abs(normal)))
-        if normal[pivot] < 0.0:
-            normal = -normal
-    # First in-plane axis: the coordinate axis least aligned with normal,
-    # projected into the plane.
-    seed_axis = np.zeros(3)
-    seed_axis[int(np.argmin(np.abs(normal)))] = 1.0
-    e1 = seed_axis - np.dot(seed_axis, normal) * normal
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-
-    # In-plane coordinates measured from the origin's projection reduce
-    # to plain dot products: (p - c).e - (0 - c).e = p.e for each axis.
-    x = pts @ e1
-    y = pts @ e2
-    radii = np.hypot(x, y)
-    if radii.min() < 1e-9:
-        raise GaplessPointError("curve passes through the winding center")
-    ang = np.arctan2(y, x)
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
-    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-    total = float(inc.sum())
-    return int(round(total / (2.0 * math.pi)))
-
-
-def winding_number(model, k_samples: int = 1024) -> int:
-    """Winding of the Bloch curve N(k) of a walk model about the origin.
-
-    Samples k uniformly over one zone without the duplicate endpoint.
-    The sign is taken about the model's chiral axis where it declares
-    one, so it changes only where the gap closes; otherwise about
-    planar_winding's SVD normal.
-    """
-    if k_samples < 16:
-        raise ValueError("k_samples must be at least 16")
-    ks = np.linspace(-np.pi, np.pi, k_samples, endpoint=False)
-    return planar_winding(model.bloch_numerators(ks), model.chiral_axis)
+    if 1.0 - float(model.envelope(*model.angles)[0]) <= CLOSING_GAP:
+        raise GaplessPointError(f"the Bloch curve of {model!r} passes "
+                                "through the winding centre")
+    ks = np.array([0.0, 0.5 * np.pi, np.pi])
+    at0, at_half, at_pi = model.bloch_numerators(ks)
+    n0 = 0.5 * (at0 + at_pi)
+    nc = 0.5 * (at0 - at_pi)
+    ns = at_half - n0
+    t, ns_n0, n0_nc = np.cross([nc, ns, n0], [ns, n0, nc])
+    x, y = ns_n0 @ t, n0_nc @ t
+    if x * x + y * y >= (t @ t) ** 2:
+        return 0
+    axis = model.chiral_axis
+    side = t[np.argmax(np.abs(t))] if axis is None else axis @ t
+    return 1 if side > 0.0 else -1

@@ -252,34 +252,36 @@ class SplitStepZak(NamedTuple):
     planar: bool
 
 
-def zak_splitstep_analytic(theta1: float, theta2: float,
-                           n_samples: int = 4096) -> SplitStepZak:
+def zak_splitstep_analytic(theta1: float, theta2: float) -> SplitStepZak:
     """In-plane endpoint form of the split-step Zak phase, plus the
     published closed form.
 
-    endpoint_form is the continuously unwrapped in-plane angle
-    phi(k) = atan2(ny, nx) swept between the half-zone endpoints,
-    phi(-pi/2) - phi(pi/2), folded into (-pi, pi].  It equals the Zak
+    endpoint_form is the in-plane angle phi(k) = atan2(ny, nx) swept
+    between the half-zone endpoints, phi(-pi/2) - phi(pi/2), folded into
+    (-pi, pi]; folded, the sweep depends only on its two ends, so no
+    momentum between them is sampled.  It equals the Zak
     phase exactly when the Bloch curve lies in the xy plane (nz
     identically zero), which for this family means
     cos(theta1) * cos(theta2) = 0; the planar flag reports whether that
     holds within 1e-9, and off-plane angles are still evaluated so the
-    published ratio below stays inspectable everywhere.
+    published ratio below stays inspectable everywhere.  The in-plane
+    part (A sin k, B + A cos k), A = sin(theta1) cos(theta2) and
+    B = cos(theta1) sin(theta2), has |.|^2 = A^2 + B^2 + 2 A B cos k,
+    smallest over the window at k = 0 or +-pi/2, so GaplessPointError is
+    raised where it is below 1e-12 at one of those three momenta.
 
     as_published is the ratio tan(theta2)/tan(theta1) reported verbatim
     for reference, or None when tan(theta1) = 0 makes it undefined.  It
     is a ratio, not a phase, and no other computation here consumes it.
     """
-    if n_samples < 16:
-        raise ValueError("n_samples must be at least 16")
     planar = bool(min(abs(np.cos(theta1)), abs(np.cos(theta2))) <= 1e-9)
-    ks = np.linspace(-np.pi / 2.0, np.pi / 2.0, n_samples + 1)
+    ks = np.array([-0.5 * np.pi, 0.0, 0.5 * np.pi])
     n = SplitStepWalk.numerators(theta1, theta2, ks)
     if np.any(np.hypot(n[:, 0], n[:, 1]) < 1e-12):
         raise GaplessPointError("in-plane Bloch component vanishes on the path; "
                                 "endpoint form undefined")
-    swept = np.unwrap(np.arctan2(n[:, 1], n[:, 0]))
-    endpoint_form = fold_angle(float(swept[0] - swept[-1]))
+    phi = np.arctan2(n[:, 1], n[:, 0])
+    endpoint_form = fold_angle(float(phi[0] - phi[-1]))
     t1 = np.tan(theta1)
     published = None if abs(t1) < 1e-15 else float(np.tan(theta2) / t1)
     return SplitStepZak(endpoint_form, published, planar)

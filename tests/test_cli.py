@@ -139,9 +139,13 @@ def test_winding_json(capsys):
     code, out, _ = run(capsys, "winding", "--family", "splitstep",
                        "--theta1", "0.9", "--theta2", "0.2")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["winding"] == -1
-    assert payload["k_samples"] == 1024
+    assert json.loads(out) == {"model": {"family": "splitstep",
+                                         "angles": [0.9, 0.2]},
+                               "winding": -1}
+    code, out, err = run(capsys, "winding", "--family", "standard",
+                         "--theta", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_holonomy_sphere_table(capsys):
@@ -247,7 +251,7 @@ def test_angle_square_commands_refuse_flags_they_do_not_read(capsys, tmp_path,
 @pytest.mark.parametrize("command, extra", [
     ("spectrum", ("--k-samples", "16")), ("bloch", ("--k-samples", "16")),
     ("zak", ("--band", "plus", "--n-points", "16")),
-    ("winding", ("--k-samples", "16")), ("walk", ("--steps", "3"))])
+    ("winding", ()), ("walk", ("--steps", "3"))])
 @pytest.mark.parametrize("angles", [
     ("standard", "--theta", "0.7"),
     ("noncommuting", "--theta", "0.7", "--phi", "0.3"),
@@ -395,8 +399,6 @@ def test_zak_map_n_points_sets_only_the_mask(capsys):
                  "--k-samples 99999999999", id="spectrum"),
     pytest.param(("bloch", "--k-samples", "99999999999"),
                  "--k-samples 99999999999", id="bloch"),
-    pytest.param(("winding", "--k-samples", "99999999999"),
-                 "--k-samples 99999999999", id="winding"),
     pytest.param(("zak", "--band", "plus", "--n-points", "99999999998"),
                  "--n-points 99999999998", id="zak"),
 ])
@@ -407,7 +409,7 @@ def test_curve_command_over_memory_budget_exits_two(capsys, tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("the budget check let an oversize curve through")
 
-    for name in ("_k_grid", "winding_number", "zak_numeric"):
+    for name in ("_k_grid", "zak_numeric"):
         monkeypatch.setattr(cli, name, refuse)
     for name in ("spectrum_csv", "bloch_csv"):
         monkeypatch.setattr(emit, name, refuse)
@@ -490,15 +492,12 @@ def test_library_errors_exit_with_one_line(capsys, monkeypatch, error, code):
     assert str(error) in err
 
 
-def test_winding_k_samples_below_sixteen_exit_two(capsys):
-    argv = ("winding", "--family", "standard", "--theta", "0.9",
-            "--k-samples")
-    code, out, err = run(capsys, *argv, "15")
+def test_winding_k_samples_is_an_unrecognized_argument(capsys):
+    code, out, err = run(capsys, "winding", "--family", "standard",
+                         "--theta", "0.9", "--k-samples", "16")
     assert (code, out) == (2, "")
-    assert "argument --k-samples: k-samples must be >= 16" in err
-    code, out, _ = run(capsys, *argv, "16")
-    assert code == 0
-    assert json.loads(out)["k_samples"] == 16
+    assert err.splitlines()[-1] == ("qwgeom: error: unrecognized arguments: "
+                                    "--k-samples 16")
 
 
 _OUTPUT_FLAGS = {

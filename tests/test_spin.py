@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qwgeom.errors import DegeneratePointError
 from qwgeom.spin import (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z,
                          band_eigenvector, bloch_sphere_state,
-                         half_solid_angle, rotation_axis, rotation_x,
-                         rotation_y)
+                         half_solid_angle, rotation_x, rotation_y)
 
 
 def test_pauli_algebra():
@@ -61,40 +61,12 @@ def test_rotations_are_unitary_and_compose():
             assert np.allclose(rot(a) @ rot(b), rot(a + b), atol=1e-13)
 
 
-def test_rotation_axis_entry_formula():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        nx, ny, nz = axis
-        th = rng.uniform(-3.0, 3.0)
-        c, s = np.cos(th), np.sin(th)
-        expected = np.array([[c - 1j * nz * s, (1j * nx - ny) * s],
-                             [(1j * nx + ny) * s, c + 1j * nz * s]])
-        m = rotation_axis(axis, th)
-        assert np.allclose(m, expected, atol=1e-14)
-        assert np.allclose(m @ m.conj().T, IDENTITY_2, atol=1e-12)
-        assert abs(np.linalg.det(m) - 1.0) < 1e-12
-
-
-def test_rotation_axis_z_quarter_turn():
-    m = rotation_axis((0.0, 0.0, 1.0), np.pi / 2)
-    assert np.allclose(m, np.diag([-1j, 1j]), atol=1e-15)
-
-
-def test_rotation_axis_recovers_named_coins():
+def test_named_coins_are_pauli_exponentials():
     th = 0.83
-    assert np.allclose(rotation_axis((0, 1, 0), th), rotation_y(th),
+    assert np.allclose(scipy.linalg.expm(-1j * th * PAULI_Y), rotation_y(th),
                        atol=1e-15)
-    assert np.allclose(rotation_axis((1, 0, 0), th), rotation_x(th),
+    assert np.allclose(scipy.linalg.expm(1j * th * PAULI_X), rotation_x(th),
                        atol=1e-15)
-
-
-def test_rotation_axis_rejects_non_unit_axis():
-    with pytest.raises(ValueError):
-        rotation_axis((0.0, 0.0, 0.5), 1.0)
-    with pytest.raises(ValueError):
-        rotation_axis((1.0, 1.0, 1.0), 1.0)
 
 
 def _direction(theta, phi):

@@ -4,16 +4,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwgeom import cli
-from qwgeom.errors import GaplessPointError, NonPlanarCurveError
+from qwgeom.errors import GaplessPointError
 from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
                            SplitStepWalk, StandardWalk, two_angle_class)
 from qwgeom.topology import (_cluster_components, _refine_touchings,
                              find_dirac_points, min_census_resolution,
-                             planar_winding, scan_gap, winding_number)
+                             scan_gap, winding_number)
 from qwgeom.utils import fold_angle
 from qwgeom.zak import zak_map
 
@@ -355,6 +355,47 @@ def test_splitstep_has_continuous_gapless_boundary():
     assert ds.points == ()
 
 
+def planar_winding(points: np.ndarray, normal=None) -> int:
+    """Winding number of a closed planar curve about the origin's in-plane
+    projection, from its unwrapped in-plane angle: the sampled path that
+    winding_number's closed form replaced, kept as its oracle.
+
+    points has shape (n, 3) and samples the loop once, without repeating
+    the first point.  The best-fit plane comes from an SVD about the
+    centroid; deviations beyond 1e-6 (relative to the curve size) raise
+    ValueError.  Its normal is the given unit normal, or else the SVD
+    normal with its largest component made positive.  A curve closer
+    than 1e-9 to the projected origin raises GaplessPointError.
+    """
+    pts = np.asarray(points, dtype=float)
+    rel = pts - pts.mean(axis=0)
+    _, sing, vt = np.linalg.svd(rel, full_matrices=False)
+    if sing[2] > 1e-6 * max(1.0, float(np.abs(rel).max())):
+        raise ValueError(f"curve is not planar: residual {sing[2]:.3e}")
+    if normal is None:
+        normal = vt[2] * np.sign(vt[2][np.argmax(np.abs(vt[2]))])
+    # In-plane frame: the coordinate axis least aligned with the normal,
+    # projected into the plane, then normal x e1.
+    e1 = np.zeros(3)
+    e1[np.argmin(np.abs(normal))] = 1.0
+    e1 -= (e1 @ normal) * normal
+    e1 /= np.linalg.norm(e1)
+    x, y = pts @ e1, pts @ np.cross(normal, e1)
+    if np.hypot(x, y).min() < 1e-9:
+        raise GaplessPointError("curve passes through the winding center")
+    ang = np.arctan2(y, x)
+    inc = np.diff(np.concatenate([ang, ang[:1]]))
+    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+    return round(float(inc.sum()) / (2.0 * np.pi))
+
+
+def sampled_winding(model) -> int:
+    """planar_winding of a model's Bloch curve at 4096 momenta, about its
+    chiral axis where it declares one."""
+    ks = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
+    return planar_winding(model.bloch_numerators(ks), model.chiral_axis)
+
+
 def _circle(n, e1, e2, turns=1, r=1.0, center=None):
     ts = 2.0 * np.pi * turns * np.arange(n) / n
     pts = r * (np.cos(ts)[:, None] * e1 + np.sin(ts)[:, None] * e2)
@@ -394,7 +435,7 @@ def test_planar_winding_tilted_plane():
 def test_planar_winding_rejects_nonplanar():
     ts = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
     helix = np.stack([np.cos(ts), np.sin(ts), 0.3 * np.sin(3 * ts)], axis=1)
-    with pytest.raises(NonPlanarCurveError):
+    with pytest.raises(ValueError, match="not planar"):
         planar_winding(helix)
 
 
@@ -412,14 +453,26 @@ def test_winding_number_goldens():
     assert winding_number(SplitStepWalk(0.2, 0.9)) == 0
     assert winding_number(SplitStepWalk(0.9, 0.2)) == -1
     assert winding_number(StandardWalk(0.6)) == -1
+    # A constant N(k) and a segment through no origin wind 0.
+    assert winding_number(SplitStepWalk(0.5, np.pi / 2)) == 0
+    assert winding_number(SplitStepWalk(0.0, 0.7)) == 0
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([StandardWalk, NonCommutingWalk, SplitStepWalk,
+                        SwappedCoinWalk]), angles, angles)
+def test_winding_number_matches_the_sampled_oracle(cls, a1, a2):
+    model = cls(a1) if cls is StandardWalk else cls(a1, a2)
+    assume(1.0 - float(model.envelope(*model.angles)[0]) >= 1e-3)
+    assert winding_number(model) == sampled_winding(model)
 
 
 @pytest.mark.parametrize("centre", [-np.pi / 4, 3 * np.pi / 4])
 @pytest.mark.parametrize("theta2", [0.1, 0.5, -0.3, 1.2, 2.9])
 def test_splitstep_winding_constant_where_the_gap_stays_open(centre, theta2):
     # The chiral axis (cos theta1, 0, sin theta1) swaps its largest
-    # component at these theta1, where planar_winding's SVD pivot rule
-    # would flip the winding's sign.
+    # component at these theta1, where the pivot rule of a family with no
+    # chiral axis would flip the winding's sign.
     theta1 = centre + np.linspace(-0.2, 0.2, 41)
     envelope = SplitStepWalk.envelope(theta1, theta2)[0]
     assert np.min(1.0 - envelope) > 1e-3
@@ -461,5 +514,13 @@ def test_winding_number_gapped_noncommuting_is_unit():
 
 
 def test_winding_number_gapless_model_raises():
-    with pytest.raises(GaplessPointError):
-        winding_number(StandardWalk(0.0))
+    # Exact closings: the census nodes, the four split-step lines
+    # theta2 = +-theta1 (+ pi), and standard theta in {0, +-pi}.
+    t1 = np.random.default_rng(331).uniform(-np.pi, np.pi, 64)
+    closings = [NonCommutingWalk(a1, a2) for a1, a2, _ in _analytic_census()]
+    closings += [SplitStepWalk(a1, a2) for a1 in t1
+                 for a2 in (a1, -a1, a1 + np.pi, np.pi - a1)]
+    closings += [StandardWalk(t) for t in (0.0, np.pi, -np.pi)]
+    for model in closings:
+        with pytest.raises(GaplessPointError):
+            winding_number(model)

@@ -369,6 +369,37 @@ def test_zak_splitstep_analytic_planar_flag_and_endpoint_form():
             assert _circ(z, ss.endpoint_form) < 1e-6
 
 
+def _unwrapped_endpoint_form(theta1, theta2):
+    """The in-plane angle unwrapped over 4097 momenta of the half zone,
+    swept from -pi/2 to pi/2, or None where a sample has |N_perp| below
+    1e-12: the sampled path zak_splitstep_analytic's three momenta
+    replaced."""
+    ks = np.linspace(-np.pi / 2.0, np.pi / 2.0, 4097)
+    n = SplitStepWalk.numerators(theta1, theta2, ks)
+    if np.any(np.hypot(n[:, 0], n[:, 1]) < 1e-12):
+        return None
+    swept = np.unwrap(np.arctan2(n[:, 1], n[:, 0]))
+    return fold_angle(float(swept[0] - swept[-1]))
+
+
+@given(angles, angles, st.sampled_from(["free", "axis", "antidiagonal"]))
+@example(0.0, 0.0, "free")  # N_perp = 0 at every k
+@example(0.0, 0.7, "free")  # constant N_perp
+def test_zak_splitstep_endpoint_form_matches_the_unwrapped_samples(
+        theta1, theta2, line):
+    if line == "axis":
+        theta1 = math.copysign(np.pi / 2.0, theta1)
+    elif line == "antidiagonal":
+        theta2 = -theta1
+    want = _unwrapped_endpoint_form(theta1, theta2)
+    if want is None:
+        with pytest.raises(GaplessPointError):
+            zak_splitstep_analytic(theta1, theta2)
+    else:
+        got = zak_splitstep_analytic(theta1, theta2).endpoint_form
+        assert _circ(got, want) < 1e-12
+
+
 def test_zak_splitstep_analytic_degenerate_tangent():
     ss = zak_splitstep_analytic(0.0, 0.7)
     assert ss.as_published is None
