@@ -16,30 +16,24 @@ command; each _cmd_* handler returns its artifact text (walk also its
 manifest text) and main writes --out, then --manifest, so a refused
 path leaves no half run.
 Angles are radians, decimals or exact pi multiples ("pi/4", "1.5pi")
-that keep special points exact.  Only the model commands take angle
-flags, a family's model field names.  No command uses threads.  phase-diagram
-(--k-samples 8 to 2**53 + 1) and the zak-map mask read their sampled
-band edge from models.sampled_band_edge, five momenta per node, so no
-momentum grid is built.  dirac-points evaluates the exact gap envelope
-that models derives from each family's step on its angle grid, with
-no momentum samples, so its k* is exact; its --resolution starts at
-topology.min_census_resolution(), 101.  zak evaluates each Wilson link
-as a spherical-triangle area of real unit Bloch vectors, which matches
-the complex eigenvector overlap chain to about 1e-14.  zak-map takes its phases from closed forms, within
-6.2e-15 of that chain at its default size, and its --n-points (even,
-16 to 2**53) sets only the mask.  zak reduces --k-origin into
-[-pi, pi] before it builds the window and echoes the value as given.
-winding reads the Bloch ellipse off three momenta in closed form and
-takes no size flag; it exits 3 where the exact gap envelope is within
-topology.CLOSING_GAP of closing.  A size flag whose estimated peak
-memory exceeds MEMORY_BUDGET bytes is refused up front with exit 2,
-before anything is allocated: --steps of walk, --loops and --steps of
-holonomy-sphere, --k-samples of spectrum and bloch, --n-points of zak,
-and --resolution of phase-diagram, dirac-points and zak-map.
-Every CSV row costs emit.CSV_ROW_BYTES in these estimates (spectrum,
-bloch, phase-diagram, zak-map and the holonomy-sphere loops);
-phase-diagram's and zak-map's estimates are that alone, one row per
-node.  walk's per-site figure covers its CSV.
+that keep special points exact; a negative one may follow its flag as
+the next token ("--theta -pi/2").  Only the model commands take angle
+flags, a family's model field names.  No command uses threads.  The
+angle-square commands build no momentum grid: phase-diagram (--k-samples
+8 to 2**53 + 1) and the zak-map mask read models.sampled_band_edge, five
+momenta per node, and dirac-points (--resolution from
+topology.min_census_resolution(), 101) and zak-map's phases are closed
+forms, so zak-map's --n-points (even, 16 to 2**53) sets only its mask.
+winding reads the Bloch ellipse in closed form (no size flag) and exits
+3 within topology.CLOSING_GAP of a closing.  zak reduces --k-origin
+into [-pi, pi] before it builds the window and echoes it as given.
+A size flag whose estimated peak memory exceeds MEMORY_BUDGET bytes is
+refused with exit 2 before anything is allocated: --steps of walk,
+--loops and --steps of holonomy-sphere, --k-samples of spectrum and
+bloch, --n-points of zak, and --resolution of phase-diagram,
+dirac-points and zak-map.  Each CSV row counts emit.CSV_ROW_BYTES
+(phase-diagram and zak-map: that alone, one row per node); walk's
+per-site figure covers its CSV.
 """
 
 from __future__ import annotations
@@ -83,6 +77,8 @@ MEMORY_BUDGET = 2**30
 # Every family's angle field names, each also a CLI flag.
 _ANGLE_FLAGS = tuple(dict.fromkeys(
     f.name for cls in FAMILY_CLASSES.values() for f in fields(cls)))
+# Every flag that takes an angle (qgt's --theta and --phi among them).
+_ANGLE_OPTIONS = frozenset(f"--{name}" for name in (*_ANGLE_FLAGS, "k-origin"))
 
 
 def parse_angle(text: str) -> float:
@@ -105,6 +101,21 @@ def parse_angle(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"angle {text!r} is not finite")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Joins an angle flag and a next token with one leading '-', which
+    argparse takes for a flag: "--theta -pi/2" parses as "--theta=-pi/2"."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = []
+        for token in sys.argv[1:] if args is None else args:
+            if (tokens and tokens[-1] in _ANGLE_OPTIONS
+                    and token.startswith("-") and not token.startswith("--")):
+                tokens[-1] += "=" + token
+            else:
+                tokens.append(token)
+        return super().parse_known_args(tokens, namespace)
 
 
 def _qgt_step(text: str) -> float:
@@ -291,7 +302,7 @@ def _cmd_qgt(args) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwgeom",
         description="Quantum-walk band geometry: spectra, Dirac points, "
                     "Zak phases, windings, walks, and sphere transport.")

@@ -215,10 +215,10 @@ def walk_manifest_json(model: WalkModel, n_steps: int, chirality: str,
     return json_text(payload)
 
 
-def write_text(text: str, out: str | None) -> None:
-    """Write payload text to a path, or to stdout for None or '-',
-    WRITE_CHARS characters at a time."""
-    with (contextlib.nullcontext(sys.stdout) if out is None or out == "-"
+def write_text(text: str, out: str) -> None:
+    """Write payload text to a path, or to stdout for '-', WRITE_CHARS
+    characters at a time."""
+    with (contextlib.nullcontext(sys.stdout) if out == "-"
           else open(out, "w", encoding="utf-8", newline="")) as fh:
         for start in range(0, len(text), WRITE_CHARS):
             fh.write(text[start:start + WRITE_CHARS])

@@ -1,5 +1,7 @@
 """Parallel transport on the unit sphere, solid angles, overlap phases,
 and the quantum geometric tensor of a parameterized state family.
+A curve is closed when its ends meet within CLOSURE_TOL.  Angles are
+folded by utils.fold_angle: (-pi, pi], +pi within 1e-12 of +-pi.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class SphereCurve:
     broadcast against it; samplers call it once on their whole grid."""
 
     parameterization: Callable[[np.ndarray], tuple]
-    closed: bool
 
     def angles(self, t) -> tuple[np.ndarray, np.ndarray]:
         _, theta, phi = np.broadcast_arrays(t, *self.parameterization(t))
@@ -51,7 +52,7 @@ class SphereCurve:
 
 def latitude_loop(theta0: float) -> SphereCurve:
     """Closed eastward loop at constant polar angle theta0."""
-    return SphereCurve(lambda t: (theta0, 2.0 * math.pi * t), closed=True)
+    return SphereCurve(lambda t: (theta0, 2.0 * math.pi * t))
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,6 @@ class TangentVector:
 
 
 def _check_closed(curve: SphereCurve) -> None:
-    if not curve.closed:
-        raise CurveNotSupportedError("parallel transport needs a closed curve")
     if np.linalg.norm(curve.point(0.0) - curve.point(1.0)) > CLOSURE_TOL:
         raise CurveNotSupportedError(
             "curve endpoints differ on the sphere; loop is not closed")

@@ -29,19 +29,6 @@ from .utils import canonical_angle
 DIRECTION_NORM_TOL = 1e-12
 
 
-def angular_coeffs(theta: float, phi: float) -> tuple[float, float, float, float]:
-    """Products (a, b, c, d) of sines/cosines of the two coin angles.
-
-    a = sin(phi) cos(theta), b = cos(phi) sin(theta),
-    c = sin(phi) sin(theta), d = cos(phi) cos(theta).
-    They satisfy a^2 + b^2 + c^2 + d^2 = 1 and parametrize the
-    non-commuting walk: cos E = d cos k + c sin k.
-    """
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    return sp * ct, cp * st, sp * st, cp * ct
-
-
 def _parts(coin) -> dict:
     """{(r, j, q): part q (0 real, 1 imaginary) of a coin's entry (r, j)},
     leaving out the parts that are zero at every angle."""

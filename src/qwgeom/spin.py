@@ -1,6 +1,6 @@
-"""Two-level (spin-1/2) building blocks: Pauli matrices, coin rotations,
-Bloch-sphere eigenstates, and a closed-form eigensolver for n . sigma.
-"""
+"""Two-level (spin-1/2) building blocks: read-only Pauli matrices, coin
+rotations, Bloch-sphere eigenstates, a closed-form eigensolver for
+n . sigma, and the half-solid-angle kernel of Wilson links and areas."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from .errors import DegeneratePointError
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-for _m in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2):
+for _m in (PAULI_X, PAULI_Y, PAULI_Z):
     _m.setflags(write=False)
 
 

@@ -181,9 +181,10 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     (_refine_touchings), in the two angles only, from the grid spacing
     down.  A grid coarser than min_census_resolution(candidate_gap) can
     miss closings, so it raises ValueError.  Each point's momentum is
-    the envelope's k* at the refined angles, folded into (-pi, pi]; for
-    the non-commuting family cos E = +1 there, so every touching is
-    reported at energy 0.  Points are sorted by angles.
+    the envelope's k* at the refined angles, folded by utils.fold_angle
+    (+pi within 1e-12 of +-pi); for the non-commuting family cos E = +1
+    there, so every touching is reported at energy 0.  Points are sorted
+    by angles.
     """
     floor = min_census_resolution(candidate_gap)
     if coarse_resolution < floor:

@@ -1,19 +1,25 @@
-"""Small shared helpers: angle folding and canonical angles."""
+"""Small shared helpers: the package's one angle fold and canonical angles."""
 
 from __future__ import annotations
 
 import math
 import os
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
+# Folded angles this close to +-pi read +pi, not a sign set by rounding.
+PI_PIN_TOL = 1e-12
 
 
-def fold_angle(x: float) -> float:
-    """Fold a real number into the interval (-pi, pi]."""
-    w = x % TWO_PI
-    if w > math.pi:
-        w -= TWO_PI
-    return w
+def fold_angle(x):
+    """Fold a finite float, or an array of them, into (-pi, pi]; within
+    PI_PIN_TOL of +-pi the result is pi.  A scalar gives a Python float,
+    anything else np.where's array."""
+    w = np.asarray(x, dtype=float) % TWO_PI
+    folded = np.where(abs(w - np.pi) < PI_PIN_TOL, np.pi,
+                      np.where(w > np.pi, w - TWO_PI, w))
+    return folded if isinstance(x, np.ndarray) or w.ndim else float(folded)
 
 
 def canonical_angle(x: float) -> float:

@@ -7,6 +7,8 @@ matrix) acts sitewise, and a shift (du, dv) moves the H amplitudes du
 sites and the V amplitudes dv sites (+1 is right), widening the window
 to hold both.  The same list gives the momentum unitary U(k) that the
 FFT oracle below powers, but the oracle never calls the position step.
+trajectory yields the state after every step and evolve returns the
+last; one step is evolve(state, model, 1).
 
 All steps of a walk update one preallocated spin-major buffer in place
 (trajectory): row 0 holds the H and row 1 the V amplitudes, so a shift
@@ -86,9 +88,9 @@ class Distribution:
     step_count: int
 
 
-def initial_state(chirality) -> WalkerState:
+def initial_state(chirality: str) -> WalkerState:
     """Walker at the origin in a chirality eigenstate (|H> +- i|V>)/sqrt(2)."""
-    sign = {"+": 1.0, "-": -1.0, +1: 1.0, -1: -1.0}.get(chirality)
+    sign = {"+": 1.0, "-": -1.0}.get(chirality)
     if sign is None:
         raise ValueError("chirality must be '+' or '-'")
     amps = np.array([[1.0, sign * 1.0j]], dtype=complex) / np.sqrt(2.0)
@@ -203,11 +205,6 @@ def evolve(state0: WalkerState, model: WalkModel, n_steps: int) -> WalkerState:
     for state in trajectory(state0, model, n_steps):
         pass
     return state
-
-
-def step(state: WalkerState, model: WalkModel) -> WalkerState:
-    """One full walk step; returns a fresh state on an enlarged window."""
-    return evolve(state, model, 1)
 
 
 def probability_distribution(state: WalkerState) -> Distribution:

@@ -18,6 +18,8 @@ families have exact per-node phases on the window about k = 0
 momenta), within 6.2e-15 of the sampled chain on the default 201^2 x
 512 map, which stays their test oracle.  zak_map's n_points sets only
 its sampled gap mask.
+Phases are folded by utils.fold_angle (also fold_angle_array here), so
+a phase within 1e-12 of +-pi reads +pi.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GaplessPointError, OrthogonalStatesError
-from .models import (MAX_CELLS, SplitStepWalk, WalkModel, angular_coeffs,
-                     sampled_band_edge)
+from .models import MAX_CELLS, SplitStepWalk, WalkModel, sampled_band_edge
 from .spin import half_solid_angle
 from .topology import SCAN_BLOCK_ROWS
 from .utils import canonical_angle, fold_angle
@@ -37,8 +38,6 @@ from .utils import canonical_angle, fold_angle
 PATH_GAP_TOL = 1e-6
 OVERLAP_TOL = 1e-12
 CONVERGENCE_FLAG_TOL = 1e-4
-# Folded phases this close to +-pi read +pi, not a sign set by rounding.
-PI_PIN_TOL = 1e-12
 # Peak bytes per momentum sample of zak_numeric's Wilson chain (measured
 # 89-109 from peak RSS growth at 2e4-3e6 samples, Linux x86-64,
 # numpy 2.4).
@@ -49,6 +48,8 @@ SPAN_HALF = "half"
 SPAN_FULL = "full"
 # Half width of each span's momentum window, and the weight of its phase.
 _SPANS = {SPAN_HALF: (0.5 * np.pi, 2.0), SPAN_FULL: (np.pi, 1.0)}
+
+fold_angle_array = fold_angle
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def _wilson_phases(numerators: np.ndarray, weight: float,
         if pole.any():
             links[pole] = half_solid_angle(_SOUTH, band * a[:, pole],
                                            band * b[:, pole])
-        phases.append(fold_angle_array(weight * links.sum(axis=-1)))
+        phases.append(fold_angle(weight * links.sum(axis=-1)))
     return phases
 
 
@@ -214,6 +215,14 @@ def zak_difference(model_a: WalkModel, model_b: WalkModel, band: int,
     return fold_angle(za.phase - zb.phase)
 
 
+def _angular_coeffs(theta, phi):
+    """(a, b, c, d) = sin phi (cos theta, 0, sin theta, 0) + cos phi (0,
+    sin theta, 0, cos theta): the non-commuting cos E = d cos k + c sin k."""
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    return sp * ct, cp * st, sp * st, cp * ct
+
+
 def zak_noncommuting_integrand(theta, phi, k, band: int):
     """Closed-form Zak integrand (a^2 + b^2) / D^2 of the non-commuting walk.
 
@@ -228,7 +237,7 @@ def zak_noncommuting_integrand(theta, phi, k, band: int):
     theta = float(theta)
     phi = float(phi)
     k = np.asarray(k, dtype=float)
-    a, b, c, d = angular_coeffs(theta, phi)
+    a, b, c, d = _angular_coeffs(theta, phi)
     sk, ck = np.sin(k), np.cos(k)
     nz = c * ck - d * sk
     r2 = a * a + b * b + c * c * ck * ck + d * d * sk * sk - 2.0 * sk * ck * c * d
@@ -281,7 +290,7 @@ def zak_splitstep_analytic(theta1: float, theta2: float) -> SplitStepZak:
         raise GaplessPointError("in-plane Bloch component vanishes on the path; "
                                 "endpoint form undefined")
     phi = np.arctan2(n[:, 1], n[:, 0])
-    endpoint_form = fold_angle(float(phi[0] - phi[-1]))
+    endpoint_form = fold_angle(phi[0] - phi[-1])
     t1 = np.tan(theta1)
     published = None if abs(t1) < 1e-15 else float(np.tan(theta2) / t1)
     return SplitStepZak(endpoint_form, published, planar)
@@ -301,8 +310,8 @@ def _noncommuting_phases(theta, phi, span: str):
     if span == SPAN_FULL:
         pi = np.full(np.broadcast(theta, phi).shape, np.pi)
         return pi, pi
-    twice = 2.0 * np.arcsin(angular_coeffs(theta, phi)[2])
-    return fold_angle_array(np.pi + twice), fold_angle_array(np.pi - twice)
+    twice = 2.0 * np.arcsin(_angular_coeffs(theta, phi)[2])
+    return fold_angle(np.pi + twice), fold_angle(np.pi - twice)
 
 
 def _splitstep_phases(theta1, theta2, span: str):
@@ -365,9 +374,3 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
                   zak_plus=plus, zak_minus=minus, masked=masked,
                   n_points=n_points, span=span)
 
-
-def fold_angle_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized fold into (-pi, pi]; within PI_PIN_TOL of +-pi it is pi."""
-    w = np.asarray(x, dtype=float) % (2.0 * np.pi)
-    return np.where(abs(w - np.pi) < PI_PIN_TOL, np.pi,
-                    np.where(w > np.pi, w - 2.0 * np.pi, w))

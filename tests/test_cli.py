@@ -166,6 +166,18 @@ def test_holonomy_sphere_table(capsys):
         assert drift < 1e-12
 
 
+def test_holonomy_sphere_prints_a_pi_rotation_as_plus_pi(capsys):
+    # At 2000 steps the pi/3 rotation lands 3e-13 above -pi and the 2pi/3
+    # one 3e-13 below pi; both print as the float pi.
+    code, out, _ = run(capsys, "holonomy-sphere", "--loops", "5",
+                       "--steps", "2000")
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    for row in (rows[1], rows[3]):
+        assert row[1] == "3.1415926535897931"
+        assert float(row[1]) == math.pi
+
+
 def test_qgt_json_golden(capsys):
     code, out, _ = run(capsys, "qgt", "--theta", "0.4", "--phi", "1.1")
     assert code == 0
@@ -203,6 +215,48 @@ def test_usage_errors_exit_two(capsys):
                "--theta1", "0.1")[0] == 2
     assert run(capsys, "spectrum", "--family", "splitstep", "--theta1", "0.9",
                "--theta2", "0.2", "--phi", "0")[0] == 2
+
+
+_NEGATIVE_PI_FORMS = ("-pi", "-pi/2", "-1.5pi", "-.5pi/3")
+
+
+@pytest.mark.parametrize("form", _NEGATIVE_PI_FORMS)
+@pytest.mark.parametrize("argv, dest", [
+    (("spectrum", "--family", "standard", "--theta", "{}"), "theta"),
+    (("bloch", "--family", "noncommuting", "--theta", "0.3", "--phi", "{}"),
+     "phi"),
+    (("winding", "--family", "splitstep", "--theta1", "{}", "--theta2",
+      "0.2"), "theta1"),
+    (("walk", "--family", "splitstep", "--theta1", "0.2", "--theta2", "{}",
+      "--steps", "3"), "theta2"),
+    (("zak", "--family", "standard", "--theta", "0.3", "--band", "plus",
+      "--k-origin", "{}"), "k_origin"),
+    (("qgt", "--theta", "{}", "--phi", "0.3"), "theta"),
+    (("qgt", "--theta", "0.3", "--phi", "{}"), "phi")],
+    ids=["theta", "phi", "theta1", "theta2", "k-origin", "qgt-theta",
+         "qgt-phi"])
+def test_negative_pi_forms_parse_after_their_flag(argv, dest, form):
+    args = cli.build_parser().parse_args(
+        [form if token == "{}" else token for token in argv])
+    assert getattr(args, dest) == cli.parse_angle(form)
+
+
+def test_negative_angles_keep_every_spelling(capsys):
+    parse = cli.build_parser().parse_args
+    both = parse(["spectrum", "--family", "splitstep", "--theta1", "-pi",
+                  "--theta2", "-0.25"])
+    assert (both.theta1, both.theta2) == (-math.pi, -0.25)
+    assert parse(["qgt", "--theta=-pi/2", "--phi", "-1e-3"]).theta == (
+        -math.pi / 2)
+    argv = ["zak", "--family", "noncommuting", "--theta", "-0.5pi",
+            "--phi", "0.3", "--band", "plus"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv[:3], "--theta=-0.5pi", *argv[5:]) == (0, out, "")
+    # A flag after an angle flag is not taken for its value.
+    code, _, err = run(capsys, "spectrum", "--family", "standard", "--theta",
+                       "--k-samples", "16")
+    assert code == 2 and "argument --theta: expected one argument" in err
 
 
 def test_non_finite_angles_exit_two(capsys):

@@ -30,7 +30,6 @@ def test_sphere_point_and_latitude_loop():
     p = sphere_point(np.pi / 2, 0.0)
     assert np.allclose(p, [1.0, 0.0, 0.0], atol=1e-15)
     loop = latitude_loop(0.7)
-    assert loop.closed
     assert np.allclose(loop.point(0.0), loop.point(1.0), atol=1e-15)
     assert abs(np.linalg.norm(loop.point(0.37)) - 1.0) < 1e-14
 
@@ -81,7 +80,7 @@ def test_transport_orientation_reversal_negates():
     theta0 = 1.1
     loop = latitude_loop(theta0)
     reverse = SphereCurve(
-        parameterization=lambda t: loop.angles(1.0 - t), closed=True)
+        parameterization=lambda t: loop.angles(1.0 - t))
     _, forward = parallel_transport(loop, _east(theta0), steps=4_000)
     _, backward = parallel_transport(reverse, _east(theta0), steps=4_000)
     assert abs(forward + backward) < 1e-12
@@ -93,8 +92,7 @@ def test_transport_validation():
         parallel_transport(loop, _east(0.8), steps=50)
     with pytest.raises(CurveNotSupportedError):
         parallel_transport(loop, _east(1.2), steps=500)
-    arc = SphereCurve(parameterization=lambda t: (0.8, np.pi * t),
-                      closed=False)
+    arc = SphereCurve(parameterization=lambda t: (0.8, np.pi * t))
     with pytest.raises(CurveNotSupportedError):
         parallel_transport(arc, _east(0.8), steps=500)
 
@@ -113,7 +111,7 @@ def _tilted_circle(axis, theta0, phase, orientation):
         x, y, z = np.moveaxis(p, -1, 0)
         return np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
 
-    return SphereCurve(angles, closed=True)
+    return SphereCurve(angles)
 
 
 @given(z=st.floats(min_value=-1.0, max_value=1.0),
@@ -146,8 +144,7 @@ def test_transport_is_independent_of_parameterization_speed():
     # seam, so the samples crowd there and thin out at t = 1/2.
     for theta0 in (0.4, 1.1, 2.5):
         seam_stop = SphereCurve(
-            lambda t: (theta0, 2.0 * np.pi * t - np.sin(2.0 * np.pi * t)),
-            closed=True)
+            lambda t: (theta0, 2.0 * np.pi * t - np.sin(2.0 * np.pi * t)))
         _, rotation = parallel_transport(seam_stop, _east(theta0), steps=2000)
         assert _circ(rotation, 2.0 * np.pi * (1.0 - np.cos(theta0))) < 1e-11
 
@@ -159,7 +156,7 @@ def test_transport_rejects_antipodal_samples():
         return np.where(far, np.pi - 0.8, 0.8), np.where(far, np.pi, 0.0)
 
     with pytest.raises(CurveNotSupportedError, match="antipodal"):
-        parallel_transport(SphereCurve(angles, closed=True), _east(0.8),
+        parallel_transport(SphereCurve(angles), _east(0.8),
                            steps=2000)
 
 
@@ -175,11 +172,10 @@ def test_solid_angle_of_non_graph_and_double_loops():
     cap = 2.0 * np.pi * (1.0 - np.cos(0.9))
     wiggle = SphereCurve(
         parameterization=lambda t: (0.9, 2.0 * np.pi * t
-                                    + 0.8 * np.sin(4.0 * np.pi * t)),
-        closed=True)
+                                    + 0.8 * np.sin(4.0 * np.pi * t)))
     assert abs(solid_angle(wiggle) - cap) < 1e-11
     double = SphereCurve(
-        parameterization=lambda t: (0.9, 4.0 * np.pi * t), closed=True)
+        parameterization=lambda t: (0.9, 4.0 * np.pi * t))
     assert abs(solid_angle(double) - 2.0 * cap) < 1e-11
 
 
@@ -187,8 +183,7 @@ def test_solid_angle_of_wobbly_loop_matches_transport():
     wobbly = SphereCurve(
         parameterization=lambda t: (1.0 + 0.3 * np.sin(6.0 * np.pi * t),
                                     2.0 * np.pi * t
-                                    + 0.2 * np.sin(2.0 * np.pi * t)),
-        closed=True)
+                                    + 0.2 * np.sin(2.0 * np.pi * t)))
     r0 = wobbly.point(0.0)
     east = np.cross([0.0, 0.0, 1.0], r0)
     v0 = TangentVector(v=east / np.linalg.norm(east), base=r0)

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from qwgeom.errors import GaplessPointError
 from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
-                           SplitStepWalk, StandardWalk, angular_coeffs,
-                           make_model, sampled_band_edge, two_angle_class)
-from qwgeom.spin import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
+                           SplitStepWalk, StandardWalk, make_model,
+                           sampled_band_edge, two_angle_class)
+from qwgeom.spin import PAULI_X, PAULI_Y, PAULI_Z
 from qwgeom.utils import canonical_angle
+from qwgeom.zak import _angular_coeffs as angular_coeffs
 
 from conftest import (SwappedCoinWalk, angles, swapped_coin_unitary,
                       swapped_coins_registered, walk_models)
@@ -172,14 +173,14 @@ def test_momentum_unitary_is_special_unitary():
     for model in _random_models(rng, 30):
         k = rng.uniform(-np.pi, np.pi)
         u = model.momentum_unitary(k)
-        assert np.allclose(u @ u.conj().T, IDENTITY_2, atol=1e-13)
+        assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-13)
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
 
 @given(model=walk_models(), k=angles)
 def test_momentum_unitaries_su2_property(model, k):
     u = model.momentum_unitaries(np.array([k]))[0]
-    assert np.max(np.abs(u.conj().T @ u - IDENTITY_2)) < 1e-12
+    assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
     assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
 
@@ -338,7 +339,7 @@ def test_unitary_reconstruction_from_energy_and_axis():
         e = model.quasi_energy(k)
         n = model.bloch_vector(k)
         n_sigma = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-        rebuilt = (np.cos(e) * IDENTITY_2 - 1j * np.sin(e) * n_sigma)
+        rebuilt = (np.cos(e) * np.eye(2) - 1j * np.sin(e) * n_sigma)
         assert np.linalg.norm(rebuilt - model.momentum_unitary(k)) < 1e-12
 
 

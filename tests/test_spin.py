@@ -7,14 +7,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qwgeom.errors import DegeneratePointError
-from qwgeom.spin import (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z,
-                         band_eigenvector, bloch_sphere_state,
-                         half_solid_angle, rotation_x, rotation_y)
+from qwgeom.spin import (PAULI_X, PAULI_Y, PAULI_Z, band_eigenvector,
+                         bloch_sphere_state, half_solid_angle, rotation_x,
+                         rotation_y)
 
 
 def test_pauli_algebra():
     for p in (PAULI_X, PAULI_Y, PAULI_Z):
-        assert np.allclose(p @ p, IDENTITY_2)
+        assert np.allclose(p @ p, np.eye(2))
         assert np.allclose(p, p.conj().T)
     assert np.allclose(PAULI_X @ PAULI_Y, 1j * PAULI_Z)
     assert np.allclose(PAULI_Y @ PAULI_Z, 1j * PAULI_X)
@@ -57,7 +57,7 @@ def test_rotations_are_unitary_and_compose():
         a, b = rng.uniform(-np.pi, np.pi, 2)
         for rot in (rotation_y, rotation_x):
             m = rot(a)
-            assert np.allclose(m @ m.conj().T, IDENTITY_2, atol=1e-14)
+            assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-14)
             assert np.allclose(rot(a) @ rot(b), rot(a + b), atol=1e-13)
 
 

@@ -15,7 +15,7 @@ from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
 from qwgeom.spin import rotation_x, rotation_y
 from qwgeom.walk import (Distribution, WalkerState, evolve, initial_state,
                          momentum_oracle, probability_distribution,
-                         similarity, step, total_variation, trajectory,
+                         similarity, total_variation, trajectory,
                          unitary_power, TRIM_STEPS)
 
 from conftest import angles, walk_models
@@ -86,15 +86,16 @@ def _reference_evolve(state0, model, n_steps):
 
 
 def test_initial_state_chirality():
-    for chi, sign in (("+", 1.0), ("-", -1.0), (+1, 1.0), (-1, -1.0)):
+    for chi, sign in (("+", 1.0), ("-", -1.0)):
         s = initial_state(chi)
         assert s.step_count == 0
         assert s.offset == 0
         assert np.allclose(s.amplitudes,
                            [[1.0 / np.sqrt(2), sign * 1j / np.sqrt(2)]])
         assert abs(s.norm() - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        initial_state("x")
+    for chi in ("x", +1, -1):
+        with pytest.raises(ValueError):
+            initial_state(chi)
 
 
 def test_identity_coin_translates_components():
@@ -224,7 +225,7 @@ def test_evolve_validation():
     with pytest.raises(ValueError):
         evolve(initial_state("+"), StandardWalk(0.1), -1)
     with pytest.raises(TypeError):
-        step(initial_state("+"), object())
+        evolve(initial_state("+"), object(), 1)
 
 
 def test_similarity_identities():
@@ -275,7 +276,7 @@ def test_evolve_and_step_leave_input_unchanged():
     model = SplitStepWalk(0.4, -0.9)
     state0 = evolve(initial_state("-"), model, 3)
     before = state0.amplitudes.copy()
-    stepped = step(state0, model)
+    stepped = evolve(state0, model, 1)
     evolved = evolve(state0, model, 5)
     assert np.array_equal(state0.amplitudes, before)
     assert (state0.offset, state0.step_count) == (-3, 3)

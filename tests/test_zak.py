@@ -594,7 +594,7 @@ def test_zak_map_parity_symmetry():
     zm = zak_map("noncommuting", resolution=21, n_points=64)
     flipped = zm.zak_minus[::-1, ::-1]
     both = ~(np.isnan(zm.zak_minus) | np.isnan(flipped))
-    err = np.abs(fold_angle_array(zm.zak_minus[both] - flipped[both]))
+    err = np.abs(fold_angle(zm.zak_minus[both] - flipped[both]))
     assert np.max(err) < 1e-12
     assert np.array_equal(zm.masked, zm.masked[::-1, ::-1])
 
@@ -610,8 +610,3 @@ def test_zak_map_prints_pinned_pi_with_one_sign(default_zak_map, family,
     for phases in (zm.zak_plus[live], zm.zak_minus[live]):
         assert np.count_nonzero(phases == np.pi) > 0
         assert not np.any(phases <= -np.pi + 1e-12)
-
-
-def fold_angle_array(x):
-    wrapped = np.mod(x, 2.0 * np.pi)
-    return np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
