@@ -60,9 +60,9 @@ from .spin import bloch_sphere_state
 from .topology import (ENVELOPE_NODE_BYTES, find_dirac_points,
                        min_census_resolution, scan_gap, winding_number)
 from .utils import fold_angle
-from .walk import (TRIM_STEPS, initial_state, momentum_oracle, peak_bytes,
-                   probability_distribution, similarity, total_variation,
-                   trajectory)
+from .walk import (TRIM_STEPS, _Walk, initial_state, momentum_oracle,
+                   peak_bytes, probability_distribution, similarity,
+                   total_variation)
 from .zak import ZAK_CELL_BYTES, zak_map, zak_numeric
 
 _PI_FORM = re.compile(
@@ -105,17 +105,30 @@ def parse_angle(text: str) -> float:
 
 class _Parser(argparse.ArgumentParser):
     """Joins an angle flag and a next token with one leading '-', which
-    argparse takes for a flag: "--theta -pi/2" parses as "--theta=-pi/2"."""
+    argparse takes for a flag: "--theta -pi/2" parses as "--theta=-pi/2".
+    An angle flag is one of _ANGLE_OPTIONS or, as argparse resolves an
+    abbreviation, a prefix of one angle option of this parser and of no
+    other option ("--k-orig -pi" in zak, "--thet -pi" in qgt).  An
+    ambiguous prefix stays a token of its own, which argparse refuses."""
 
     def parse_known_args(self, args=None, namespace=None):
         tokens = []
         for token in sys.argv[1:] if args is None else args:
-            if (tokens and tokens[-1] in _ANGLE_OPTIONS
-                    and token.startswith("-") and not token.startswith("--")):
+            if (tokens and token.startswith("-") and not token.startswith("--")
+                    and self._takes_angle(tokens[-1])):
                 tokens[-1] += "=" + token
             else:
                 tokens.append(token)
         return super().parse_known_args(tokens, namespace)
+
+    def _takes_angle(self, flag: str) -> bool:
+        if flag in _ANGLE_OPTIONS:
+            return True
+        if not flag.startswith("--") or "=" in flag:
+            return False
+        matches = [action for name, action in self._option_string_actions.items()
+                   if name.startswith(flag)]
+        return len(matches) == 1 and matches[0].type is parse_angle
 
 
 def _qgt_step(text: str) -> float:
@@ -251,19 +264,21 @@ def _cmd_walk(args) -> tuple[str, str]:
     """Evolve, check against the momentum oracle, and return the CSV and
     the manifest.  max_norm_drift is sampled, not taken at every step:
     it is the largest |norm(t) - norm(0)| over the steps t that are a
-    multiple of TRIM_STEPS and the last step t = --steps."""
+    multiple of TRIM_STEPS and the last step t = --steps, the only steps
+    whose full-window state the walk builds from its compact lattice."""
     model = _build_model(args)
     state0 = initial_state(args.chirality)
     _check_budget(args, peak_bytes(state0.amplitudes.shape[0], args.steps),
                   "steps")
-    norm0 = state0.norm()
+    norm0 = norm_final = state0.norm()
     max_drift = 0.0
     state = state0
-    for state in trajectory(state0, model, args.steps):
-        if state.step_count % TRIM_STEPS == 0:
-            max_drift = max(max_drift, abs(state.norm() - norm0))
-    norm_final = state.norm()
-    max_drift = max(max_drift, abs(norm_final - norm0))
+    walk = _Walk(state0, model, args.steps)
+    for i, rows, base in walk:
+        if i % TRIM_STEPS == 0 or i == args.steps:
+            state = walk.state(i, rows, base)
+            norm_final = state.norm()
+            max_drift = max(max_drift, abs(norm_final - norm0))
     dist = probability_distribution(state)
     oracle = momentum_oracle(state0, model, args.steps)
     tv = total_variation(dist, oracle)

@@ -10,23 +10,39 @@ FFT oracle below powers, but the oracle never calls the position step.
 trajectory yields the state after every step and evolve returns the
 last; one step is evolve(state, model, 1).
 
-All steps of a walk update one preallocated spin-major buffer in place
-(trajectory): row 0 holds the H and row 1 the V amplitudes, so a shift
-is a memmove of one row and a real coin (standard, split-step) runs on
-the buffer's float64 view, treating real and imaginary parts alike.
-Before its loop, trajectory turns step_ops() into a plan: each coin
-becomes its diagonal and off-diagonal as (2, 1) float or complex
-columns, applied as three two-row ufunc calls, and each shift its
-largest move, its widening and the rows it moves.  Only a live range
-of sites is touched; it drops, every TRIM_STEPS steps, the outer tail
-sites whose floats have all underflowed below np.finfo(float).tiny.
-That changes no probability (see trajectory).  Its rounding differs
-from a site-major complex matrix product, the tests' reference kernel,
-by at most TV 1e-14 and max |dp| 1e-15.
+Every shift moves H and V by amounts that differ by a multiple of the
+stride g, the gcd of du - dv over the step's shifts: 2 for the full
+shift (1, -1) of the standard and noncommuting walks, 1 for split-step.
+A state whose nonzero sites lie on one residue class mod g therefore
+stays on one class, and a walk from it runs on that class alone, the
+compact lattice of every g-th site (a state on several classes runs
+with g = 1).  There each shift (du, dv) moves its rows by (d - max)/g
+sites, so the standard walk's step is a coin and a one-site move of the
+V row on half the window.  Sites off the class hold exact zeros and a
+coin acts sitewise, so the compact walk computes every amplitude with
+the same floating-point operations as the full one.  The full window is
+built from the compact rows only where a caller asks for a state:
+evolve once at the end, trajectory at every step, the walk command at
+its norm samples and its last step.
+
+All steps of a walk update one preallocated spin-major buffer in place:
+row 0 holds the H and row 1 the V amplitudes, so a shift is a memmove
+of one row and a real coin (standard, split-step) runs on the buffer's
+float64 view, treating real and imaginary parts alike.  Before its
+loop, the walk turns step_ops() into a plan: each coin becomes its
+diagonal and off-diagonal as (2, 1) float or complex columns, applied
+as three two-row ufunc calls, and each shift its largest move, its
+widening and the rows it moves.  Only a live range of sites is
+touched; it drops, every TRIM_STEPS steps, the outer tail sites whose
+floats have all underflowed below np.finfo(float).tiny.  That changes
+no probability (see trajectory).  Its rounding differs from a
+site-major complex matrix product, the tests' reference kernel, by at
+most TV 1e-14 and max |dp| 1e-15.
 
 The oracle raises each U(k) to the n-th power in closed form
 (unitary_power): U = e^{i gamma}(c I - i v . sigma) gives
 U^n = e^{i n gamma}(cos nE I - i sin nE v^ . sigma), E = atan2(|v|, c).
+It stays on the full grid and shares no code with the position walk.
 """
 
 from __future__ import annotations
@@ -39,12 +55,14 @@ from .errors import GridMismatchError
 from .models import WalkModel
 
 # Peak bytes per lattice site of a walk checked against the oracle and
-# written as CSV (`qwgeom walk`): trajectory's spin-major buffer (32)
-# and its two scratch rows (32), the oracle's amplitude and 2x2 unitary
-# stacks (272 at their peak, by tracemalloc) and the CSV text, not all
-# live at once.  Peak RSS growth measured 0.33-0.40 kB per site at
-# 3000-20000 steps for all three families (Linux x86-64, numpy 2.4), so
-# 1 kB leaves 2x headroom.
+# written as CSV (`qwgeom walk`): the walk's spin-major buffer and its
+# two scratch rows (32 + 32 at stride 1, 16 + 16 on the half-window
+# compact lattice of a stride-2 walk, plus its 32-byte full-window
+# state), the oracle's amplitude and 2x2 unitary stacks (272 at their
+# peak, by tracemalloc) and the CSV text, not all live at once.  Peak
+# RSS growth measured 0.33-0.40 kB per site at 3000-20000 steps for all
+# three families (Linux x86-64, numpy 2.4), so 1 kB leaves 2x headroom;
+# the oracle dominates, so the compact lattice leaves the figure as is.
 SITE_BYTES = 1024
 
 # trajectory drops underflowed tails from its live range every
@@ -107,18 +125,111 @@ def peak_bytes(width0: int, n_steps: int) -> int:
     return SITE_BYTES * (width0 + 2 * n_steps)
 
 
-def trajectory(state0: WalkerState, model: WalkModel, n_steps: int):
-    """Yield the state after each of n_steps walk steps, evolved in place.
+class _Walk:
+    """n_steps walk steps from state0, run on its compact lattice.
 
-    One spin-major (2, L) complex buffer, wide enough for every window
-    of the walk, is allocated up front with two scratch rows of 2 L
-    floats; each yielded amplitudes array is the (width, 2) view
-    buf[:, a:b].T of the window [a, b).  Rows only ever move left: a
-    shift (du, dv) moves spin s by d_s - max(du, dv) sites, a memmove of
-    one contiguous row (numpy runs an overlapping right shift several
-    times slower), and the position held at every buffer index advances
-    by max(du, dv).  The buffer is then exactly the final window,
-    width0 + n_steps * sum(max(op) - min(op)) sites.
+    Iterating runs the walk once, yielding (i, rows, base) after each step
+    i: rows is the (2, w) spin-major view of the buffer's window, whose
+    column j holds the site at position base + stride * j, and the next
+    step overwrites it.  state(i, rows, base) is the full-window
+    WalkerState of step i (see trajectory for the kernel).
+    """
+
+    def __init__(self, state0: WalkerState, model: WalkModel, n_steps: int):
+        if not isinstance(model, WalkModel):
+            raise TypeError(f"unsupported model type {type(model).__name__}")
+        if n_steps < 0:
+            raise ValueError("n_steps must be non-negative")
+        ops = model.step_ops()
+        shifts = [op for op in ops if isinstance(op, tuple)]
+        g = int(np.gcd.reduce([0, *(du - dv for du, dv in shifts)])) or 1
+        sites = np.flatnonzero(state0.amplitudes.any(axis=1))
+        r = int(sites[0]) % g if sites.size else 0
+        if np.any(sites % g != r):
+            g, r = 1, 0
+        amps = state0.amplitudes[r::g]
+        a = n_steps * sum((max(op) - min(op)) // g for op in shifts)
+        b = a + amps.shape[0]
+        buf = np.zeros((2, b), dtype=complex)
+        buf[:, a:b] = amps.T
+        scratch = np.empty((2, 2 * b))
+        plan = []
+        for op in ops:
+            if isinstance(op, tuple):
+                top = max(op)
+                moves = tuple((row, (top - d) // g) for row, d in zip(buf, op)
+                              if d < top)
+                plan.append((None, (top, (top - min(op)) // g, moves)))
+            else:
+                if np.any(op.imag):
+                    c, rows, tmp, k = op, buf, scratch.view(complex), 1
+                else:
+                    c, rows, tmp, k = op.real, buf.view(float), scratch, 2
+                diag = np.array([[c[0, 0]], [c[1, 1]]])
+                off = np.array([[c[0, 1]], [c[1, 0]]])
+                plan.append(((diag, off, rows, tmp, k), None))
+        self.stride, self.residue = g, r
+        # The full window is always stride * w + extra sites wide.
+        self.extra = state0.amplitudes.shape[0] - g * amps.shape[0]
+        self.step0 = state0.step_count
+        self._run = (buf, plan, n_steps, a, state0.offset + r - g * a)
+
+    def __iter__(self):
+        buf, plan, n_steps, a, base = self._run
+        g, floats = self.stride, buf.view(float)
+        lo = a
+        hi = b = buf.shape[1]
+        for i in range(1, n_steps + 1):
+            for coin, shift in plan:
+                if coin is None:
+                    top, widen, moves = shift
+                    for row, move in moves:
+                        row[lo - move:hi - move] = row[lo:hi]
+                        row[hi - move:hi] = 0.0
+                    base += top
+                    a, lo = a - widen, lo - widen
+                else:
+                    diag, off, rows, tmp, k = coin
+                    x = rows[:, k * lo:k * hi]
+                    t = tmp[:, :k * (hi - lo)]
+                    np.multiply(x[::-1], off, out=t)
+                    x *= diag
+                    x += t
+            if i % TRIM_STEPS == 0:
+                live = np.flatnonzero(
+                    (np.abs(floats[:, 2 * lo:2 * hi]) >= _TINY).any(axis=0)) // 2
+                new_lo, new_hi = ((lo + live[0], lo + live[-1] + 1) if live.size
+                                  else (lo, lo))
+                buf[:, lo:new_lo] = 0.0
+                buf[:, new_hi:hi] = 0.0
+                lo, hi = new_lo, new_hi
+            yield i, buf[:, a:b], base + g * a
+
+    def state(self, i: int, rows: np.ndarray, base: int) -> WalkerState:
+        """The full-window state of yielded step i: a view of rows at
+        stride 1, else a new array with exact zeros off the class."""
+        g, r = self.stride, self.residue
+        if g > 1:
+            full = np.zeros((2, g * rows.shape[1] + self.extra), dtype=complex)
+            full[:, r::g] = rows
+            rows = full
+        return WalkerState(amplitudes=rows.T, offset=base - r,
+                           step_count=self.step0 + i)
+
+
+def trajectory(state0: WalkerState, model: WalkModel, n_steps: int):
+    """Yield the full-window state after each of n_steps walk steps.
+
+    The walk runs on state0's compact lattice of every g-th site (see the
+    module docstring), in one spin-major (2, L) complex buffer wide
+    enough for every compact window of the walk, allocated up front with
+    two scratch rows of 2 L floats.  Rows only ever move left: a shift
+    (du, dv) moves spin s by (d_s - max(du, dv)) / g buffer sites, a
+    memmove of one contiguous row (numpy runs an overlapping right shift
+    several times slower), and the position held at every buffer index
+    advances by max(du, dv).  The buffer is then exactly the final
+    compact window, and each yielded state is the window at that step
+    expanded to every site (g = 1 needs no expansion).
 
     step_ops() becomes a plan before the loop.  A coin [[c00, c01],
     [c10, c11]] acts on the two live rows x as t = x[::-1] * [[c01],
@@ -139,72 +250,24 @@ def trajectory(state0: WalkerState, model: WalkModel, n_steps: int):
     flushed perturbation, carried to every other site, by about 1e-296,
     far below half an ulp of any amplitude whose square is nonzero.
 
-    Each yielded WalkerState is a view of the buffer that the next step
-    overwrites; copy it to keep it.  state0 is never modified.
+    At g = 1 each yielded WalkerState is a view of the buffer that the
+    next step overwrites; copy it to keep it.  state0 is never modified.
     """
-    if not isinstance(model, WalkModel):
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
-    ops = model.step_ops()
-    spread = sum(max(op) - min(op) for op in ops if isinstance(op, tuple))
-    width0 = state0.amplitudes.shape[0]
-    a = n_steps * spread
-    b = a + width0
-    buf = np.zeros((2, b), dtype=complex)
-    buf[:, a:b] = state0.amplitudes.T
-    floats = buf.view(float)
-    scratch = np.empty((2, 2 * b))
-    plan = []
-    for op in ops:
-        if isinstance(op, tuple):
-            top = max(op)
-            moves = tuple((row, top - d) for row, d in zip(buf, op) if d < top)
-            plan.append((None, (top, top - min(op), moves)))
-        else:
-            if np.any(op.imag):
-                c, rows, tmp, k = op, buf, scratch.view(complex), 1
-            else:
-                c, rows, tmp, k = op.real, floats, scratch, 2
-            diag = np.array([[c[0, 0]], [c[1, 1]]])
-            off = np.array([[c[0, 1]], [c[1, 0]]])
-            plan.append(((diag, off, rows, tmp, k), None))
-    base = state0.offset - a
-    lo, hi = a, b
-    for i in range(1, n_steps + 1):
-        for coin, shift in plan:
-            if coin is None:
-                top, widen, moves = shift
-                for row, move in moves:
-                    row[lo - move:hi - move] = row[lo:hi]
-                    row[hi - move:hi] = 0.0
-                base += top
-                a, lo = a - widen, lo - widen
-            else:
-                diag, off, rows, tmp, k = coin
-                x = rows[:, k * lo:k * hi]
-                t = tmp[:, :k * (hi - lo)]
-                np.multiply(x[::-1], off, out=t)
-                x *= diag
-                x += t
-        if i % TRIM_STEPS == 0:
-            live = np.flatnonzero(
-                (np.abs(floats[:, 2 * lo:2 * hi]) >= _TINY).any(axis=0)) // 2
-            new_lo, new_hi = ((lo + live[0], lo + live[-1] + 1) if live.size
-                              else (lo, lo))
-            buf[:, lo:new_lo] = 0.0
-            buf[:, new_hi:hi] = 0.0
-            lo, hi = new_lo, new_hi
-        yield WalkerState(amplitudes=buf[:, a:b].T, offset=base + a,
-                          step_count=state0.step_count + i)
+    walk = _Walk(state0, model, n_steps)
+    for step in walk:
+        yield walk.state(*step)
 
 
 def evolve(state0: WalkerState, model: WalkModel, n_steps: int) -> WalkerState:
-    """Apply n_steps walk steps (n_steps >= 0); state0 is left unchanged."""
-    state = state0
-    for state in trajectory(state0, model, n_steps):
+    """Apply n_steps walk steps (n_steps >= 0); state0 is left unchanged.
+
+    The walk runs on state0's compact lattice and builds the full window
+    once, after the last step."""
+    walk = _Walk(state0, model, n_steps)
+    step = None
+    for step in walk:
         pass
-    return state
+    return state0 if step is None else walk.state(*step)
 
 
 def probability_distribution(state: WalkerState) -> Distribution:

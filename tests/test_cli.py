@@ -259,6 +259,34 @@ def test_negative_angles_keep_every_spelling(capsys):
     assert code == 2 and "argument --theta: expected one argument" in err
 
 
+@pytest.mark.parametrize("form", ["-1", "-pi", "-pi/2"])
+@pytest.mark.parametrize("argv, dest", [
+    (("zak", "--family", "standard", "--theta", "0.3", "--band", "plus",
+      "--k-orig", "{}"), "k_origin"),
+    (("qgt", "--thet", "{}", "--phi", "0.3"), "theta")],
+    ids=["k-orig", "qgt-thet"])
+def test_negative_angles_follow_an_abbreviated_flag(capsys, argv, dest, form):
+    # argparse resolves a prefix of one option to that option, so a
+    # negative value joins it as it joins the full name.
+    argv = [form if token == "{}" else token for token in argv]
+    assert getattr(cli.build_parser().parse_args(argv), dest) == \
+        cli.parse_angle(form)
+    full = [{"--k-orig": "--k-origin", "--thet": "--theta"}.get(t, t)
+            for t in argv]
+    result = run(capsys, *argv)
+    assert result[0] == 0
+    assert result == run(capsys, *full)
+
+
+@pytest.mark.parametrize("form", ["-1", "-pi", "-pi/2", "0.3"])
+def test_ambiguous_angle_prefix_exits_two(capsys, form):
+    # In a model command --thet could be --theta, --theta1 or --theta2.
+    code, out, err = run(capsys, "spectrum", "--family", "standard",
+                         "--thet", form, "--k-samples", "16")
+    assert (code, out) == (2, "")
+    assert "ambiguous option: --thet could match --theta, --theta1" in err
+
+
 def test_non_finite_angles_exit_two(capsys):
     for text in ("nan", "inf", "-inf", "Infinity", "1" * 400 + "pi"):
         with pytest.raises(argparse.ArgumentTypeError):
@@ -585,7 +613,7 @@ def test_walk_unwritable_out_leaves_no_manifest(capsys, tmp_path,
     argv = ("walk", "--family", "standard", "--theta", "pi/4", "--steps", "5",
             "--manifest", str(manifest), "--out")
     # The paths are refused before the walk runs.
-    monkeypatch.setattr(cli, "trajectory", None)
+    monkeypatch.setattr(cli, "_Walk", None)
     for out in (str(tmp_path / "missing" / "x.csv"), str(tmp_path), ""):
         code, stdout, err = run(capsys, *argv, out)
         assert (code, stdout) == (2, "")
@@ -654,7 +682,7 @@ def test_post_parse_refusals_print_the_subcommand_usage(capsys, tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("a refused command started its work")
 
-    for name in ("trajectory", "scan_gap", "parallel_transport"):
+    for name in ("_Walk", "scan_gap", "parallel_transport"):
         monkeypatch.setattr(cli, name, refuse)
     before = {p: (p.is_symlink(), p.read_bytes() if p.exists() else None)
               for p in tmp_path.iterdir()}

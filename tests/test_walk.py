@@ -13,12 +13,13 @@ from qwgeom.errors import GridMismatchError
 from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
                            WalkModel)
 from qwgeom.spin import rotation_x, rotation_y
-from qwgeom.walk import (Distribution, WalkerState, evolve, initial_state,
-                         momentum_oracle, probability_distribution,
-                         similarity, total_variation, trajectory,
-                         unitary_power, TRIM_STEPS)
+from qwgeom.walk import (Distribution, WalkerState, _Walk, evolve,
+                         initial_state, momentum_oracle,
+                         probability_distribution, similarity,
+                         total_variation, trajectory, unitary_power,
+                         TRIM_STEPS)
 
-from conftest import angles, walk_models
+from conftest import SwappedCoinWalk, angles, walk_models
 
 
 def _dense_oracle(state0, model, n_steps):
@@ -364,6 +365,48 @@ def test_kernel_matches_reference_with_underflowed_tails(model, n):
     floats = np.abs(ref.amplitudes.view(float))
     assert np.any((floats > 0) & (floats < np.finfo(float).tiny))
     _assert_matches_reference(initial_state("+"), model, n)
+
+
+def test_stride_is_derived_from_the_step():
+    # g = gcd of du - dv over the step's shifts: (1, -1) gives 2, the
+    # split-step partial shifts (0, -1) and (1, 0) give 1.
+    state0 = initial_state("+")
+    models = {StandardWalk(0.3): 2, NonCommutingWalk(0.3, 0.2): 2,
+              SwappedCoinWalk(0.3, 0.2): 2, _GlobalPhaseWalk(0.1, 0.3, 0.2): 2,
+              SplitStepWalk(0.3, 0.2): 1, _HFirstSplitStep(0.3, 0.2): 1}
+    for model, stride in models.items():
+        assert _Walk(state0, model, 5).stride == stride
+
+
+_TWO_CLASS_STATE = WalkerState(amplitudes=np.array([[0.6, 0.0], [0.0, 0.8j]]),
+                               offset=4, step_count=2)
+
+
+@given(model=st.one_of(st.builds(StandardWalk, angles),
+                       st.builds(NonCommutingWalk, angles, angles),
+                       st.builds(SwappedCoinWalk, angles, angles)),
+       chi=st.sampled_from("+-"),
+       n=st.sampled_from((TRIM_STEPS - 1, TRIM_STEPS, TRIM_STEPS + 1, 70)),
+       split=st.integers(min_value=0, max_value=70))
+def test_compact_lattice_walk_property(model, chi, n, split):
+    # A walker on one site stays on x = n (mod 2) and runs on that half of
+    # the window; it must match the full-window reference, keep the other
+    # half exactly empty, and compose across a trim bit for bit.
+    state0 = initial_state(chi)
+    assert _Walk(state0, model, n).stride == 2
+    _assert_matches_reference(state0, model, n)
+    state = evolve(state0, model, n)
+    dist = probability_distribution(state)
+    assert np.all(dist.p[(dist.positions - n) % 2 == 1] == 0.0)
+    a = min(split, n)
+    parts = evolve(evolve(state0, model, a), model, n - a)
+    assert (parts.offset, parts.step_count) == (state.offset, state.step_count)
+    assert np.array_equal(parts.amplitudes, state.amplitudes)
+    # A state on both classes runs on the whole window.
+    assert _Walk(_TWO_CLASS_STATE, model, n).stride == 1
+    mixed = evolve(_TWO_CLASS_STATE, model, n)
+    assert (mixed.offset, mixed.amplitudes.shape[0]) == (4 - n, 2 + 2 * n)
+    _assert_matches_reference(_TWO_CLASS_STATE, model, n)
 
 
 def test_live_window_drops_subnormal_tails():
