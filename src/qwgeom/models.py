@@ -220,6 +220,17 @@ class WalkModel:
                                  args[-1], np.broadcast(*args).shape), axis=-1)
 
     @classmethod
+    def ellipse(cls, *angles):
+        """(n0, nc, ns) with N(k) = n0 + nc cos k + ns sin k at the
+        angles, broadcast, each shape (..., 3); no momentum is sampled."""
+        terms = _laurent(cls.step(*angles))
+        out = np.zeros((3, *np.broadcast(*angles).shape, 3))
+        for j, trace in enumerate(_TRACES[1:]):
+            for slot, h in _harmonics(terms, trace).items():
+                out[slot, ..., j] = h
+        return tuple(out)
+
+    @classmethod
     def dispersion(cls, *args):
         """cos E(k) at the angles and momentum args = (*angles, k),
         broadcast."""

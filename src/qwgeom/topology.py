@@ -4,9 +4,10 @@ Provides gap maps over two-angle parameter squares, location of
 isolated gap closings (Dirac points), all refined together by one array
 pattern search, and the integer winding number of the Bloch curve
 k -> N(k) about the origin of its plane.  Every family's N(k) is a first
-harmonic, so its Bloch curve is an ellipse and the winding is read off
-three momenta in closed form (winding_number); a step whose N(k) has
-degree 2 in e^{ik} would need the argument principle.
+harmonic, so its Bloch curve is an ellipse, read off the step with no
+momentum sampled (models.WalkModel.ellipse), and the winding follows in
+closed form (winding_number); a step whose N(k) has degree 2 in e^{ik}
+would need the argument principle.
 """
 
 from __future__ import annotations
@@ -229,23 +230,27 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
                          dropped=int(np.count_nonzero(~accept)))
 
 
+def ellipse_encloses_origin(n0, nc, ns):
+    """Whether the ellipse n0 + nc cos k + ns sin k (arrays (..., 3))
+    encloses the origin's projection onto its plane, and the normal
+    t = nc x ns it runs counterclockwise about.  With -n0 = a nc + b ns +
+    c t, it does when a^2 + b^2 < 1: X^2 + Y^2 < (t.t)^2 for
+    X = (ns x n0).t and Y = (n0 x nc).t, with no division, so a constant
+    N or a segment (t = 0) encloses nothing."""
+    t, ns_n0, n0_nc = np.cross([nc, ns, n0], [ns, n0, nc])
+    x, y = (np.sum(p * t, axis=-1) for p in (ns_n0, n0_nc))
+    return x * x + y * y < np.sum(t * t, axis=-1) ** 2, t
+
+
 def winding_number(model) -> int:
     """Winding of the Bloch curve k -> N(k) of a walk model about the
     origin's projection onto the curve's plane, in closed form.
 
-    Every family's N(k) is a first harmonic n0 + nc cos k + ns sin k
-    (models._laurent refuses a step that moves a spin component two
-    sites), so N(0), N(pi/2) and N(pi) give n0 = (N(0) + N(pi)) / 2,
-    nc = (N(0) - N(pi)) / 2 and ns = N(pi/2) - n0 exactly, and the curve
-    is an ellipse traced counterclockwise about t = nc x ns.  Writing
-    -n0 = a nc + b ns + c t, the origin's projection lies inside it when
-    a^2 + b^2 < 1, that is X^2 + Y^2 < (t.t)^2 with X = (ns x n0).t and
-    Y = (n0 x nc).t, which needs no division: a constant N or a segment
-    (t = 0) winds 0.  Inside, the winding is the sign of axis.t, about
-    the model's chiral axis where it declares one, so it changes only
-    where the gap closes; otherwise about t with its largest-magnitude
-    component made positive.  A step of degree 2 in e^{ik} would need
-    the argument principle instead.
+    The curve is the ellipse WalkModel.ellipse reads off the step, and
+    it winds where ellipse_encloses_origin says.  The winding is then
+    the sign of axis.t, about the model's chiral axis where it declares
+    one, so it changes only where the gap closes; otherwise about t with
+    its largest-magnitude component made positive.
 
     Raises GaplessPointError where the exact envelope gap
     1 - max_k |cos E| is at most CLOSING_GAP; the closed form decides
@@ -255,14 +260,8 @@ def winding_number(model) -> int:
     if 1.0 - float(model.envelope(*model.angles)[0]) <= CLOSING_GAP:
         raise GaplessPointError(f"the Bloch curve of {model!r} passes "
                                 "through the winding centre")
-    ks = np.array([0.0, 0.5 * np.pi, np.pi])
-    at0, at_half, at_pi = model.bloch_numerators(ks)
-    n0 = 0.5 * (at0 + at_pi)
-    nc = 0.5 * (at0 - at_pi)
-    ns = at_half - n0
-    t, ns_n0, n0_nc = np.cross([nc, ns, n0], [ns, n0, nc])
-    x, y = ns_n0 @ t, n0_nc @ t
-    if x * x + y * y >= (t @ t) ** 2:
+    inside, t = ellipse_encloses_origin(*model.ellipse(*model.angles))
+    if not inside:
         return 0
     axis = model.chiral_axis
     side = t[np.argmax(np.abs(t))] if axis is None else axis @ t

@@ -12,12 +12,12 @@ integrand of the non-commuting family and the known trivial value pi
 (see zak_noncommuting_integrand).  Over the full zone the Bloch curve
 is periodic and the undoubled Wilson loop is reported.
 
-zak_numeric samples the window; zak_map does not.  Both two-angle
-families have exact per-node phases on the window about k = 0
-(_noncommuting_phases, and _splitstep_phases, a chain of 3 or 5
-momenta), within 6.2e-15 of the sampled chain on the default 201^2 x
-512 map, which stays their test oracle.  zak_map's n_points sets only
-its sampled gap mask.
+zak_numeric samples the window; zak_map does not.  Every two-angle
+family's Bloch ellipse lies in a plane through the origin, so on the
+window about k = 0 the phase is pi |winding| over the full zone and a
+three-state chain over the half zone (_planar_phases), within 1.3e-14
+of the sampled chain, its test oracle, on the default 201^2 x 512 map.
+zak_map's n_points sets only its sampled gap mask.
 Phases are folded by utils.fold_angle (also fold_angle_array here), so
 a phase within 1e-12 of +-pi reads +pi.
 """
@@ -30,9 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GaplessPointError, OrthogonalStatesError
-from .models import MAX_CELLS, SplitStepWalk, WalkModel, sampled_band_edge
+from .models import (MAX_CELLS, SplitStepWalk, WalkModel, sampled_band_edge,
+                     two_angle_class)
 from .spin import half_solid_angle
-from .topology import SCAN_BLOCK_ROWS
+from .topology import SCAN_BLOCK_ROWS, ellipse_encloses_origin
 from .utils import canonical_angle, fold_angle
 
 PATH_GAP_TOL = 1e-6
@@ -43,6 +44,8 @@ CONVERGENCE_FLAG_TOL = 1e-4
 # numpy 2.4).
 ZAK_CELL_BYTES = 128
 _SOUTH = np.array([0.0, 0.0, -1.0])
+# Largest |n0 . (nc x ns)| taken as planar; every family here gives 0.
+PLANAR_TOL = 1e-12
 
 SPAN_HALF = "half"
 SPAN_FULL = "full"
@@ -136,10 +139,12 @@ def _wilson_phases(numerators: np.ndarray, weight: float,
     """
     if any(band not in (+1, -1) for band in bands):
         raise ValueError("band must be +1 or -1")
-    xyz = np.moveaxis(numerators, -1, 0)
+    # Chain axis first, so short chains run on contiguous slabs; the links
+    # are summed chain-last, as a C-order (..., m - 1) array would be.
+    xyz = np.moveaxis(numerators, (-1, -2), (0, 1))
     x, y, z = xyz
     n = np.multiply(xyz, 1.0 / np.sqrt(x * x + y * y + z * z), order="C")
-    a, b = n[..., :-1], n[..., 1:]
+    a, b = n[:, :-1], n[:, 1:]
     if np.any(np.sum((a + b) ** 2, axis=0) < (2.0 * OVERLAP_TOL) ** 2):
         raise OrthogonalStatesError("consecutive states are orthogonal; "
                                     "phase chain is undefined")
@@ -158,6 +163,7 @@ def _wilson_phases(numerators: np.ndarray, weight: float,
         if pole.any():
             links[pole] = half_solid_angle(_SOUTH, band * a[:, pole],
                                            band * b[:, pole])
+        links = np.ascontiguousarray(np.moveaxis(links, 0, -1))
         phases.append(fold_angle(weight * links.sum(axis=-1)))
     return phases
 
@@ -296,47 +302,32 @@ def zak_splitstep_analytic(theta1: float, theta2: float) -> SplitStepZak:
     return SplitStepZak(endpoint_form, published, planar)
 
 
-def _noncommuting_phases(theta, phi, span: str):
-    """Both bands' Zak phases of the non-commuting walk on the window
-    about k = 0, in closed form, broadcast over the angles.
-
-    N_perp has constant length and N_z = rho cos(k + delta), with
-    a^2 + b^2 + rho^2 = 1, so the band-s integrand 1 + s n_z of
-    zak_noncommuting_integrand has the antiderivative
-    k + s arcsin(rho sin(k + delta)).  Over the half zone the doubled
-    phase is pi + 2 s arcsin(rho cos delta) = pi + 2 s arcsin(c); over
-    the full zone the arcsin terms cancel and the phase is pi.
+def _planar_phases(cls, a1, a2, span: str):
+    """Both bands' Zak phases of a two-angle family on the window about
+    k = 0, broadcast over the angles, from its Bloch ellipse
+    N = n0 + nc cos k + ns sin k (cls.ellipse).  N is planar, so band s's
+    state s n moves on one great circle, where two chains between the
+    same ends (or a chart-pole link of _wilson_phases) differ by a
+    multiple of pi: the full-zone phase is pi where the ellipse encloses
+    the origin (pi |winding|), else 0, and the doubled half-zone phase is
+    that of N(-pi/2) -> q -> N(pi/2).  For the unit ends a, b and
+    t = nc x ns, q = u +- v with u = a + b, v = t x (a - b) and u.v >= 0,
+    so q.a = q.b = 1 + a.b + |t.(a x b)| >= 0, even for antipodal ends
+    (the non-commuting walk's).  Raises ValueError if |n0.t| > PLANAR_TOL.
     """
+    n0, nc, ns = cls.ellipse(a1, a2)
+    t = np.cross(nc, ns)
+    if np.any(np.abs(np.einsum("...i,...i", n0, t)) > PLANAR_TOL):
+        raise ValueError(f"the Bloch curve of family {cls.family!r} is not "
+                         "planar, so zak_map has no phase for it")
     if span == SPAN_FULL:
-        pi = np.full(np.broadcast(theta, phi).shape, np.pi)
-        return pi, pi
-    twice = 2.0 * np.arcsin(_angular_coeffs(theta, phi)[2])
-    return fold_angle(np.pi + twice), fold_angle(np.pi - twice)
-
-
-def _splitstep_phases(theta1, theta2, span: str):
-    """Both bands' Zak phases of the split-step walk on the window about
-    k = 0, broadcast over the angles.
-
-    The Bloch curve lies on the great circle normal to the chiral axis
-    (SplitStepWalk.chiral_axis), so the geodesic links of any chain
-    along it telescope, and the chain through the cell ends k = j pi/2
-    of the window (3 momenta on the half zone, 5 on the full zone) has
-    the phase of every finer one.  In that plane N has the coordinate
-    sin k cos(theta2) along (sin theta1, 0, -cos theta1), and over a
-    cell sin k keeps its sign and is nonzero at one end, so a gapped
-    node turns by less than pi per cell and the coarse links never meet
-    antipodal states.
-    """
-    half_width, weight = _SPANS[span]
-    ks = np.linspace(-half_width, half_width, 3 if span == SPAN_HALF else 5)
-    n = SplitStepWalk.numerators(np.asarray(theta1)[..., None],
-                                 np.asarray(theta2)[..., None], ks)
-    return _wilson_phases(n, weight)
-
-
-_CLOSED_FORMS = {"noncommuting": _noncommuting_phases,
-                 "splitstep": _splitstep_phases}
+        phase = np.where(ellipse_encloses_origin(n0, nc, ns)[0], np.pi, 0.0)
+        return phase, phase
+    a, b = (e / np.sqrt(np.einsum("...i,...i", e, e))[..., None]
+            for e in (n0 - ns, n0 + ns))
+    u, v = a + b, np.cross(t, a - b)
+    v[np.einsum("...i,...i", u, v) < 0.0] *= -1.0
+    return _wilson_phases(np.stack([a, u + v, b], axis=-2), 2.0)
 
 
 def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
@@ -346,19 +337,17 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
 
     A node is masked (NaN phases) when any of the n_points + 1 momentum
     samples of its window has gap < 1e-6; n_points sets only that mask,
-    read from models.sampled_band_edge at five momenta per node.  The other
-    nodes' phases are closed forms (_CLOSED_FORMS): at the default size
-    they are within 6.2e-15 of the sampled Wilson chain of zak_numeric
-    at k_origin = 0.  The grid runs topology.SCAN_BLOCK_ROWS rows at a
-    time, so the peak memory is that of the map and one block; the
-    default map takes 0.02-0.04 s (one thread, 2-vCPU x86-64 VM).
+    read from models.sampled_band_edge at five momenta per node.  The
+    other nodes' phases are exact (_planar_phases), within 1.3e-14 of
+    zak_numeric's chain at the default size; a family whose Bloch curve
+    is not planar at a live node raises ValueError.  The rows run
+    topology.SCAN_BLOCK_ROWS at a time, so the peak memory is that of
+    the map and one block; the default map takes 0.04-0.05 s (2-vCPU VM).
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
-    if family not in _CLOSED_FORMS:
-        raise ValueError(f"family {family!r} is not a two-angle family")
+    cls = two_angle_class(family)
     lo, hi, _ = _window(0.0, n_points, span)
-    phases = _CLOSED_FORMS[family]
     angles = np.linspace(-np.pi, np.pi, resolution)
     shape = (resolution, resolution)
     plus, minus = np.full(shape, np.nan), np.full(shape, np.nan)
@@ -369,7 +358,8 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
         masked[rows] = 1.0 - sampled_band_edge(family, a1, a2, lo, hi,
                                                n_points)[0] < PATH_GAP_TOL
         live = ~masked[rows]
-        plus[rows][live], minus[rows][live] = phases(a1[live], a2[live], span)
+        plus[rows][live], minus[rows][live] = _planar_phases(
+            cls, a1[live], a2[live], span)
     return ZakMap(family=family, angles1=angles, angles2=angles.copy(),
                   zak_plus=plus, zak_minus=minus, masked=masked,
                   n_points=n_points, span=span)

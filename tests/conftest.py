@@ -67,11 +67,17 @@ def swapped_coin_unitary(theta, phi, k):
 
 
 @contextlib.contextmanager
-def swapped_coins_registered():
-    """SwappedCoinWalk as a two-angle family of qwgeom.models while the
-    block runs (usable inside Hypothesis tests, unlike the fixture)."""
+def family_registered(cls):
+    """A test-only family class as a two-angle family of qwgeom.models
+    while the block runs (usable inside Hypothesis tests, unlike a
+    fixture)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(FAMILY_CLASSES, SwappedCoinWalk.family, SwappedCoinWalk)
+        mp.setitem(FAMILY_CLASSES, cls.family, cls)
         mp.setattr(models, "TWO_ANGLE_FAMILIES",
-                   (*models.TWO_ANGLE_FAMILIES, SwappedCoinWalk.family))
+                   (*models.TWO_ANGLE_FAMILIES, cls.family))
         yield
+
+
+def swapped_coins_registered():
+    """SwappedCoinWalk registered while the block runs."""
+    return family_registered(SwappedCoinWalk)

@@ -249,6 +249,24 @@ def test_bloch_numerators_norm_squared_property(model, k):
 
 
 @given(model=walk_models(), k=angles)
+def test_ellipse_rebuilds_the_bloch_numerators(model, k):
+    n0, nc, ns = model.ellipse(*model.angles)
+    n = np.asarray(model.bloch_numerators(k))
+    assert np.max(np.abs(n0 + nc * np.cos(k) + ns * np.sin(k) - n)) < 1e-15
+
+
+def test_ellipse_broadcasts_over_angle_arrays():
+    a1, a2 = np.linspace(-3.0, 3.0, 5)[:, None], np.linspace(-2.0, 2.0, 4)
+    for cls in (NonCommutingWalk, SplitStepWalk, SwappedCoinWalk):
+        parts = cls.ellipse(a1, a2)
+        assert all(p.shape == (5, 4, 3) for p in parts)
+        for i, j in ((0, 0), (2, 3), (4, 1)):
+            one = cls.ellipse(float(a1[i, 0]), float(a2[j]))
+            for p, q in zip(parts, one):
+                assert np.array_equal(p[i, j], q)
+
+
+@given(model=walk_models(), k=angles)
 def test_chiral_axis_is_a_unit_normal_of_the_bloch_curve(model, k):
     axis = model.chiral_axis
     if model.family == "noncommuting":

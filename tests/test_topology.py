@@ -17,8 +17,8 @@ from qwgeom.topology import (_cluster_components, _refine_touchings,
 from qwgeom.utils import fold_angle
 from qwgeom.zak import zak_map
 
-from conftest import (SwappedCoinWalk, angles, swapped_coin_unitary,
-                      swapped_coins_registered)
+from conftest import (SwappedCoinWalk, angles, family_registered,
+                      swapped_coin_unitary, swapped_coins_registered)
 
 
 def test_scan_gap_grid_and_values():
@@ -490,12 +490,16 @@ def test_standard_winding_changes_sign_only_where_the_gap_closes():
     assert np.array_equal(nu, -np.sign(theta))
 
 
-def test_splitstep_full_zone_zak_phase_is_pi_times_winding():
-    zm = zak_map("splitstep", resolution=41, n_points=512, span="full")
+@pytest.mark.parametrize("cls", [NonCommutingWalk, SplitStepWalk,
+                                 SwappedCoinWalk], ids=lambda c: c.family)
+def test_full_zone_zak_phase_is_pi_times_winding(cls):
+    # Ties zak_map to winding_number at every live node, both bands.
+    with family_registered(cls):
+        zm = zak_map(cls.family, resolution=81, n_points=512, span="full")
     live = np.argwhere(~zm.masked)
     assert 0 < len(live) < zm.masked.size
     for i, j in live:
-        nu = winding_number(SplitStepWalk(zm.angles1[i], zm.angles2[j]))
+        nu = winding_number(cls(zm.angles1[i], zm.angles2[j]))
         for phase in (zm.zak_plus[i, j], zm.zak_minus[i, j]):
             assert abs(fold_angle(phase - np.pi * abs(nu))) < 1e-12
 

@@ -3,20 +3,26 @@ and the two-angle phase maps."""
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import SwappedCoinWalk, angles, swapped_coin_unitary, walk_models
+from conftest import (SwappedCoinWalk, angles, family_registered,
+                      swapped_coin_unitary, swapped_coins_registered,
+                      walk_models)
 from qwgeom import zak
 from qwgeom.errors import GaplessPointError, OrthogonalStatesError
-from qwgeom.models import (NonCommutingWalk, SplitStepWalk, StandardWalk,
-                           make_model, sampled_band_edge, two_angle_class)
-from qwgeom.spin import band_eigenvector, half_solid_angle
+from qwgeom.models import (SHIFT_H, SHIFT_V, NonCommutingWalk, SplitStepWalk,
+                           StandardWalk, WalkModel, make_model,
+                           sampled_band_edge, two_angle_class)
+from qwgeom.spin import (band_eigenvector, half_solid_angle, rotation_x,
+                         rotation_y)
 from qwgeom.utils import fold_angle
-from qwgeom.zak import (_wilson_phases, discrete_berry_phase,
+from qwgeom.zak import (SPAN_FULL, SPAN_HALF, _SPANS, _angular_coeffs,
+                        _wilson_phases, discrete_berry_phase,
                         zak_difference, zak_map, zak_noncommuting_integrand,
                         zak_numeric, zak_splitstep_analytic)
 
@@ -522,8 +528,8 @@ def test_zak_map_equals_per_band_oracle(family, span, resolution, n_points):
     assert np.array_equal(minus, oracle_minus, equal_nan=True)
 
 
-# Largest |closed form - chain| measured: 6.2e-15 at 201 x 512 and
-# 8.9e-15 at 301 x 128, both families and spans.
+# Largest |zak_map - chain| measured: 1.3e-14 at 201 x 512 and 2.0e-14
+# at 301 x 128, over the three planar families and both spans.
 CLOSED_FORM_TOL = 1e-13
 
 
@@ -543,40 +549,145 @@ def test_zak_map_closed_form_equals_chain_map(family, span, resolution,
         assert np.max(np.abs(got[live] - chain[live])) < CLOSED_FORM_TOL
 
 
-@given(family=st.sampled_from(["noncommuting", "splitstep"]), a1=angles,
-       a2=angles, span=st.sampled_from(["half", "full"]))
-def test_closed_forms_match_zak_numeric(family, a1, a2, span):
-    model = make_model(family, [a1, a2])
-    ks, _ = _window_samples(4096, span)
-    assume(np.min(model.gap(ks)) >= 1e-3)
-    plus, minus = zak._CLOSED_FORMS[family](a1, a2, span)
-    for band, phase in ((+1, plus), (-1, minus)):
-        chain = zak_numeric(model, band, n_points=512, span=span).phase
-        assert _circ(float(phase), chain) < CLOSED_FORM_TOL
+def _noncommuting_phases(theta, phi, span: str):
+    """Both bands' Zak phases of the non-commuting walk on the window
+    about k = 0, in closed form, broadcast over the angles.
+
+    N_perp has constant length and N_z = rho cos(k + delta), with
+    a^2 + b^2 + rho^2 = 1, so the band-s integrand 1 + s n_z of
+    zak_noncommuting_integrand has the antiderivative
+    k + s arcsin(rho sin(k + delta)).  Over the half zone the doubled
+    phase is pi + 2 s arcsin(rho cos delta) = pi + 2 s arcsin(c); over
+    the full zone the arcsin terms cancel and the phase is pi.
+    """
+    if span == SPAN_FULL:
+        pi = np.full(np.broadcast(theta, phi).shape, np.pi)
+        return pi, pi
+    twice = 2.0 * np.arcsin(_angular_coeffs(theta, phi)[2])
+    return fold_angle(np.pi + twice), fold_angle(np.pi - twice)
 
 
-# Split-step nodes next to the gap-closing lines theta2 = +-theta1 and
-# cos(theta2) = 0, where the Bloch curve turns fastest.
+def _splitstep_phases(theta1, theta2, span: str):
+    """Both bands' Zak phases of the split-step walk on the window about
+    k = 0, broadcast over the angles.
+
+    The Bloch curve lies on the great circle normal to the chiral axis
+    (SplitStepWalk.chiral_axis), so the geodesic links of any chain
+    along it telescope, and the chain through the cell ends k = j pi/2
+    of the window (3 momenta on the half zone, 5 on the full zone) has
+    the phase of every finer one.  In that plane N has the coordinate
+    sin k cos(theta2) along (sin theta1, 0, -cos theta1), and over a
+    cell sin k keeps its sign and is nonzero at one end, so a gapped
+    node turns by less than pi per cell and the coarse links never meet
+    antipodal states.
+    """
+    half_width, weight = _SPANS[span]
+    ks = np.linspace(-half_width, half_width, 3 if span == SPAN_HALF else 5)
+    n = SplitStepWalk.numerators(np.asarray(theta1)[..., None],
+                                 np.asarray(theta2)[..., None], ks)
+    return _wilson_phases(n, weight)
+
+
+# The per-family closed forms zak_map read before _planar_phases, kept
+# verbatim as its oracles.
+_CLOSED_FORMS = {"noncommuting": _noncommuting_phases,
+                 "splitstep": _splitstep_phases}
+
+
+@pytest.mark.parametrize("family", ["noncommuting", "splitstep"])
+@pytest.mark.parametrize("span", ["half", "full"])
+def test_zak_map_equals_the_per_family_closed_forms(default_zak_map, family,
+                                                    span):
+    zm = default_zak_map(family, span)
+    a1, a2 = np.meshgrid(zm.angles1, zm.angles2, indexing="ij")
+    live = ~zm.masked
+    plus, minus = _CLOSED_FORMS[family](a1[live], a2[live], span)
+    for got, form in ((zm.zak_plus[live], plus), (zm.zak_minus[live], minus)):
+        assert np.max(np.abs(got - form)) < CLOSED_FORM_TOL
+
+
+_PLANAR_FAMILIES = (NonCommutingWalk, SplitStepWalk, SwappedCoinWalk)
+
+# Nodes next to the split-step gap-closing lines theta2 = +-theta1 and
+# cos(theta2) = 0, where the Bloch curve turns fastest, and on the lines
+# theta1 in {0, +-pi}, where the split-step nc vanishes and the curve is
+# a segment.
 _near_closing = st.tuples(
     angles, st.sampled_from([1.0, -1.0]),
     st.sampled_from([0.0, 1e-9, 1e-7, -1e-6, 1e-4, -1e-2])).map(
         lambda t: (t[0], t[1] * t[0] + t[2]))
+_planar_nodes = st.one_of(
+    st.tuples(angles, angles), _near_closing,
+    st.tuples(angles, st.sampled_from([np.pi / 2, -np.pi / 2])),
+    st.tuples(st.sampled_from([0.0, np.pi, -np.pi]), angles))
 
 
-@given(nodes=st.one_of(st.tuples(angles, angles), _near_closing,
-                       st.tuples(angles, st.sampled_from([np.pi / 2,
-                                                          -np.pi / 2]))),
+@given(cls=st.sampled_from(_PLANAR_FAMILIES), nodes=_planar_nodes,
+       span=st.sampled_from(["half", "full"]))
+def test_closed_forms_match_zak_numeric(cls, nodes, span):
+    model = cls(*nodes)
+    ks, _ = _window_samples(4096, span)
+    assume(np.min(model.gap(ks)) >= zak.PATH_GAP_TOL)
+    plus, minus = zak._planar_phases(cls, *nodes, span)
+    for band, phase in ((+1, plus), (-1, minus)):
+        chain = zak_numeric(model, band, n_points=4096, span=span).phase
+        assert _circ(float(phase), chain) < CLOSED_FORM_TOL
+
+
+@given(cls=st.sampled_from(_PLANAR_FAMILIES), nodes=_planar_nodes,
        span=st.sampled_from(["half", "full"]),
        n_points=st.sampled_from([16, 512, 2**40]))
-def test_splitstep_coarse_chain_is_defined_on_unmasked_nodes(nodes, span,
-                                                             n_points):
+def test_planar_chain_is_defined_on_unmasked_nodes(cls, nodes, span,
+                                                   n_points):
     a1, a2 = nodes
     lo, hi, _ = zak._window(0.0, n_points, span)
-    assume(not _edge_mask("splitstep", np.array([[a1]]), np.array([[a2]]),
-                          lo, hi, n_points)[0])
-    # Raises OrthogonalStatesError should a coarse link meet antipodes.
-    plus, minus = zak._splitstep_phases(a1, a2, span)
+    with family_registered(cls):
+        masked = _edge_mask(cls.family, np.array([[a1]]), np.array([[a2]]),
+                            lo, hi, n_points)[0]
+    assume(not masked)
+    # Raises OrthogonalStatesError should a link of the three-state chain
+    # meet antipodes; a 0/0 in normalising its states warns, which fails.
+    plus, minus = zak._planar_phases(cls, a1, a2, span)
     assert np.isfinite(plus) and np.isfinite(minus)
+
+
+@pytest.mark.parametrize("span", ["half", "full"])
+def test_zak_map_of_a_family_declared_in_the_test(span):
+    family = SwappedCoinWalk.family
+    with swapped_coins_registered():
+        zm = zak_map(family, 41, 512, span=span)
+        plus, minus, masked = _chain_zak_map(family, 41, 512, span)
+    assert np.array_equal(zm.masked, masked)
+    live = ~masked
+    for got, chain in ((zm.zak_plus, plus), (zm.zak_minus, minus)):
+        assert np.all(np.isnan(got[masked]))
+        assert np.max(np.abs(got[live] - chain[live])) < CLOSED_FORM_TOL
+
+
+@dataclass(frozen=True)
+class TiltedSplitStepWalk(WalkModel):
+    """A test-only two-angle family whose Bloch ellipse leaves the planes
+    through the origin: the split-step walk with R_x(phi) as its second
+    coin."""
+
+    theta1: float
+    phi: float
+
+    family = "tilted-splitstep"
+
+    @staticmethod
+    def step(theta1, phi):
+        return (rotation_y(theta1), SHIFT_V, rotation_x(phi), SHIFT_H)
+
+
+def test_zak_map_refuses_a_nonplanar_family():
+    grid = np.linspace(-np.pi, np.pi, 21)
+    n0, nc, ns = TiltedSplitStepWalk.ellipse(grid[:, None], grid)
+    tilt = np.abs(np.sum(n0 * np.cross(nc, ns), axis=-1))
+    assert np.median(tilt) > 0.05
+    with family_registered(TiltedSplitStepWalk):
+        with pytest.raises(ValueError, match=TiltedSplitStepWalk.family):
+            zak_map(TiltedSplitStepWalk.family, resolution=21, n_points=64)
 
 
 @pytest.mark.parametrize("family", ["noncommuting", "splitstep"])
