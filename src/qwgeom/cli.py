@@ -22,11 +22,11 @@ flags, a family's model field names.  No command uses threads.  The
 angle-square commands build no momentum grid: phase-diagram (--k-samples
 8 to 2**53 + 1) and the zak-map mask read models.sampled_band_edge, five
 momenta per node, and dirac-points (--resolution from
-topology.min_census_resolution(), 101) and zak-map's phases are exact,
-so zak-map's --n-points (even, 16 to 2**53) sets only its mask.
-winding reads the Bloch ellipse in closed form (no size flag) and exits
-3 within topology.CLOSING_GAP of a closing.  zak reduces --k-origin
-into [-pi, pi] before it builds the window and echoes it as given.
+topology.min_census_resolution(), 101).  zak's and zak-map's phases are
+exact, so their --n-points (even, 16 to 2**53) sets only the sampled
+refusal (zak-map's mask, zak's exit 3).  winding and zak exit 3 for a
+closing within topology.CLOSING_GAP (zak: inside its window).  zak
+reduces --k-origin into [-pi, pi] and echoes it as given.
 A size flag whose estimated peak memory exceeds MEMORY_BUDGET bytes is
 refused with exit 2 before anything is allocated: --steps of walk,
 --loops and --steps of holonomy-sphere, --k-samples of spectrum and

@@ -152,7 +152,6 @@ def zak_result_json(zr: ZakResult) -> str:
         "k_origin": float(zr.k_origin),
         "n_points": int(zr.n_points),
         "span": zr.span,
-        "converged": bool(zr.converged),
         "model": model_payload(zr.model),
     }
     return json_text(payload)

@@ -15,20 +15,25 @@ for _m in (PAULI_X, PAULI_Y, PAULI_Z):
     _m.setflags(write=False)
 
 
+def _coin(a, b, c, d) -> np.ndarray:
+    """C-contiguous complex [[a, b], [c, d]], shape np.shape(a) + (2, 2)."""
+    m = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
+    return m
+
+
 def rotation_y(theta) -> np.ndarray:
     """Real rotation [[cos, -sin], [sin, cos]], i.e. exp(-i theta sigma_y),
     shape np.shape(theta) + (2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
-    m = np.array([[c, -s], [s, c]], dtype=complex)
-    return m.transpose(*range(2, m.ndim), 0, 1)
+    return _coin(c, -s, s, c)
 
 
 def rotation_x(phi) -> np.ndarray:
     """Coin [[cos, i sin], [i sin, cos]], i.e. exp(+i phi sigma_x),
     shape np.shape(phi) + (2, 2)."""
     c, s = np.cos(phi), np.sin(phi)
-    m = np.array([[c, 1.0j * s], [1.0j * s, c]], dtype=complex)
-    return m.transpose(*range(2, m.ndim), 0, 1)
+    return _coin(c, 1.0j * s, 1.0j * s, c)
 
 
 def bloch_sphere_state(theta: float, phi: float, band: int) -> np.ndarray:

@@ -1,25 +1,16 @@
 """Zak phases of the walk bands.
 
-The workhorse is a discrete Wilson-line (overlap-product) Berry phase,
-which is gauge robust by construction; each link is a spherical-triangle
-area of real unit Bloch vectors with its apex at -z.  One kernel
-(_wilson_phases) normalises the chain and checks its overlaps once and
-shares each link's in-plane terms between the two bands; zak_numeric
-asks it for one band.  The default integration window is the
-half zone [k0 - pi/2, k0 + pi/2]; the reported phase doubles the
-raw Wilson-line value there, which reproduces both the closed-form
-integrand of the non-commuting family and the known trivial value pi
-(see zak_noncommuting_integrand).  Over the full zone the Bloch curve
-is periodic and the undoubled Wilson loop is reported.
-
-zak_numeric samples the window; zak_map does not.  Every two-angle
-family's Bloch ellipse lies in a plane through the origin, so on the
-window about k = 0 the phase is pi |winding| over the full zone and a
-three-state chain over the half zone (_planar_phases), within 1.3e-14
-of the sampled chain, its test oracle, on the default 201^2 x 512 map.
-zak_map's n_points sets only its sampled gap mask.
-Phases are folded by utils.fold_angle (also fold_angle_array here), so
-a phase within 1e-12 of +-pi reads +pi.
+Every family's Bloch curve N(k) = n0 + nc cos k + ns sin k is an ellipse
+in a plane through the origin (models.WalkModel.ellipse), so a band's
+state moves on one great circle, and its Zak phase (Zak, PRL 62, 2747
+(1989)) on a window about any k0 is exact from the window's ends alone
+(_planar_phases).  zak_numeric, zak_map and zak_difference all read it,
+and their n_points sets only the sampled refusal; the sampled Wilson
+chain it replaced is kept in the tests as its oracle.  _wilson_phases is
+the Wilson-line kernel: each link is a spherical-triangle area of real
+unit Bloch vectors with its apex at -z.  Phases are folded by
+utils.fold_angle (also fold_angle_array here), so a phase within 1e-12
+of +-pi reads +pi.
 """
 
 from __future__ import annotations
@@ -33,15 +24,14 @@ from .errors import GaplessPointError, OrthogonalStatesError
 from .models import (MAX_CELLS, SplitStepWalk, WalkModel, sampled_band_edge,
                      two_angle_class)
 from .spin import half_solid_angle
-from .topology import SCAN_BLOCK_ROWS, ellipse_encloses_origin
+from .topology import CLOSING_GAP, SCAN_BLOCK_ROWS, ellipse_encloses_origin
 from .utils import canonical_angle, fold_angle
 
 PATH_GAP_TOL = 1e-6
 OVERLAP_TOL = 1e-12
-CONVERGENCE_FLAG_TOL = 1e-4
-# Peak bytes per momentum sample of zak_numeric's Wilson chain (measured
-# 89-109 from peak RSS growth at 2e4-3e6 samples, Linux x86-64,
-# numpy 2.4).
+# Peak bytes per momentum sample of zak_numeric's window momenta and their
+# gaps (measured 24-40 from peak RSS growth at 2e5-3e6 samples, Linux
+# x86-64, numpy 2.4; 89-109 with the sampled Wilson chain).
 ZAK_CELL_BYTES = 128
 _SOUTH = np.array([0.0, 0.0, -1.0])
 # Largest |n0 . (nc x ns)| taken as planar; every family here gives 0.
@@ -49,8 +39,8 @@ PLANAR_TOL = 1e-12
 
 SPAN_HALF = "half"
 SPAN_FULL = "full"
-# Half width of each span's momentum window, and the weight of its phase.
-_SPANS = {SPAN_HALF: (0.5 * np.pi, 2.0), SPAN_FULL: (np.pi, 1.0)}
+# Half width of each span's momentum window.
+_SPANS = {SPAN_HALF: 0.5 * np.pi, SPAN_FULL: np.pi}
 
 fold_angle_array = fold_angle
 
@@ -65,7 +55,6 @@ class ZakResult:
     n_points: int
     model: WalkModel
     span: str
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -112,10 +101,9 @@ def discrete_berry_phase(vectors: np.ndarray, closed: bool = False) -> float:
     return float(np.sum(np.angle(overlaps)))
 
 
-def _wilson_phases(numerators: np.ndarray, weight: float,
-                   bands=(+1, -1)) -> list:
-    """Folded weight x Wilson-line phase of each band in bands along
-    axis -2 of (..., m, 3) Bloch numerators, one list entry per band.
+def _wilson_phases(numerators: np.ndarray, weight: float) -> list:
+    """Folded weight x Wilson-line phases [band +1, band -1] along axis
+    -2 of (..., m, 3) Bloch numerators.
 
     In spin.band_eigenvector's gauge the lower component of band s is
     real with sign -s, so each link arg<v_i|v_i+1> is exactly
@@ -131,14 +119,9 @@ def _wilson_phases(numerators: np.ndarray, weight: float,
     operations of half_solid_angle, up to the sign of an exact zero
     num; where that sign matters (a non-positive denominator, where it
     picks +pi or -pi) the link is taken from half_solid_angle itself.
-    At the chart pole s n = +z the kernel reads 0 or +-pi where the
-    gauge jumps; no gapped window of width >= pi gets there, as
-    n_x = n_y = 0 forces a touching at k = 0 or pi (standard,
-    split-step) or max_k |cos E| = 1 at k* and k* + pi (noncommuting,
-    whose |n_perp| is constant in k).
+    At the chart pole s n = +z a link reads 0 or +-pi where the gauge
+    jumps, a multiple of pi that _planar_phases' doubling removes.
     """
-    if any(band not in (+1, -1) for band in bands):
-        raise ValueError("band must be +1 or -1")
     # Chain axis first, so short chains run on contiguous slabs; the links
     # are summed chain-last, as a C-order (..., m - 1) array would be.
     xyz = np.moveaxis(numerators, (-1, -2), (0, 1))
@@ -155,7 +138,7 @@ def _wilson_phases(numerators: np.ndarray, weight: float,
     dot += ay * by
     zero = num == 0.0
     phases = []
-    for band in bands:
+    for band in (+1, -1):
         links = (az - band) * (bz - band)
         links += dot
         pole = zero & (links <= 0.0)
@@ -169,42 +152,53 @@ def _wilson_phases(numerators: np.ndarray, weight: float,
 
 
 def _window(k_origin: float, n_points: int, span: str):
-    """Ends (lo, hi) of a span's window about k_origin, and the span's
-    phase weight; the window is sampled at n_points + 1 momenta."""
+    """k_origin reduced into [-pi, pi], and the ends (lo, hi) of a span's
+    window about it, which is sampled at n_points + 1 momenta."""
     if span not in _SPANS:
         raise ValueError(f"span must be 'half' or 'full', got {span!r}")
     if not 16 <= n_points <= MAX_CELLS or n_points % 2 != 0:
         raise ValueError("n_points must be an even integer in [16, 2**53]")
-    half_width, weight = _SPANS[span]
+    half_width = _SPANS[span]
     # Reduced first: far from zero, linspace would repeat one momentum.
     k_origin = canonical_angle(k_origin)
-    return k_origin - half_width, k_origin + half_width, weight
+    return k_origin, k_origin - half_width, k_origin + half_width
+
+
+def _closes_in_window(model: WalkModel, origin: float, span: str) -> bool:
+    """Whether the closed window about origin holds a momentum with gap
+    at most topology.CLOSING_GAP (winding_number's threshold): k*, where
+    the exact envelope peaks, if its gap is that small, and then also
+    k* + pi if its own gap is too; no other momentum can close."""
+    peak, k_star = model.envelope(*model.angles)
+    if 1.0 - float(peak) > CLOSING_GAP:
+        return False
+    ks = float(k_star) + np.array([0.0, np.pi])
+    closes = np.array([True, model.gap(ks[1]) <= CLOSING_GAP])
+    inside = np.abs(fold_angle(ks - origin)) <= _SPANS[span]
+    return bool(np.any(closes & inside))
 
 
 def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
                 n_points: int = 2048, *, span: str = SPAN_HALF) -> ZakResult:
-    """Discrete Berry (Zak) phase of one band along a momentum window.
+    """Zak phase of one band along a momentum window, read off the Bloch
+    ellipse (_planar_phases), so n_points sets only the sampled refusal.
 
-    The window is [k_origin - w/2, k_origin + w/2] with w = pi for
-    span="half" (the default) and w = 2 pi for span="full", sampled at
-    n_points + 1 uniform k values including both endpoints, as an open
-    chain.  n_points must be even (>= 16) so a half-rate subsample can
-    flag non-convergence: converged is False when the subsampled phase
-    differs by more than 1e-4.
-
-    Raises GaplessPointError if any sampled momentum has gap < 1e-6.
+    The window is [k_origin - w/2, k_origin + w/2], w = pi for
+    span="half" (the default) and 2 pi for span="full".  Raises
+    GaplessPointError if one of its n_points + 1 uniform momenta
+    (n_points even, in [16, 2**53]) has gap < 1e-6 or it holds a closing
+    (_closes_in_window); ValueError for a non-planar Bloch curve.
     """
-    lo, hi, weight = _window(k_origin, n_points, span)
-    ks = np.linspace(lo, hi, n_points + 1)
-    if np.any(model.gap(ks) < PATH_GAP_TOL):
+    if band not in (+1, -1):
+        raise ValueError("band must be +1 or -1")
+    origin, lo, hi = _window(k_origin, n_points, span)
+    if (np.any(model.gap(np.linspace(lo, hi, n_points + 1)) < PATH_GAP_TOL)
+            or _closes_in_window(model, origin, span)):
         raise GaplessPointError(f"gapless momentum on the Zak path of {model!r}")
-    n = model.bloch_numerators(ks)
-    phase = float(_wilson_phases(n, weight, (band,))[0])
-    coarse = float(_wilson_phases(n[::2], weight, (band,))[0])
-    converged = abs(fold_angle(phase - coarse)) <= CONVERGENCE_FLAG_TOL
-    return ZakResult(band=band, phase=phase, k_origin=float(k_origin),
-                     n_points=n_points, model=model, span=span,
-                     converged=converged)
+    plus, minus = _planar_phases(type(model), model.angles, origin, span)
+    return ZakResult(band=band, phase=float(plus if band > 0 else minus),
+                     k_origin=float(k_origin), n_points=n_points,
+                     model=model, span=span)
 
 
 def zak_difference(model_a: WalkModel, model_b: WalkModel, band: int,
@@ -302,29 +296,31 @@ def zak_splitstep_analytic(theta1: float, theta2: float) -> SplitStepZak:
     return SplitStepZak(endpoint_form, published, planar)
 
 
-def _planar_phases(cls, a1, a2, span: str):
-    """Both bands' Zak phases of a two-angle family on the window about
-    k = 0, broadcast over the angles, from its Bloch ellipse
+def _planar_phases(cls, angles, origin: float, span: str):
+    """Both bands' Zak phases of a family on the window about origin,
+    broadcast over its angles, from its Bloch ellipse
     N = n0 + nc cos k + ns sin k (cls.ellipse).  N is planar, so band s's
     state s n moves on one great circle, where two chains between the
     same ends (or a chart-pole link of _wilson_phases) differ by a
     multiple of pi: the full-zone phase is pi where the ellipse encloses
     the origin (pi |winding|), else 0, and the doubled half-zone phase is
-    that of N(-pi/2) -> q -> N(pi/2).  For the unit ends a, b and
+    that of N(origin - pi/2) -> q -> N(origin + pi/2), whose ends are
+    n0 -+ (ns cos origin - nc sin origin).  For the unit ends a, b and
     t = nc x ns, q = u +- v with u = a + b, v = t x (a - b) and u.v >= 0,
     so q.a = q.b = 1 + a.b + |t.(a x b)| >= 0, even for antipodal ends
     (the non-commuting walk's).  Raises ValueError if |n0.t| > PLANAR_TOL.
     """
-    n0, nc, ns = cls.ellipse(a1, a2)
+    n0, nc, ns = cls.ellipse(*angles)
     t = np.cross(nc, ns)
     if np.any(np.abs(np.einsum("...i,...i", n0, t)) > PLANAR_TOL):
         raise ValueError(f"the Bloch curve of family {cls.family!r} is not "
-                         "planar, so zak_map has no phase for it")
+                         "planar, so its Zak phase has no closed form")
     if span == SPAN_FULL:
         phase = np.where(ellipse_encloses_origin(n0, nc, ns)[0], np.pi, 0.0)
         return phase, phase
+    half_chord = ns * np.cos(origin) - nc * np.sin(origin)
     a, b = (e / np.sqrt(np.einsum("...i,...i", e, e))[..., None]
-            for e in (n0 - ns, n0 + ns))
+            for e in (n0 - half_chord, n0 + half_chord))
     u, v = a + b, np.cross(t, a - b)
     v[np.einsum("...i,...i", u, v) < 0.0] *= -1.0
     return _wilson_phases(np.stack([a, u + v, b], axis=-2), 2.0)
@@ -338,16 +334,16 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     A node is masked (NaN phases) when any of the n_points + 1 momentum
     samples of its window has gap < 1e-6; n_points sets only that mask,
     read from models.sampled_band_edge at five momenta per node.  The
-    other nodes' phases are exact (_planar_phases), within 1.3e-14 of
-    zak_numeric's chain at the default size; a family whose Bloch curve
-    is not planar at a live node raises ValueError.  The rows run
+    other nodes' phases are zak_numeric's, within 1.3e-14 of the sampled
+    chain at the default size; a family whose Bloch curve is not planar
+    at a live node raises ValueError.  The rows run
     topology.SCAN_BLOCK_ROWS at a time, so the peak memory is that of
     the map and one block; the default map takes 0.04-0.05 s (2-vCPU VM).
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
     cls = two_angle_class(family)
-    lo, hi, _ = _window(0.0, n_points, span)
+    _, lo, hi = _window(0.0, n_points, span)
     angles = np.linspace(-np.pi, np.pi, resolution)
     shape = (resolution, resolution)
     plus, minus = np.full(shape, np.nan), np.full(shape, np.nan)
@@ -359,7 +355,7 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
                                                n_points)[0] < PATH_GAP_TOL
         live = ~masked[rows]
         plus[rows][live], minus[rows][live] = _planar_phases(
-            cls, a1[live], a2[live], span)
+            cls, (a1[live], a2[live]), 0.0, span)
     return ZakMap(family=family, angles1=angles, angles2=angles.copy(),
                   zak_plus=plus, zak_minus=minus, masked=masked,
                   n_points=n_points, span=span)

@@ -101,8 +101,21 @@ def test_zak_json_value(capsys):
     payload = json.loads(out)
     assert payload["band"] == -1
     assert payload["model"]["family"] == "noncommuting"
-    assert payload["converged"] is True
+    assert sorted(payload) == ["band", "k_origin", "model", "n_points",
+                               "phase", "span"]
     assert abs(payload["phase"] - math.pi) < 1e-6
+
+
+@pytest.mark.parametrize("model", [("standard", "--theta", "pi"),
+                                   ("noncommuting", "--theta", "0",
+                                    "--phi", "pi")])
+def test_zak_exits_three_for_a_closing_between_the_samples(capsys, model):
+    # The gap closes at k = 0 inside the window, between two samples.
+    code, out, err = run(capsys, "zak", "--family", *model, "--band",
+                         "plus", "--n-points", "64", "--k-origin", "0.3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: gapless momentum")
 
 
 def test_walk_csv_and_oracle_note(capsys, tmp_path):

@@ -51,6 +51,16 @@ def test_rotations_broadcast_with_matrix_axes_last():
             assert np.array_equal(stack[idx], rot(angles[idx]))
 
 
+def test_rotation_stacks_are_c_contiguous():
+    # The Laurent fold reads each coin stack as is; a transposed view
+    # would be copied once per coin.
+    angles = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    for rot in (rotation_y, rotation_x):
+        stack = rot(angles)
+        assert stack.flags.c_contiguous
+        assert stack.dtype == complex
+
+
 def test_rotations_are_unitary_and_compose():
     rng = np.random.default_rng(11)
     for _ in range(20):
