@@ -19,21 +19,20 @@ Angles are radians, decimals or exact pi multiples ("pi/4", "1.5pi")
 that keep special points exact; a negative one may follow its flag as
 the next token ("--theta -pi/2").  Only the model commands take angle
 flags, a family's model field names.  No command uses threads.  The
-angle-square commands build no momentum grid: phase-diagram (--k-samples
-8 to 2**53 + 1) and the zak-map mask read models.sampled_band_edge, five
-momenta per node, and dirac-points (--resolution from
-topology.min_census_resolution(), 101).  zak's and zak-map's phases are
-exact, so their --n-points (even, 16 to 2**53) sets only the sampled
-refusal (zak-map's mask, zak's exit 3).  winding and zak exit 3 for a
-closing within topology.CLOSING_GAP (zak: inside its window).  zak
-reduces --k-origin into [-pi, pi] and echoes it as given.
+angle-square commands and zak build no momentum grid: phase-diagram
+(--k-samples 8 to 2**53 + 1), the zak-map mask and zak's sampled refusal
+read models.sampled_band_edge, five momenta per node, and dirac-points
+(--resolution from topology.min_census_resolution(), 101).  zak's and
+zak-map's phases are exact, so their --n-points (even, 16 to 2**53) sets
+only the sampled refusal (zak-map's mask, zak's exit 3).  winding and
+zak exit 3 for a closing within topology.CLOSING_GAP (zak: inside its
+window).  zak reduces --k-origin into [-pi, pi] and echoes it as given.
 A size flag whose estimated peak memory exceeds MEMORY_BUDGET bytes is
 refused with exit 2 before anything is allocated: --steps of walk,
 --loops and --steps of holonomy-sphere, --k-samples of spectrum and
-bloch, --n-points of zak, and --resolution of phase-diagram,
-dirac-points and zak-map.  Each CSV row counts emit.CSV_ROW_BYTES
-(phase-diagram and zak-map: that alone, one row per node); walk's
-per-site figure covers its CSV.
+bloch, and --resolution of phase-diagram, dirac-points and zak-map.
+Each CSV row counts emit.CSV_ROW_BYTES (phase-diagram and zak-map: that
+alone, one row per node); walk's per-site figure covers its CSV.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .utils import fold_angle
 from .walk import (TRIM_STEPS, _Walk, initial_state, momentum_oracle,
                    peak_bytes, probability_distribution, similarity,
                    total_variation)
-from .zak import ZAK_CELL_BYTES, zak_map, zak_numeric
+from .zak import zak_map, zak_numeric
 
 _PI_FORM = re.compile(
     r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?pi(?:/(\d+(?:\.\d*)?|\.\d+))?$")
@@ -230,7 +229,6 @@ def _cmd_dirac_points(args) -> str:
 
 def _cmd_zak(args) -> str:
     model = _build_model(args)
-    _check_budget(args, ZAK_CELL_BYTES * (args.n_points + 1), "n-points")
     zr = zak_numeric(model, _BAND[args.band], k_origin=args.k_origin,
                      n_points=args.n_points, span=args.span)
     return emit.zak_result_json(zr)

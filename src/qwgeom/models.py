@@ -124,36 +124,35 @@ def _edge(h: dict, shape):
 MAX_CELLS = 2**53
 
 
-def sampled_band_edge(family: str, a1, a2, lo: float, hi: float, cells: int):
-    """Largest |cos E| of a two-angle family over the momenta
-    np.linspace(lo, hi, cells + 1), and the first of them reaching it,
-    per node of the broadcast angle arrays a1, a2.
+def sampled_band_edge(cls, angles, lo: float, hi: float, cells: int):
+    """Largest |cos E| of a family class at its broadcast angle arrays
+    (a tuple, one per field) over the momenta np.linspace(lo, hi,
+    cells + 1), and the first of them reaching it, per node.
 
     cos E is a first harmonic plus a constant, so over an arc its
     sampled |cos E| peaks on a grid neighbour of the envelope's k* or
-    k* + pi, or at an end of the arc.  Those four neighbours and lo are
-    evaluated, whatever the cell count, so no grid is built: a momentum
-    is lo + j (hi - lo) / cells, and hi itself at j = cells, as linspace
-    gives it.  hi is never needed on its own: on the half zone whichever
-    of k* and k* + pi falls outside the window is clamped to cell
-    cells - 1, whose neighbour is hi; on the full zone |cos E(pi)| ties
-    |cos E(-pi)| (split-step) or, by the sign of the sin k term, does not
-    beat it for a k* near +-pi (non-commuting).  The cell index is wrapped
-    on the circle as an integer, so 2 pi / (hi - lo) must be whole.  Ties
-    go to the lowest grid index.  The harmonics of cos E are derived once
-    per call.
+    k* + pi, or at an end of the arc.  Those four neighbours and one end
+    are evaluated, whatever the cell count, so no grid is built: a
+    momentum is lo + j (hi - lo) / cells, and hi itself at j = cells, as
+    linspace gives it.  The window is a pi or 2 pi arc about any origin:
+    the cell index wraps on the circle modulo round(cells 2 pi /
+    (hi - lo)), and one that falls outside the window is clamped to cell
+    cells - 1, whose neighbour is hi.  The fifth momentum is lo, or hi
+    where a neighbour pair already starts at cell 0: on a full window
+    lo and hi are one point of the circle, but about a shifted origin
+    their floats differ and hi can beat lo by an ulp.  Ties go to the
+    lowest grid index.  The harmonics of cos E are derived once per call.
     """
-    cls = two_angle_class(family)
-    turns = 2.0 * np.pi / (hi - lo)
-    if turns != round(turns) or not 1 <= cells <= MAX_CELLS:
-        raise ValueError("the window must divide the zone into 1 to 2**53 cells")
-    h = _harmonics(_laurent(cls.step(a1, a2), diagonal=True), _TRACES[0])
-    k_star = _edge(h, np.broadcast(a1, a2).shape)[1]
+    if not 1 <= cells <= MAX_CELLS:
+        raise ValueError("cells must be in [1, 2**53]")
+    h = _harmonics(_laurent(cls.step(*angles), diagonal=True), _TRACES[0])
+    k_star = _edge(h, np.broadcast(*angles).shape)[1]
     k = np.stack([k_star, k_star + np.pi])
     j = np.floor((k - lo) * (cells / (hi - lo))).astype(np.intp)
-    j %= cells * round(turns)
+    j %= round(cells * (2.0 * np.pi / (hi - lo)))
     np.minimum(j, cells - 1, out=j)
-    idx = np.concatenate([j, j + 1, np.zeros_like(j[:1])])
+    end = np.where((j == 0).any(axis=0), cells, 0)
+    idx = np.concatenate([j, j + 1, end[None]])
     step = (hi - lo) / cells
     ks = idx * step + lo
     ks[idx == cells] = hi

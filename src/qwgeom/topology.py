@@ -99,13 +99,14 @@ def scan_gap(family: str, resolution: int = 201, k_samples: int = 361) -> GapMap
         raise ValueError("resolution must be at least 2")
     if not 8 <= k_samples <= MAX_CELLS + 1:
         raise ValueError("k_samples must be in [8, 2**53 + 1]")
+    cls = two_angle_class(family)
     angles = np.linspace(-np.pi, np.pi, resolution)
     gap = np.empty((resolution, resolution))
     argmin_k = np.empty((resolution, resolution))
     for start in range(0, resolution, SCAN_BLOCK_ROWS):
         rows = slice(start, start + SCAN_BLOCK_ROWS)
         best, argmin_k[rows] = sampled_band_edge(
-            family, angles[rows, None], angles, -np.pi, np.pi, k_samples - 1)
+            cls, (angles[rows, None], angles), -np.pi, np.pi, k_samples - 1)
         gap[rows] = 1.0 - best
     return GapMap(family=family, angles1=angles.copy(), angles2=angles.copy(),
                   gap=gap, argmin_k=argmin_k, k_samples=k_samples)

@@ -5,12 +5,11 @@ in a plane through the origin (models.WalkModel.ellipse), so a band's
 state moves on one great circle, and its Zak phase (Zak, PRL 62, 2747
 (1989)) on a window about any k0 is exact from the window's ends alone
 (_planar_phases).  zak_numeric, zak_map and zak_difference all read it,
-and their n_points sets only the sampled refusal; the sampled Wilson
-chain it replaced is kept in the tests as its oracle.  _wilson_phases is
-the Wilson-line kernel: each link is a spherical-triangle area of real
-unit Bloch vectors with its apex at -z.  Phases are folded by
-utils.fold_angle (also fold_angle_array here), so a phase within 1e-12
-of +-pi reads +pi.
+and their n_points sets only the sampled refusal, which all of them read
+from models.sampled_band_edge at five momenta; the sampled Wilson chain
+the phase replaced is kept in the tests as its oracle.  Phases are
+folded by utils.fold_angle (also fold_angle_array here), so a phase
+within 1e-12 of +-pi reads +pi.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ from .utils import canonical_angle, fold_angle
 
 PATH_GAP_TOL = 1e-6
 OVERLAP_TOL = 1e-12
-# Peak bytes per momentum sample of zak_numeric's window momenta and their
-# gaps (measured 24-40 from peak RSS growth at 2e5-3e6 samples, Linux
-# x86-64, numpy 2.4; 89-109 with the sampled Wilson chain).
-ZAK_CELL_BYTES = 128
 _SOUTH = np.array([0.0, 0.0, -1.0])
 # Largest |n0 . (nc x ns)| taken as planar; every family here gives 0.
 PLANAR_TOL = 1e-12
@@ -101,56 +96,6 @@ def discrete_berry_phase(vectors: np.ndarray, closed: bool = False) -> float:
     return float(np.sum(np.angle(overlaps)))
 
 
-def _wilson_phases(numerators: np.ndarray, weight: float) -> list:
-    """Folded weight x Wilson-line phases [band +1, band -1] along axis
-    -2 of (..., m, 3) Bloch numerators.
-
-    In spin.band_eigenvector's gauge the lower component of band s is
-    real with sign -s, so each link arg<v_i|v_i+1> is exactly
-    spin.half_solid_angle(-z, s a, s b) of the unit vectors a = n_i,
-    b = n_i+1.  |<v_i|v_i+1>| = |a + b| / 2 is the same for both bands,
-    as (-a - b)^2 = (a + b)^2, so one check refuses overlaps below 1e-12
-    (OrthogonalStatesError).  With the apex at -z, two of the three
-    cross-product terms of half_solid_angle are multiplied by zero, and
-    the link is atan2(num, dot + (a_z - s)(b_z - s)) with
-    num = a_y b_x - a_x b_y and dot = a_x b_x + a_y b_y.  Flipping both
-    vectors leaves num and dot unchanged, so they are computed once and
-    each band costs one product and one atan2.  These are the float
-    operations of half_solid_angle, up to the sign of an exact zero
-    num; where that sign matters (a non-positive denominator, where it
-    picks +pi or -pi) the link is taken from half_solid_angle itself.
-    At the chart pole s n = +z a link reads 0 or +-pi where the gauge
-    jumps, a multiple of pi that _planar_phases' doubling removes.
-    """
-    # Chain axis first, so short chains run on contiguous slabs; the links
-    # are summed chain-last, as a C-order (..., m - 1) array would be.
-    xyz = np.moveaxis(numerators, (-1, -2), (0, 1))
-    x, y, z = xyz
-    n = np.multiply(xyz, 1.0 / np.sqrt(x * x + y * y + z * z), order="C")
-    a, b = n[:, :-1], n[:, 1:]
-    if np.any(np.sum((a + b) ** 2, axis=0) < (2.0 * OVERLAP_TOL) ** 2):
-        raise OrthogonalStatesError("consecutive states are orthogonal; "
-                                    "phase chain is undefined")
-    (ax, ay, az), (bx, by, bz) = a, b
-    num = ay * bx
-    num -= ax * by
-    dot = ax * bx
-    dot += ay * by
-    zero = num == 0.0
-    phases = []
-    for band in (+1, -1):
-        links = (az - band) * (bz - band)
-        links += dot
-        pole = zero & (links <= 0.0)
-        np.arctan2(num, links, out=links)
-        if pole.any():
-            links[pole] = half_solid_angle(_SOUTH, band * a[:, pole],
-                                           band * b[:, pole])
-        links = np.ascontiguousarray(np.moveaxis(links, 0, -1))
-        phases.append(fold_angle(weight * links.sum(axis=-1)))
-    return phases
-
-
 def _window(k_origin: float, n_points: int, span: str):
     """k_origin reduced into [-pi, pi], and the ends (lo, hi) of a span's
     window about it, which is sampled at n_points + 1 momenta."""
@@ -159,7 +104,7 @@ def _window(k_origin: float, n_points: int, span: str):
     if not 16 <= n_points <= MAX_CELLS or n_points % 2 != 0:
         raise ValueError("n_points must be an even integer in [16, 2**53]")
     half_width = _SPANS[span]
-    # Reduced first: far from zero, linspace would repeat one momentum.
+    # Reduced first: far from zero, adjacent momenta would round to one.
     k_origin = canonical_angle(k_origin)
     return k_origin, k_origin - half_width, k_origin + half_width
 
@@ -186,14 +131,15 @@ def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
     The window is [k_origin - w/2, k_origin + w/2], w = pi for
     span="half" (the default) and 2 pi for span="full".  Raises
     GaplessPointError if one of its n_points + 1 uniform momenta
-    (n_points even, in [16, 2**53]) has gap < 1e-6 or it holds a closing
+    (n_points even, in [16, 2**53]) has gap < 1e-6, read at five of them
+    (models.sampled_band_edge), or it holds a closing
     (_closes_in_window); ValueError for a non-planar Bloch curve.
     """
     if band not in (+1, -1):
         raise ValueError("band must be +1 or -1")
     origin, lo, hi = _window(k_origin, n_points, span)
-    if (np.any(model.gap(np.linspace(lo, hi, n_points + 1)) < PATH_GAP_TOL)
-            or _closes_in_window(model, origin, span)):
+    edge = sampled_band_edge(type(model), model.angles, lo, hi, n_points)[0]
+    if 1.0 - edge < PATH_GAP_TOL or _closes_in_window(model, origin, span):
         raise GaplessPointError(f"gapless momentum on the Zak path of {model!r}")
     plus, minus = _planar_phases(type(model), model.angles, origin, span)
     return ZakResult(band=band, phase=float(plus if band > 0 else minus),
@@ -301,14 +247,19 @@ def _planar_phases(cls, angles, origin: float, span: str):
     broadcast over its angles, from its Bloch ellipse
     N = n0 + nc cos k + ns sin k (cls.ellipse).  N is planar, so band s's
     state s n moves on one great circle, where two chains between the
-    same ends (or a chart-pole link of _wilson_phases) differ by a
-    multiple of pi: the full-zone phase is pi where the ellipse encloses
-    the origin (pi |winding|), else 0, and the doubled half-zone phase is
-    that of N(origin - pi/2) -> q -> N(origin + pi/2), whose ends are
-    n0 -+ (ns cos origin - nc sin origin).  For the unit ends a, b and
-    t = nc x ns, q = u +- v with u = a + b, v = t x (a - b) and u.v >= 0,
-    so q.a = q.b = 1 + a.b + |t.(a x b)| >= 0, even for antipodal ends
-    (the non-commuting walk's).  Raises ValueError if |n0.t| > PLANAR_TOL.
+    same ends differ by a multiple of pi: the full-zone phase is pi where
+    the ellipse encloses the origin (pi |winding|), else 0, and the
+    doubled half-zone phase is that of N(origin - pi/2) -> q ->
+    N(origin + pi/2), whose ends are n0 -+ (ns cos origin - nc sin
+    origin).  For the unit ends a, b and t = nc x ns, q = u +- v with
+    u = a + b, v = t x (a - b) and u.v >= 0, so q.a = q.b = 1 + a.b +
+    |t.(a x b)| >= 0, even for antipodal ends (the non-commuting walk's),
+    and no link meets orthogonal states.  In spin.band_eigenvector's
+    gauge the lower component of band s is real with sign -s, so each
+    Wilson link arg<v_i|v_i+1> is spin.half_solid_angle(-z, s n_i,
+    s n_i+1).  At the chart pole s n = +z a link reads 0 or +-pi where
+    the gauge jumps, a multiple of pi that the doubling removes.  Raises
+    ValueError if |n0.t| > PLANAR_TOL.
     """
     n0, nc, ns = cls.ellipse(*angles)
     t = np.cross(nc, ns)
@@ -323,7 +274,14 @@ def _planar_phases(cls, angles, origin: float, span: str):
             for e in (n0 - half_chord, n0 + half_chord))
     u, v = a + b, np.cross(t, a - b)
     v[np.einsum("...i,...i", u, v) < 0.0] *= -1.0
-    return _wilson_phases(np.stack([a, u + v, b], axis=-2), 2.0)
+    # q is not a unit vector; the unit a and b take the same rounding
+    # step, which keeps zak-map's CSVs bit for bit.
+    xyz = np.moveaxis(np.stack([a, u + v, b]), -1, 0)
+    x, y, z = xyz
+    a, q, b = np.moveaxis(xyz * (1.0 / np.sqrt(x * x + y * y + z * z)), 1, 0)
+    return [fold_angle(2.0 * (half_solid_angle(_SOUTH, s * a, s * q)
+                              + half_solid_angle(_SOUTH, s * q, s * b)))
+            for s in (+1, -1)]
 
 
 def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
@@ -333,9 +291,10 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
 
     A node is masked (NaN phases) when any of the n_points + 1 momentum
     samples of its window has gap < 1e-6; n_points sets only that mask,
-    read from models.sampled_band_edge at five momenta per node.  The
-    other nodes' phases are zak_numeric's, within 1.3e-14 of the sampled
-    chain at the default size; a family whose Bloch curve is not planar
+    read from models.sampled_band_edge at five momenta per node, as
+    zak_numeric reads its refusal.  The other nodes' phases are
+    zak_numeric's, within 1.3e-14 of the sampled chain at the default
+    size; a family whose Bloch curve is not planar
     at a live node raises ValueError.  The rows run
     topology.SCAN_BLOCK_ROWS at a time, so the peak memory is that of
     the map and one block; the default map takes 0.04-0.05 s (2-vCPU VM).
@@ -351,7 +310,7 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     for start in range(0, resolution, SCAN_BLOCK_ROWS):
         rows = slice(start, start + SCAN_BLOCK_ROWS)
         a1, a2 = np.meshgrid(angles[rows], angles, indexing="ij")
-        masked[rows] = 1.0 - sampled_band_edge(family, a1, a2, lo, hi,
+        masked[rows] = 1.0 - sampled_band_edge(cls, (a1, a2), lo, hi,
                                                n_points)[0] < PATH_GAP_TOL
         live = ~masked[rows]
         plus[rows][live], minus[rows][live] = _planar_phases(

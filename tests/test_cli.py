@@ -453,7 +453,7 @@ def test_grid_command_over_memory_budget_exits_two(capsys, tmp_path,
 
 
 def test_phase_diagram_k_samples_allocates_no_grid(capsys):
-    # Six momenta per node give the sampled band edge, so no --k-samples
+    # Five momenta per node give the sampled band edge, so no --k-samples
     # allocates a momentum grid; at 1e12 samples it is the exact envelope.
     for family in ("noncommuting", "splitstep"):
         code, out, _ = run(capsys, "phase-diagram", "--family", family,
@@ -473,7 +473,7 @@ def test_phase_diagram_k_samples_allocates_no_grid(capsys):
 
 
 def test_zak_map_n_points_sets_only_the_mask(capsys):
-    # Six momenta per node build the mask, so no --n-points allocates a
+    # Five momenta per node build the mask, so no --n-points allocates a
     # sample grid; the phases are closed forms.
     rows = {}
     for n_points in ("1000000000000", "16"):
@@ -494,8 +494,6 @@ def test_zak_map_n_points_sets_only_the_mask(capsys):
                  "--k-samples 99999999999", id="spectrum"),
     pytest.param(("bloch", "--k-samples", "99999999999"),
                  "--k-samples 99999999999", id="bloch"),
-    pytest.param(("zak", "--band", "plus", "--n-points", "99999999998"),
-                 "--n-points 99999999998", id="zak"),
 ])
 def test_curve_command_over_memory_budget_exits_two(capsys, tmp_path,
                                                     monkeypatch, argv, sizes):
@@ -504,8 +502,7 @@ def test_curve_command_over_memory_budget_exits_two(capsys, tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("the budget check let an oversize curve through")
 
-    for name in ("_k_grid", "zak_numeric"):
-        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli, "_k_grid", refuse)
     for name in ("spectrum_csv", "bloch_csv"):
         monkeypatch.setattr(emit, name, refuse)
     out_path = tmp_path / "curve.out"
@@ -517,6 +514,19 @@ def test_curve_command_over_memory_budget_exits_two(capsys, tmp_path,
     assert err.endswith(
         f" MiB, over the {cli.MEMORY_BUDGET >> 20} MiB budget\n")
     assert not out_path.exists()
+
+
+def test_zak_n_points_sets_only_the_refusal(capsys):
+    # Five momenta give the sampled refusal and the phase is exact, so no
+    # --n-points allocates a sample grid or changes the phase.
+    phases = set()
+    for n_points in ("99999999998", "2048"):
+        code, out, _ = run(capsys, "zak", "--family", "noncommuting",
+                           "--theta", "0.9", "--phi", "0.7", "--band", "plus",
+                           "--n-points", n_points)
+        assert code == 0
+        phases.add(json.loads(out)["phase"])
+    assert len(phases) == 1
 
 
 @pytest.mark.parametrize("argv, scan", [

@@ -8,11 +8,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwgeom.errors import GaplessPointError
-from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
-                           SplitStepWalk, StandardWalk, make_model,
-                           sampled_band_edge, two_angle_class)
+from qwgeom.models import (FAMILY_CLASSES, TWO_ANGLE_FAMILIES,
+                           NonCommutingWalk, SplitStepWalk, StandardWalk,
+                           make_model, sampled_band_edge, two_angle_class)
 from qwgeom.spin import PAULI_X, PAULI_Y, PAULI_Z
 from qwgeom.utils import canonical_angle
+from qwgeom.zak import SPAN_FULL, SPAN_HALF, _SPANS
 from qwgeom.zak import _angular_coeffs as angular_coeffs
 
 from conftest import (SwappedCoinWalk, angles, swapped_coin_unitary,
@@ -298,48 +299,58 @@ _near_diagonal = st.tuples(
         lambda t: (t[0], t[1] * t[0] + t[2]))
 
 
-_HALF, _FULL = (-np.pi / 2, np.pi / 2), (-np.pi, np.pi)
-
-
-@given(family=st.sampled_from((*TWO_ANGLE_FAMILIES, SwappedCoinWalk.family)),
+@given(family=st.sampled_from(("standard", *TWO_ANGLE_FAMILIES,
+                                SwappedCoinWalk.family)),
        node=st.one_of(st.tuples(st.one_of(angles, _closings),
                                 st.one_of(angles, _closings)),
                       _near_diagonal),
-       window=st.sampled_from([_HALF, _FULL]),
+       origin=angles, span=st.sampled_from([SPAN_HALF, SPAN_FULL]),
        cells=st.integers(7, 600))
 # Non-commuting nodes with k* at +-pi and +-pi/2 or 1e-12 to 1e-1 off
 # them, where the window's hi end is a grid neighbour or an end, and a
 # split-step node with k* = pi, where cos E(pi) ties cos E(-pi).
-@example(family="noncommuting", node=(0.7, np.pi), window=_FULL, cells=360)
-@example(family="noncommuting", node=(0.7, 3.1415926524025513),
-         window=_FULL, cells=361)
-@example(family="noncommuting", node=(0.7, -3.1415926535886056),
-         window=_FULL, cells=7)
-@example(family="noncommuting", node=(0.7, np.pi / 2), window=_HALF,
-         cells=600)
-@example(family="noncommuting", node=(0.7, -1.5716386152569353),
-         window=_HALF, cells=512)
-@example(family="noncommuting", node=(0.7, 1.4864859342063195),
-         window=_HALF, cells=9)
-@example(family="splitstep", node=(0.5, 0.7), window=_FULL, cells=360)
-def test_sampled_band_edge_equals_full_sweep(family, node, window, cells):
-    # The test-only family also runs, against its own dense U(k) too.
-    a1, a2 = node
-    lo, hi = window
+@example(family="noncommuting", node=(0.7, np.pi), origin=0.0,
+         span=SPAN_FULL, cells=360)
+@example(family="noncommuting", node=(0.7, 3.1415926524025513), origin=0.0,
+         span=SPAN_FULL, cells=361)
+@example(family="noncommuting", node=(0.7, -3.1415926535886056), origin=0.0,
+         span=SPAN_FULL, cells=7)
+@example(family="noncommuting", node=(0.7, np.pi / 2), origin=0.0,
+         span=SPAN_HALF, cells=600)
+@example(family="noncommuting", node=(0.7, -1.5716386152569353), origin=0.0,
+         span=SPAN_HALF, cells=512)
+@example(family="noncommuting", node=(0.7, 1.4864859342063195), origin=0.0,
+         span=SPAN_HALF, cells=9)
+@example(family="splitstep", node=(0.5, 0.7), origin=0.0, span=SPAN_FULL,
+         cells=360)
+# A half window whose float width is not a whole fraction of 2 pi.
+@example(family="noncommuting", node=(0.7, -1.3), origin=-2.8841484100105235,
+         span=SPAN_HALF, cells=512)
+# A shifted full window whose sweep peaks at hi, 0.6367314942092221; lo,
+# one turn away, reads 0.636731494209222.
+@example(family="noncommuting", node=(0.9027772999153676, 2.8309696585853388),
+         origin=5.89679238426755, span=SPAN_FULL, cells=16)
+def test_sampled_band_edge_equals_full_sweep(family, node, origin, span,
+                                             cells):
+    # The test-only family also runs, against its own dense U(k) too.  The
+    # window is reduced about its origin as zak._window reduces it.
+    origin = canonical_angle(origin)
+    lo, hi = origin - _SPANS[span], origin + _SPANS[span]
     ks = np.linspace(lo, hi, cells + 1)
     with swapped_coins_registered():
-        cos_e = two_angle_class(family).dispersion
-        sweep = np.abs(cos_e(a1, a2, ks))
-        best, k_best = sampled_band_edge(family, a1, a2, lo, hi, cells)
+        cls = FAMILY_CLASSES[family]
+        node = node[:len(dataclasses.fields(cls))]
+        sweep = np.abs(cls.dispersion(*node, ks))
+        best, k_best = sampled_band_edge(cls, node, lo, hi, cells)
     assert best == sweep.max()
-    assert abs(cos_e(a1, a2, k_best)) == best
+    assert abs(cls.dispersion(*node, k_best)) == best
     # Split-step |cos E| can be flat to the last bit across several
     # momenta, where the sweep's first argmax need not be a neighbour of
     # k*; the value there is the same.
     if family != "splitstep":
         assert k_best == ks[np.argmax(sweep)]
     if family == SwappedCoinWalk.family:
-        dense = np.abs([0.5 * np.trace(swapped_coin_unitary(a1, a2, k)).real
+        dense = np.abs([0.5 * np.trace(swapped_coin_unitary(*node, k)).real
                         for k in (*ks, k_best)])
         assert abs(best - dense[:-1].max()) <= 1e-15
         assert abs(dense[-1] - dense[:-1].max()) <= 1e-15
@@ -450,9 +461,7 @@ def test_two_angle_helpers():
     with pytest.raises(ValueError):
         two_angle_class("standard")
     with pytest.raises(ValueError):
-        sampled_band_edge("standard", 0.4, 0.9, -np.pi, np.pi, 8)
-    with pytest.raises(ValueError):
-        sampled_band_edge("splitstep", 0.4, 0.9, -1.0, 1.0, 8)
+        sampled_band_edge(SplitStepWalk, (0.4, 0.9), -np.pi, np.pi, 0)
 
 
 def test_family_labels_and_angles():

@@ -1,6 +1,7 @@
 """Zak phases: discrete Wilson chains, numeric integration, closed forms,
 and the two-angle phase maps."""
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ from qwgeom.spin import (band_eigenvector, half_solid_angle, rotation_x,
 from qwgeom.topology import CLOSING_GAP
 from qwgeom.utils import fold_angle
 from qwgeom.zak import (SPAN_FULL, SPAN_HALF, _SPANS, _angular_coeffs,
-                        _wilson_phases, discrete_berry_phase,
-                        zak_difference, zak_map, zak_noncommuting_integrand,
-                        zak_numeric, zak_splitstep_analytic)
+                        discrete_berry_phase, zak_difference, zak_map,
+                        zak_noncommuting_integrand, zak_numeric,
+                        zak_splitstep_analytic)
 
 
 def _circ(a, b):
@@ -96,17 +97,53 @@ def _oracle_phase(model, band, k_origin, n_points, span):
 _WEIGHTS = {SPAN_HALF: 2.0, SPAN_FULL: 1.0}
 
 
+_SOUTH = np.array([0.0, 0.0, -1.0])
+
+
+def _per_band_phase(numerators, band, weight):
+    """One band's folded Wilson phase along axis -2 of (..., m, 3) Bloch
+    numerators: in band_eigenvector's gauge the lower component of band
+    s is real with sign -s, so every link arg<v_i|v_i+1> is
+    half_solid_angle(-z, s n_i, s n_i+1)."""
+    xyz = np.moveaxis(numerators, -1, 0)
+    x, y, z = xyz
+    n = np.multiply(xyz, band / np.sqrt(x * x + y * y + z * z), order="C")
+    links = half_solid_angle(_SOUTH, n[..., :-1], n[..., 1:])
+    return zak.fold_angle_array(weight * links.sum(axis=-1))
+
+
+def _wilson_chain(numerators, weight):
+    """Both bands' folded Wilson phases [band +1, band -1] by
+    _per_band_phase.  |<v_i|v_i+1>| = |n_i + n_i+1| / 2 for both bands,
+    so a chain with |n_i + n_i+1| < 2e-12 is refused
+    (OrthogonalStatesError)."""
+    n = numerators / np.linalg.norm(numerators, axis=-1, keepdims=True)
+    pairs = n[..., :-1, :] + n[..., 1:, :]
+    if np.any(np.linalg.norm(pairs, axis=-1) < 2.0 * zak.OVERLAP_TOL):
+        raise OrthogonalStatesError("consecutive states are orthogonal; "
+                                    "phase chain is undefined")
+    return [_per_band_phase(numerators, band, weight) for band in (+1, -1)]
+
+
+def _sampled_refusal(model, k_origin, n_points, span):
+    """zak_numeric's sampled refusal before it read models.sampled_band_edge,
+    kept as its oracle: whether any of the window's n_points + 1 momenta
+    has gap < 1e-6."""
+    _, lo, hi = zak._window(k_origin, n_points, span)
+    ks = np.linspace(lo, hi, n_points + 1)
+    return bool(np.any(model.gap(ks) < zak.PATH_GAP_TOL))
+
+
 def _chain_phase(model, band, k_origin=0.0, n_points=2048, span=SPAN_HALF):
     """zak_numeric's sampled Wilson chain before it read the Bloch
     ellipse, kept as its oracle: the window's n_points + 1 momenta,
-    refused where one has gap < 1e-6, then _wilson_phases over their
+    refused where one has gap < 1e-6, then _wilson_chain over their
     Bloch numerators."""
-    _, lo, hi = zak._window(k_origin, n_points, span)
-    ks = np.linspace(lo, hi, n_points + 1)
-    if np.any(model.gap(ks) < zak.PATH_GAP_TOL):
+    if _sampled_refusal(model, k_origin, n_points, span):
         raise GaplessPointError(f"gapless momentum on the Zak path of {model!r}")
-    n = model.bloch_numerators(ks)
-    plus, minus = _wilson_phases(n, _WEIGHTS[span])
+    _, lo, hi = zak._window(k_origin, n_points, span)
+    n = model.bloch_numerators(np.linspace(lo, hi, n_points + 1))
+    plus, minus = _wilson_chain(n, _WEIGHTS[span])
     return float(plus if band > 0 else minus)
 
 
@@ -158,69 +195,11 @@ def test_wilson_links_reject_antipodal_samples():
     for eps, refused in ((1e-13, True), (1e-11, False)):
         n = np.array([[0.0, 0.0, 1.0],
                       [np.sin(2.0 * eps), 0.0, -np.cos(2.0 * eps)]])
-        for band in (+1, -1):
-            if refused:
-                with pytest.raises(OrthogonalStatesError):
-                    _wilson_phases(n, 1.0)
-            else:
-                assert np.all(np.isfinite(_wilson_phases(n, 1.0)))
-
-
-_SOUTH = np.array([0.0, 0.0, -1.0])
-
-
-def _per_band_phase(numerators, band, weight):
-    """One band's folded Wilson phase the per-band way: every link is a
-    general-apex half_solid_angle(-z, s n_i, s n_i+1)."""
-    xyz = np.moveaxis(numerators, -1, 0)
-    x, y, z = xyz
-    n = np.multiply(xyz, band / np.sqrt(x * x + y * y + z * z), order="C")
-    links = half_solid_angle(_SOUTH, n[..., :-1], n[..., 1:])
-    return zak.fold_angle_array(weight * links.sum(axis=-1))
-
-
-# Axis and diagonal directions make exact zeros in the links' xy cross
-# product, where the sign of a zero decides between +pi and -pi.
-_directions = st.one_of(
-    st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
-                     (0.0, -1.0, 0.0), (1.0, -1.0, 0.0), (-1.0, 1.0, 0.0)]),
-    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
-        lambda v: math.hypot(*v) > 1e-2))
-
-
-@st.composite
-def unit_chains(draw):
-    """3 to 12 unit vectors; a link may instead lead to a point within
-    1e-3 .. 1e-13 of the antipode of the previous vector."""
-    chain = []
-    for _ in range(draw(st.integers(3, 12))):
-        v = np.array(draw(_directions))
-        eps = draw(st.sampled_from([None] * 4 + [1e-3, 1e-8, 1e-11, 1e-13]))
-        if chain and eps is not None:
-            v = -chain[-1] + eps * v
-        chain.append(v / np.linalg.norm(v))
-    return np.array(chain)
-
-
-@given(chain=unit_chains(), weight=st.sampled_from([1.0, 2.0]))
-@example(chain=np.array([[0.7071067811865476, -0.7071067811865476, 0.0],
-                         [-0.7071064276334225, 0.7071064276334225,
-                          -0.000999999499481581],
-                         [0.0, -1.0, 0.0]]), weight=1.0)
-def test_fused_kernel_equals_per_band_links(chain, weight):
-    chains = np.stack([chain, chain[::-1]])
-    u = chains / np.linalg.norm(chains, axis=-1, keepdims=True)
-    overlaps = np.sum((u[:, :-1] + u[:, 1:]) ** 2, axis=-1)
-    # The kernel refuses |a + b| < 2e-12; chains within rounding of that
-    # bound are skipped.
-    if np.min(overlaps) < (1.5 * zak.OVERLAP_TOL) ** 2:
-        with pytest.raises(OrthogonalStatesError):
-            _wilson_phases(chains, weight)
-        return
-    assume(np.min(overlaps) > (2.5 * zak.OVERLAP_TOL) ** 2)
-    plus, minus = _wilson_phases(chains, weight)
-    assert np.array_equal(plus, _per_band_phase(chains, +1, weight))
-    assert np.array_equal(minus, _per_band_phase(chains, -1, weight))
+        if refused:
+            with pytest.raises(OrthogonalStatesError):
+                _wilson_chain(n, 1.0)
+        else:
+            assert np.all(np.isfinite(_wilson_chain(n, 1.0)))
 
 
 def test_zak_trivial_case_both_bands():
@@ -480,7 +459,8 @@ def _full_sample_mask(family, a1, a2, ks, chunk=4096):
 def _edge_mask(family, a1, a2, lo, hi, n_points):
     """zak_map's mask from models.sampled_band_edge, per node of (nodes, 1)
     angle arrays."""
-    best = sampled_band_edge(family, a1[:, 0], a2[:, 0], lo, hi, n_points)[0]
+    best = sampled_band_edge(two_angle_class(family), (a1[:, 0], a2[:, 0]),
+                             lo, hi, n_points)[0]
     return 1.0 - best < zak.PATH_GAP_TOL
 
 
@@ -514,7 +494,7 @@ def _oracle_zak_map(family, resolution, n_points, span):
 @functools.cache
 def _chain_zak_map(family, resolution, n_points, span):
     """zak_map by the sampled Wilson chain, the oracle of its closed
-    forms: the band-edge kernel's mask, then _wilson_phases over each
+    forms: the band-edge kernel's mask, then _wilson_chain over each
     node's n_points + 1 momenta, 64 nodes at a time.  Cached; the arrays
     are read only."""
     ks, weight = _window_samples(n_points, span)
@@ -526,7 +506,7 @@ def _chain_zak_map(family, resolution, n_points, span):
         n = two_angle_class(family).numerators(a1, a2, ks)
         # Off both chart poles, so the kernel is defined there.
         n[mask] = (1.0, 0.0, 0.0)
-        blocks.append((*_wilson_phases(n, weight), mask))
+        blocks.append((*_wilson_chain(n, weight), mask))
     plus, minus, masked = (np.concatenate(b).reshape(resolution, resolution)
                            for b in zip(*blocks))
     plus[masked] = minus[masked] = np.nan
@@ -537,7 +517,8 @@ def _chain_zak_map(family, resolution, n_points, span):
 @pytest.mark.parametrize("span", ["half", "full"])
 @pytest.mark.parametrize("resolution, n_points", [(21, 64), (41, 512)])
 def test_zak_map_equals_per_band_oracle(family, span, resolution, n_points):
-    # The fused kernel over a whole map, bit for bit.
+    # The band-edge mask against every sample's, and the chain in blocks
+    # of 64 nodes against one block, bit for bit.
     plus, minus, masked = _chain_zak_map(family, resolution, n_points, span)
     (oracle_plus, oracle_minus), oracle_masked = _oracle_zak_map(
         family, resolution, n_points, span)
@@ -603,7 +584,7 @@ def _splitstep_phases(theta1, theta2, span: str):
     ks = np.linspace(-half_width, half_width, 3 if span == SPAN_HALF else 5)
     n = SplitStepWalk.numerators(np.asarray(theta1)[..., None],
                                  np.asarray(theta2)[..., None], ks)
-    return _wilson_phases(n, _WEIGHTS[span])
+    return _wilson_chain(n, _WEIGHTS[span])
 
 
 # The per-family closed forms zak_map read before _planar_phases, kept
@@ -668,8 +649,8 @@ def test_planar_chain_is_defined_on_unmasked_nodes(cls, nodes, span,
         masked = _edge_mask(cls.family, np.array([[a1]]), np.array([[a2]]),
                             lo, hi, n_points)[0]
     assume(not masked)
-    # Raises OrthogonalStatesError should a link of the three-state chain
-    # meet antipodes; a 0/0 in normalising its states warns, which fails.
+    # A 0/0 in normalising the three-state chain's states warns, which
+    # fails.
     plus, minus = zak._planar_phases(cls, (a1, a2), 0.0, span)
     assert np.isfinite(plus) and np.isfinite(minus)
 
@@ -711,6 +692,31 @@ def test_zak_refuses_a_closing_between_the_samples(model):
         for span in ("half", "full"):
             with pytest.raises(GaplessPointError):
                 zak_numeric(model, band, 0.3, 64, span=span)
+
+
+# Angles within 1e-4 of 0, +-pi/2 and pi, where the families close.
+_near_axis = st.tuples(
+    st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi]),
+    st.floats(-1e-4, 1e-4)).map(sum)
+
+
+@given(cls=st.sampled_from((StandardWalk, *_PLANAR_FAMILIES)),
+       node=st.tuples(*[st.one_of(angles, _near_axis)] * 2),
+       k_origin=angles, span=st.sampled_from(["half", "full"]),
+       n_points=st.integers(8, 2048).map(lambda n: 2 * n))
+def test_zak_refuses_where_the_sweep_or_a_closing_does(cls, node, k_origin,
+                                                      span, n_points):
+    model = cls(*node[:len(dataclasses.fields(cls))])
+    origin = zak._window(k_origin, n_points, span)[0]
+    refused = (_sampled_refusal(model, k_origin, n_points, span)
+               or zak._closes_in_window(model, origin, span))
+    for band in (+1, -1):
+        try:
+            zak_numeric(model, band, k_origin, n_points, span=span)
+        except GaplessPointError:
+            assert refused
+        else:
+            assert not refused
 
 
 @pytest.mark.parametrize("span", ["half", "full"])
