@@ -14,7 +14,10 @@ other ValueError the library raises.  main parses with one parser per
 process and checks --out (and walk's --manifest) before it runs the
 command; each _cmd_* handler returns its artifact text (walk also its
 manifest text) and main writes --out, then --manifest, so a refused
-path leaves no half run.
+path leaves no half run.  Each file is rewritten in place
+(emit.write_text): a write that fails later exits 2 and leaves a prefix
+of the new text; a process killed mid-write can leave the new bytes
+followed by the old file's tail.
 Angles are radians, decimals or exact pi multiples ("pi/4", "1.5pi")
 that keep special points exact; a negative one may follow its flag as
 the next token ("--theta -pi/2").  Only the model commands take angle

@@ -15,12 +15,22 @@ text), when the column has at most half as many distinct values as the
 table has rows; its cells then enter the block through %s.  The grid
 maps' axes and most of their value columns repeat that much.  Shorter
 tables, other float columns and the %d columns format every cell.
+
+write_text rewrites a file destination in place, with no truncate on
+open: truncating an existing file to zero first cost several times the
+write itself on small artifacts.  The file is written from its start and
+then, if it is a regular file, cut to the bytes written, so a finished
+write holds exactly the new text, on the same inode (hard links see it,
+mode bits stay).  A failed write is cut at the failure and leaves a
+prefix of the new text; a process killed mid-write can leave the new
+bytes followed by the old file's tail.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -215,9 +225,25 @@ def walk_manifest_json(model: WalkModel, n_steps: int, chirality: str,
 
 
 def write_text(text: str, out: str) -> None:
-    """Write payload text to a path, or to stdout for '-', WRITE_CHARS
-    characters at a time."""
-    with (contextlib.nullcontext(sys.stdout) if out == "-"
-          else open(out, "w", encoding="utf-8", newline="")) as fh:
+    """Write payload text to stdout for '-', or in place to the path out
+    (see the module docstring), WRITE_CHARS characters at a time."""
+    if out == "-":
         for start in range(0, len(text), WRITE_CHARS):
-            fh.write(text[start:start + WRITE_CHARS])
+            sys.stdout.write(text[start:start + WRITE_CHARS])
+        return
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        # ftruncate refuses devices and FIFOs (/dev/null: EINVAL), which
+        # hold no stale tail anyway.
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            for start in range(0, len(text), WRITE_CHARS):
+                data = memoryview(text[start:start + WRITE_CHARS].encode())
+                while data:
+                    data = data[os.write(fd, data):]
+        finally:
+            # The offset counts the bytes written, all or up to a failure.
+            if regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)

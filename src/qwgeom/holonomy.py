@@ -85,31 +85,35 @@ def _check_closed(curve: SphereCurve) -> None:
             "curve endpoints differ on the sphere; loop is not closed")
 
 
-def _quaternion_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise Hamilton products p q of quaternion stacks (w, x, y, z)."""
-    pw, pv = p[:, :1], p[:, 1:]
-    qw, qv = q[:, :1], q[:, 1:]
-    w = pw * qw - np.sum(pv * qv, axis=1, keepdims=True)
-    return np.hstack([w, pw * qv + qw * pv + np.cross(pv, qv)])
-
-
 def _polygon_rotation(pts: np.ndarray, axis: np.ndarray) -> float:
     """Angle about axis of the transport along the geodesic polygon
     through the rows of pts: each segment a -> b is the minimal rotation
-    (1 + a.b, a x b) / |a + b|, composed pairwise in log2 rounds."""
-    a, b = pts[:-1], pts[1:]
-    q = np.hstack([1.0 + np.sum(a * b, axis=1, keepdims=True), np.cross(a, b)])
-    size = np.linalg.norm(q, axis=1, keepdims=True)
+    (1 + a.b, a x b) / |a + b|, composed pairwise in log2 rounds.
+
+    The quaternions are four component arrays w, x, y, z, and each
+    Hamilton product p q is written out term by term, summed in the order
+    np.sum and np.cross use on (n, 4) stacks of rows, so the angle equals
+    that stacked form (kept in the tests) bit for bit."""
+    (ax, ay, az), (bx, by, bz) = pts[:-1].T, pts[1:].T
+    w = 1.0 + (ax * bx + ay * by + az * bz)
+    x, y, z = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    size = np.sqrt(w * w + x * x + y * y + z * z)
     if not np.all(size > CLOSURE_TOL):
         raise CurveNotSupportedError(
             "consecutive curve samples are antipodal or not finite; "
             "the geodesic between them is undefined")
-    q = q / size
-    while len(q) > 1:
-        if len(q) % 2:
-            q = np.vstack([q, [1.0, 0.0, 0.0, 0.0]])
-        q = _quaternion_product(q[1::2], q[0::2])
-    return 2.0 * math.atan2(float(np.dot(q[0, 1:], axis)), q[0, 0])
+    q = [c / size for c in (w, x, y, z)]
+    while len(q[0]) > 1:
+        if len(q[0]) % 2:
+            q = [np.append(c, e) for c, e in zip(q, (1.0, 0.0, 0.0, 0.0))]
+        (pw, px, py, pz), (qw, qx, qy, qz) = ([c[1::2] for c in q],
+                                              [c[0::2] for c in q])
+        q = [pw * qw - (px * qx + py * qy + pz * qz),
+             pw * qx + qw * px + (py * qz - pz * qy),
+             pw * qy + qw * py + (pz * qx - px * qz),
+             pw * qz + qw * pz + (px * qy - py * qx)]
+    w, x, y, z = (c[0] for c in q)
+    return 2.0 * math.atan2(float(np.dot([x, y, z], axis)), w)
 
 
 def parallel_transport(curve: SphereCurve, v0: TangentVector,

@@ -1,10 +1,12 @@
 """Command-line interface: parsing, outputs, exit codes, determinism."""
 
 import argparse
+import errno
 import fnmatch
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -647,6 +649,55 @@ def test_walk_unwritable_out_leaves_no_manifest(capsys, tmp_path,
     assert run(capsys, *argv, str(out))[0] == 0
     assert out.read_text().startswith("x,p\n")
     assert json.loads(manifest.read_text())["n_steps"] == 5
+
+
+def test_out_rewrites_a_longer_file_in_place(capsys, tmp_path):
+    argv = ("spectrum", "--family", "standard", "--theta", "0.3",
+            "--k-samples")
+    path, link = tmp_path / "s.csv", tmp_path / "link.csv"
+    assert run(capsys, *argv, "64", "--out", str(path))[0] == 0
+    os.link(path, link)
+    path.chmod(0o640)
+    before = path.stat()
+    code, expected, _ = run(capsys, *argv, "16")
+    assert code == 0 and before.st_size > len(expected.encode())
+    assert run(capsys, *argv, "16", "--out", str(path))[0] == 0
+    assert path.read_bytes() == link.read_bytes() == expected.encode()
+    after = path.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=name)
+    for name, (argv, flag) in _OUTPUT_FLAGS.items()])
+def test_output_to_dev_null_exits_zero(capsys, argv, flag):
+    # ftruncate refuses a character device; it is only called on files.
+    code, _, err = run(capsys, *argv, flag, os.devnull)
+    assert code == 0 and "error" not in err
+
+
+def test_a_failed_write_leaves_a_prefix_of_the_new_text(capsys, tmp_path,
+                                                        monkeypatch):
+    argv = ("qgt", "--theta", "0.4", "--phi", "1.1")
+    code, expected, _ = run(capsys, *argv)
+    path = tmp_path / "qgt.json"
+    path.write_text("old bytes\n" * len(expected))
+    monkeypatch.setattr(emit, "WRITE_CHARS", 16)
+    written, os_write = [], os.write
+
+    def write_once(fd, data):
+        # The first chunk is written, the second meets a full disk.
+        if written:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        written.append(fd)
+        return os_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write_once)
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output:")
+    assert path.read_bytes() == expected[:16].encode()
 
 
 _WALK = ("walk", "--family", "standard", "--theta", "0.3", "--steps")

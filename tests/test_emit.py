@@ -1,7 +1,10 @@
-"""CSV formatting: the block formatter against a per-cell row writer."""
+"""CSV formatting: the block formatter against a per-cell row writer,
+and write_text's in-place rewrite of a destination."""
 
 import io
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -217,3 +220,27 @@ def test_holonomy_table_matches_cell_oracle():
     header = ("theta0", "rotation_angle", "solid_angle", "mismatch",
               "norm_drift")
     assert emit.holonomy_table_csv(np.array(rows)) == oracle_csv(header, rows)
+
+
+def test_write_text_writes_chunks_of_multibyte_text_in_place(tmp_path,
+                                                              monkeypatch):
+    # Chunks of 7 characters split no code point: each encodes whole.
+    monkeypatch.setattr(emit, "WRITE_CHARS", 7)
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"stale " * 100)
+    text = "θ,φ,π\n" * 11
+    emit.write_text(text, str(path))
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_write_text_writes_to_a_fifo(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    emit.write_text("a,b\n1,2\n", str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [b"a,b\n1,2\n"]

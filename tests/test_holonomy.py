@@ -1,6 +1,8 @@
 """Sphere transport, Berry phases of the two-level family, and the
 finite-difference quantum geometric tensor."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 
 from qwgeom.errors import (CurveNotSupportedError, FiniteDifferenceError,
                            OrthogonalStatesError)
-from qwgeom.holonomy import (SphereCurve, TangentVector, berry_overlap_phase,
-                             latitude_loop, parallel_transport,
-                             quantum_geometric_tensor, solid_angle,
-                             sphere_point, state_distance)
+from qwgeom.holonomy import (SphereCurve, TangentVector, _polygon_rotation,
+                             berry_overlap_phase, latitude_loop,
+                             parallel_transport, quantum_geometric_tensor,
+                             solid_angle, sphere_point, state_distance)
 from qwgeom.spin import bloch_sphere_state
 from qwgeom.utils import fold_angle
 from qwgeom.zak import discrete_berry_phase
@@ -158,6 +160,50 @@ def test_transport_rejects_antipodal_samples():
     with pytest.raises(CurveNotSupportedError, match="antipodal"):
         parallel_transport(SphereCurve(angles), _east(0.8),
                            steps=2000)
+
+
+def _quaternion_product(p, q):
+    """Row-wise Hamilton products p q of quaternion stacks (w, x, y, z)."""
+    pw, pv = p[:, :1], p[:, 1:]
+    qw, qv = q[:, :1], q[:, 1:]
+    w = pw * qw - np.sum(pv * qv, axis=1, keepdims=True)
+    return np.hstack([w, pw * qv + qw * pv + np.cross(pv, qv)])
+
+
+def oracle_polygon_rotation(pts, axis):
+    """The reference _polygon_rotation must match bit for bit: the same
+    composition on (n, 4) quaternion stacks, through np.hstack, np.sum
+    and np.cross."""
+    a, b = pts[:-1], pts[1:]
+    q = np.hstack([1.0 + np.sum(a * b, axis=1, keepdims=True), np.cross(a, b)])
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    while len(q) > 1:
+        if len(q) % 2:
+            q = np.vstack([q, [1.0, 0.0, 0.0, 0.0]])
+        q = _quaternion_product(q[1::2], q[0::2])
+    return 2.0 * math.atan2(float(np.dot(q[0, 1:], axis)), q[0, 0])
+
+
+@given(latitude=st.booleans(), theta0=st.floats(0.05, np.pi - 0.05),
+       wobble=st.floats(0.0, 0.3), drift=st.floats(-0.5, 0.5),
+       harmonic=st.integers(1, 6), samples=st.integers(2, 5000))
+@example(latitude=False, theta0=1.0, wobble=0.3, drift=0.2, harmonic=3,
+         samples=40_001)
+@example(latitude=True, theta0=1.0, wobble=0.0, drift=0.0, harmonic=1,
+         samples=80_001)
+def test_polygon_rotation_equals_the_stacked_quaternion_oracle(
+        latitude, theta0, wobble, drift, harmonic, samples):
+    if latitude:
+        wobble = drift = 0.0
+    curve = SphereCurve(lambda t: (
+        theta0 + wobble * np.sin(2.0 * np.pi * harmonic * t),
+        2.0 * np.pi * t + drift * np.sin(2.0 * np.pi * t)))
+    pts = curve.point(np.linspace(0.0, 1.0, samples))
+    r0 = curve.point(0.0)
+    for grid in (pts, pts[::2]):
+        if len(grid) > 1:
+            assert _polygon_rotation(grid, r0) == oracle_polygon_rotation(
+                grid, r0)
 
 
 def test_solid_angle_latitude_exact():
