@@ -27,9 +27,9 @@ angle-square commands and zak build no momentum grid: phase-diagram
 read models.sampled_band_edge, five momenta per node, and dirac-points
 (--resolution from topology.min_census_resolution(), 101).  zak's and
 zak-map's phases are exact, so their --n-points (even, 16 to 2**53) sets
-only the sampled refusal (zak-map's mask, zak's exit 3).  winding and
-zak exit 3 for a closing within topology.CLOSING_GAP (zak: inside its
-window).  zak reduces --k-origin into [-pi, pi] and echoes it as given.
+only the sampled refusal.  winding and zak exit 3, and zak-map masks
+the node, for a closing within topology.CLOSING_GAP (zak, zak-map: in
+the window).  zak reduces --k-origin into [-pi, pi], echoes it as given.
 A size flag whose estimated peak memory exceeds MEMORY_BUDGET bytes is
 refused with exit 2 before anything is allocated: --steps of walk,
 --loops and --steps of holonomy-sphere, --k-samples of spectrum and

@@ -126,8 +126,8 @@ MAX_CELLS = 2**53
 
 def sampled_band_edge(cls, angles, lo: float, hi: float, cells: int):
     """Largest |cos E| of a family class at its broadcast angle arrays
-    (a tuple, one per field) over the momenta np.linspace(lo, hi,
-    cells + 1), and the first of them reaching it, per node.
+    (a tuple, one per field) over np.linspace(lo, hi, cells + 1), the
+    first such momentum, and WalkModel.envelope's (peak, k*), per node.
 
     cos E is a first harmonic plus a constant, so over an arc its
     sampled |cos E| peaks on a grid neighbour of the envelope's k* or
@@ -146,7 +146,7 @@ def sampled_band_edge(cls, angles, lo: float, hi: float, cells: int):
     if not 1 <= cells <= MAX_CELLS:
         raise ValueError("cells must be in [1, 2**53]")
     h = _harmonics(_laurent(cls.step(*angles), diagonal=True), _TRACES[0])
-    k_star = _edge(h, np.broadcast(*angles).shape)[1]
+    peak, k_star = _edge(h, np.broadcast(*angles).shape)
     k = np.stack([k_star, k_star + np.pi])
     j = np.floor((k - lo) * (cells / (hi - lo))).astype(np.intp)
     j %= round(cells * (2.0 * np.pi / (hi - lo)))
@@ -159,7 +159,7 @@ def sampled_band_edge(cls, angles, lo: float, hi: float, cells: int):
     c = np.abs(_fourier([h], ks, ks.shape)[0])
     best = c.max(axis=0)
     first = np.where(c == best, idx, cells).min(axis=0)
-    return best, np.where(first == cells, hi, first * step + lo)
+    return best, np.where(first == cells, hi, first * step + lo), peak, k_star
 
 
 # Spin-dependent shifts (du, dv): the sites moved by the upper (H) and by

@@ -105,7 +105,7 @@ def scan_gap(family: str, resolution: int = 201, k_samples: int = 361) -> GapMap
     argmin_k = np.empty((resolution, resolution))
     for start in range(0, resolution, SCAN_BLOCK_ROWS):
         rows = slice(start, start + SCAN_BLOCK_ROWS)
-        best, argmin_k[rows] = sampled_band_edge(
+        best, argmin_k[rows], _, _ = sampled_band_edge(
             cls, (angles[rows, None], angles), -np.pi, np.pi, k_samples - 1)
         gap[rows] = 1.0 - best
     return GapMap(family=family, angles1=angles.copy(), angles2=angles.copy(),
@@ -192,10 +192,9 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     if coarse_resolution < floor:
         raise ValueError(f"coarse_resolution must be at least {floor}")
     cls = two_angle_class(family)
-    envelope, cos_e = cls.envelope, cls.dispersion
 
     def gap_at(a1, a2):
-        return 1.0 - envelope(a1, a2)[0]
+        return 1.0 - cls.envelope(a1, a2)[0]
 
     angles = np.linspace(-np.pi, np.pi, coarse_resolution)
     gap = np.empty((coarse_resolution, coarse_resolution))
@@ -219,13 +218,12 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     found, gaps = _refine_touchings(gap_at, seeds,
                                     2.0 * np.pi / (coarse_resolution - 1))
     accept = gaps <= ACCEPT_GAP
-    points = []
-    for (a1, a2), g in zip(found[accept].tolist(), gaps[accept].tolist()):
-        k = fold_angle(float(envelope(a1, a2)[1]))
-        energy = 0.0 if float(cos_e(a1, a2, k)) > 0.0 else math.pi
-        points.append(DiracPoint(angle1=a1, angle2=a2, momentum=k,
-                                 energy=energy, gap=g))
-    points.sort(key=lambda p: (p.angle1, p.angle2))
+    a1, a2 = found[accept].T
+    k = fold_angle(cls.envelope(a1, a2)[1])
+    energy = np.where(cls.dispersion(a1, a2, k) > 0.0, 0.0, math.pi)
+    points = sorted(map(DiracPoint, a1.tolist(), a2.tolist(), k.tolist(),
+                        energy.tolist(), gaps[accept].tolist()),
+                    key=lambda p: (p.angle1, p.angle2))
     return DiracPointSet(family=family, points=tuple(points),
                          continuous_boundary=continuous,
                          dropped=int(np.count_nonzero(~accept)))
@@ -254,9 +252,9 @@ def winding_number(model) -> int:
     its largest-magnitude component made positive.
 
     Raises GaplessPointError where the exact envelope gap
-    1 - max_k |cos E| is at most CLOSING_GAP; the closed form decides
-    every other model, so a refusal means min_k |N| = sin E below about
-    sqrt(2 CLOSING_GAP) = 4.2e-8.
+    1 - max_k |cos E| is at most CLOSING_GAP, zak's exact refusal on the
+    whole zone; the closed form decides every other model, so a refusal
+    means min_k |N| = sin E below about sqrt(2 CLOSING_GAP) = 4.2e-8.
     """
     if 1.0 - float(model.envelope(*model.angles)[0]) <= CLOSING_GAP:
         raise GaplessPointError(f"the Bloch curve of {model!r} passes "

@@ -4,12 +4,11 @@ Every family's Bloch curve N(k) = n0 + nc cos k + ns sin k is an ellipse
 in a plane through the origin (models.WalkModel.ellipse), so a band's
 state moves on one great circle, and its Zak phase (Zak, PRL 62, 2747
 (1989)) on a window about any k0 is exact from the window's ends alone
-(_planar_phases).  zak_numeric, zak_map and zak_difference all read it,
-and their n_points sets only the sampled refusal, which all of them read
-from models.sampled_band_edge at five momenta; the sampled Wilson chain
-the phase replaced is kept in the tests as its oracle.  Phases are
-folded by utils.fold_angle (also fold_angle_array here), so a phase
-within 1e-12 of +-pi reads +pi.
+(_planar_phases).  zak_numeric, zak_map and zak_difference all read it
+and refuse a window by one rule (_refused), whose sampled part alone
+n_points sets; the sampled Wilson chain the phase replaced is kept in
+the tests as its oracle.  Phases are folded by utils.fold_angle (also
+fold_angle_array here), so a phase within 1e-12 of +-pi reads +pi.
 """
 
 from __future__ import annotations
@@ -56,9 +55,9 @@ class ZakResult:
 class ZakMap:
     """Zak phases of both bands over a two-angle parameter grid.
 
-    masked[i, j] is True where some of the n_points + 1 momentum samples
-    of the integration path has gap below 1e-6; the phases are NaN
-    there.  The other phases do not depend on n_points (see zak_map).
+    masked[i, j] is True where zak_numeric refuses the node's window
+    (_refused), and the phases are NaN there.  The other phases do not
+    depend on n_points (see zak_map).
     """
 
     family: str
@@ -109,18 +108,24 @@ def _window(k_origin: float, n_points: int, span: str):
     return k_origin, k_origin - half_width, k_origin + half_width
 
 
-def _closes_in_window(model: WalkModel, origin: float, span: str) -> bool:
-    """Whether the closed window about origin holds a momentum with gap
-    at most topology.CLOSING_GAP (winding_number's threshold): k*, where
-    the exact envelope peaks, if its gap is that small, and then also
-    k* + pi if its own gap is too; no other momentum can close."""
-    peak, k_star = model.envelope(*model.angles)
-    if 1.0 - float(peak) > CLOSING_GAP:
-        return False
-    ks = float(k_star) + np.array([0.0, np.pi])
-    closes = np.array([True, model.gap(ks[1]) <= CLOSING_GAP])
-    inside = np.abs(fold_angle(ks - origin)) <= _SPANS[span]
-    return bool(np.any(closes & inside))
+def _refused(cls, angles, window, n_points: int, span: str):
+    """Whether the window (origin, lo, hi) of _window is gapless, per node
+    of a family class's broadcast angles: one of its n_points + 1 momenta
+    has gap < PATH_GAP_TOL (models.sampled_band_edge), or it holds k* or
+    k* + pi, the only momenta that can close, with gap at most
+    topology.CLOSING_GAP; k* + pi's gap is read only where k*'s is."""
+    origin, lo, hi = window
+    best, _, peak, k_star = sampled_band_edge(cls, angles, lo, hi, n_points)
+    refused = np.asarray(1.0 - best < PATH_GAP_TOL)
+    near = np.asarray(1.0 - peak <= CLOSING_GAP)
+    if near.any():
+        ks = k_star[near] + np.array([[0.0], [np.pi]])
+        closes = np.abs(fold_angle(ks - origin)) <= _SPANS[span]
+        cos_e = cls.dispersion(*(np.broadcast_to(a, near.shape)[near]
+                                 for a in angles), ks[1])
+        closes[1] &= 1.0 - np.abs(cos_e) <= CLOSING_GAP
+        refused[near] |= closes.any(axis=0)
+    return refused
 
 
 def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
@@ -132,16 +137,15 @@ def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
     span="half" (the default) and 2 pi for span="full".  Raises
     GaplessPointError if one of its n_points + 1 uniform momenta
     (n_points even, in [16, 2**53]) has gap < 1e-6, read at five of them
-    (models.sampled_band_edge), or it holds a closing
-    (_closes_in_window); ValueError for a non-planar Bloch curve.
+    (models.sampled_band_edge), or it holds a closing (_refused, as
+    zak_map masks); ValueError for a non-planar Bloch curve.
     """
     if band not in (+1, -1):
         raise ValueError("band must be +1 or -1")
-    origin, lo, hi = _window(k_origin, n_points, span)
-    edge = sampled_band_edge(type(model), model.angles, lo, hi, n_points)[0]
-    if 1.0 - edge < PATH_GAP_TOL or _closes_in_window(model, origin, span):
+    window = _window(k_origin, n_points, span)
+    if _refused(type(model), model.angles, window, n_points, span):
         raise GaplessPointError(f"gapless momentum on the Zak path of {model!r}")
-    plus, minus = _planar_phases(type(model), model.angles, origin, span)
+    plus, minus = _planar_phases(type(model), model.angles, window[0], span)
     return ZakResult(band=band, phase=float(plus if band > 0 else minus),
                      k_origin=float(k_origin), n_points=n_points,
                      model=model, span=span)
@@ -289,20 +293,19 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     """Zak phases of both bands over the [-pi, pi]^2 parameter square,
     on the window about k = 0.
 
-    A node is masked (NaN phases) when any of the n_points + 1 momentum
-    samples of its window has gap < 1e-6; n_points sets only that mask,
-    read from models.sampled_band_edge at five momenta per node, as
-    zak_numeric reads its refusal.  The other nodes' phases are
-    zak_numeric's, within 1.3e-14 of the sampled chain at the default
-    size; a family whose Bloch curve is not planar
-    at a live node raises ValueError.  The rows run
-    topology.SCAN_BLOCK_ROWS at a time, so the peak memory is that of
-    the map and one block; the default map takes 0.04-0.05 s (2-vCPU VM).
+    A node is masked (NaN phases) exactly where zak_numeric refuses its
+    window (_refused): a sampled gap below 1e-6, which n_points sets, or
+    an exact closing.  The other nodes' phases are zak_numeric's, within
+    1.3e-14 of the sampled chain at the default size; a family whose
+    Bloch curve is not planar at a live node raises ValueError.  The
+    rows run topology.SCAN_BLOCK_ROWS at a time, so the peak memory is
+    that of the map and one block; the default map takes 0.04-0.05 s
+    (2-vCPU VM).
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
     cls = two_angle_class(family)
-    _, lo, hi = _window(0.0, n_points, span)
+    window = _window(0.0, n_points, span)
     angles = np.linspace(-np.pi, np.pi, resolution)
     shape = (resolution, resolution)
     plus, minus = np.full(shape, np.nan), np.full(shape, np.nan)
@@ -310,8 +313,7 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     for start in range(0, resolution, SCAN_BLOCK_ROWS):
         rows = slice(start, start + SCAN_BLOCK_ROWS)
         a1, a2 = np.meshgrid(angles[rows], angles, indexing="ij")
-        masked[rows] = 1.0 - sampled_band_edge(cls, (a1, a2), lo, hi,
-                                               n_points)[0] < PATH_GAP_TOL
+        masked[rows] = _refused(cls, (a1, a2), window, n_points, span)
         live = ~masked[rows]
         plus[rows][live], minus[rows][live] = _planar_phases(
             cls, (a1[live], a2[live]), 0.0, span)

@@ -341,7 +341,9 @@ def test_sampled_band_edge_equals_full_sweep(family, node, origin, span,
         cls = FAMILY_CLASSES[family]
         node = node[:len(dataclasses.fields(cls))]
         sweep = np.abs(cls.dispersion(*node, ks))
-        best, k_best = sampled_band_edge(cls, node, lo, hi, cells)
+        best, k_best, peak, k_star = sampled_band_edge(cls, node, lo, hi,
+                                                       cells)
+        assert (peak, k_star) == cls.envelope(*node)
     assert best == sweep.max()
     assert abs(cls.dispersion(*node, k_best)) == best
     # Split-step |cos E| can be flat to the last bit across several

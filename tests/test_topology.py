@@ -298,6 +298,13 @@ def test_dirac_census_lands_on_the_touchings(resolution):
     dist = np.abs(found[:, None] - census[None]).max(axis=-1)
     assert sorted(dist.argmin(axis=1)) == list(range(13))
     assert dist.min(axis=1).max() < 1e-15
+    # The array readout against the per-point scalar one it replaced, bit
+    # for bit, sign of zero included.
+    for p in ds.points:
+        k = fold_angle(float(NonCommutingWalk.envelope(p.angle1, p.angle2)[1]))
+        cos_e = float(NonCommutingWalk.dispersion(p.angle1, p.angle2, k))
+        assert repr((p.momentum, p.energy)) == repr(
+            (k, 0.0 if cos_e > 0.0 else np.pi))
 
 
 def test_census_drops_candidates_that_do_not_close(monkeypatch, capsys):
@@ -502,6 +509,22 @@ def test_full_zone_zak_phase_is_pi_times_winding(cls):
         nu = winding_number(cls(zm.angles1[i], zm.angles2[j]))
         for phase in (zm.zak_plus[i, j], zm.zak_minus[i, j]):
             assert abs(fold_angle(phase - np.pi * abs(nu))) < 1e-12
+
+
+@settings(max_examples=20)
+@given(family=st.sampled_from(["noncommuting", "splitstep"]),
+       resolution=st.sampled_from([5, 9, 21]),
+       n_points=st.integers(8, 300).map(lambda n: 2 * n))
+def test_full_span_zak_map_is_pi_times_winding(family, resolution, n_points):
+    # At every n_points, every live node of a full-span map has a
+    # winding, so no closing, and both phases are pi |winding|; the
+    # samples of n_points = 2 (mod 4) straddle the non-commuting closings
+    # at (+-pi/2, +-pi/2).
+    zm = zak_map(family, resolution, n_points, span="full")
+    cls = two_angle_class(family)
+    for i, j in zip(*np.nonzero(~zm.masked)):
+        nu = winding_number(cls(zm.angles1[i], zm.angles2[j]))
+        assert zm.zak_plus[i, j] == zm.zak_minus[i, j] == np.pi * abs(nu)
 
 
 def test_winding_number_gapped_noncommuting_is_unit():
