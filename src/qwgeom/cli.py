@@ -22,9 +22,10 @@ Angles are radians, decimals or exact pi multiples ("pi/4", "1.5pi")
 that keep special points exact; a negative one may follow its flag as
 the next token ("--theta -pi/2").  Only the model commands take angle
 flags, a family's model field names.  No command uses threads.  The
-angle-square commands and zak build no momentum grid: phase-diagram
+angle-square commands and zak build no momentum grid and fold the step
+once per block or model (models.WalkModel.harmonics): phase-diagram
 (--k-samples 8 to 2**53 + 1), the zak-map mask and zak's sampled refusal
-read models.sampled_band_edge, five momenta per node, and dirac-points
+read five momenta per node, and dirac-points the exact envelope
 (--resolution from topology.min_census_resolution(), 101).  zak's and
 zak-map's phases are exact, so their --n-points (even, 16 to 2**53) sets
 only the sampled refusal.  winding and zak exit 3, and zak-map masks

@@ -12,8 +12,12 @@ sampled.  U = cos E - i N . sigma is in SU(2), |N| = sin E, so
 cos E = Re tr U / 2 = alpha + beta cos k + gamma sin k, with
 alpha = Re tr B / 2, beta = Re tr(A + C) / 2, gamma = -Im tr(A - C) / 2,
 and the Bloch components N_j = -Im tr(sigma_j U) / 2 are first harmonics
-too.  The exact gap envelope max_k |cos E| is |alpha| + hypot(beta,
-gamma), at k* = atan2(gamma, beta), turned by pi where alpha < 0.
+too.  One fold gives all of them as one array (WalkModel.harmonics),
+which numerators, ellipse, dispersion, envelope and sampled_band_edge
+read, as do the Zak refusal and phases and the winding; a reader of
+cos E alone folds only the diagonal.  The exact gap envelope
+max_k |cos E| is |alpha| + hypot(beta, gamma), at
+k* = atan2(gamma, beta), turned by pi where alpha < 0.
 """
 
 from __future__ import annotations
@@ -73,50 +77,49 @@ _TRACES = ({(0, 0): 0, (1, 1): 0}, {(0, 1): 1, (1, 0): 1},
            {(1, 0): 0, (0, 1): 2}, {(0, 0): 1, (1, 1): 3})
 
 
-def _harmonics(terms: dict, trace: dict) -> dict:
-    """{0: h0, 1: hc, 2: hs} with Re sum_p tr(S P_p) e^{ipk} / 2 =
-    h0 + hc cos k + hs sin k, the zero ones left out."""
-    h = {}
-    for (p, r, j, q), x in terms.items():
-        if (r, j) in trace:
-            # x i^n e^{ipk} has the real part
-            # x (cos(n pi/2) cos k - p sin(n pi/2) sin k), p = 0 or +-1.
-            n = (trace[r, j] + q) % 4
-            slot, sign = (1 if p else 0, 1 - n) if n % 2 == 0 else (2, p * (n - 2))
-            if sign:
-                term = x if sign > 0 else -x
-                h[slot] = h[slot] + term if slot in h else term
-    return {slot: 0.5 * v for slot, v in h.items()}
+def _harmonics(cls, angles, diagonal: bool = False) -> np.ndarray:
+    """WalkModel.harmonics of a family class at its angle tuple, or with
+    diagonal its cos E row alone, folding only what tr P_p reads.  A
+    harmonic no term reaches is -0.0, which adds as nothing, or +0.0 in a
+    row that no term reaches."""
+    traces = _TRACES[:1] if diagonal else _TRACES
+    acc = {}
+    for (p, r, j, q), x in _laurent(cls.step(*angles), diagonal).items():
+        for i, trace in enumerate(traces):
+            if (r, j) in trace:
+                # x i^n e^{ipk} has the real part
+                # x (cos(n pi/2) cos k - p sin(n pi/2) sin k), p = 0 or +-1.
+                n = (trace[r, j] + q) % 4
+                slot, sign = (1 if p else 0, 1 - n) if n % 2 == 0 else (2, p * (n - 2))
+                if sign:
+                    acc[i, slot] = acc.get((i, slot), -0.0) + sign * x
+    h = np.zeros((len(traces), 3, *np.broadcast(*angles).shape))
+    h[sorted({i for i, _ in acc})] = -0.0
+    for key, v in acc.items():
+        h[key] = 0.5 * v
+    return h
 
 
-def _fourier(harmonics, k, shape) -> list:
-    """Each {0: h0, 1: hc, 2: hs} as h0 + hc cos k + hs sin k, shaped."""
-    k = np.asarray(k, dtype=float)
-    out = [None] * len(harmonics)
-    for slot, wave in ((1, np.cos), (2, np.sin), (0, None)):
-        w = wave(k) if wave and any(slot in h for h in harmonics) else None
-        for i, h in enumerate(harmonics):
-            if slot in h:
-                term = h[slot] if wave is None else h[slot] * w
-                out[i] = term if out[i] is None else out[i] + term
-    return [v if v is not None and np.shape(v) == shape else
-            np.broadcast_to(0.0 if v is None else v, shape) for v in out]
+def _wave(h, k) -> list:
+    """h0 + hc cos k + hs sin k per row (h0, hc, hs) of h, broadcast; a
+    wave whose column of h is 0 at every node is read as +0.0."""
+    c, s = (wave(k) if h[:, i].any() else np.zeros(np.shape(k))
+            for i, wave in ((1, np.cos), (2, np.sin)))
+    return [hc * c + hs * s + h0 for h0, hc, hs in h]
 
 
-def _edge(h: dict, shape):
-    """max_k |cos E| and a k* in [-pi, pi] reaching it, for the harmonics
-    h of cos E; with no sin k term, k* is 0 or pi without an arctangent."""
-    alpha, beta, gamma = h.get(0), h.get(1, 0.0), h.get(2)
-    if gamma is None:
-        peak, k_star, turn = np.abs(beta), 0.0, beta < 0.0
-    else:
-        peak, k_star, turn = np.hypot(beta, gamma), np.arctan2(gamma, beta), False
-    if alpha is not None:
-        peak, turn = np.abs(alpha) + peak, turn != (alpha < 0.0)
-    if turn is not False:
-        k_star = np.where(turn, k_star + np.pi, k_star)
-        k_star = np.where(k_star > np.pi, k_star - 2.0 * np.pi, k_star)
-    return np.broadcast_to(peak, shape), np.broadcast_to(k_star, shape)
+def _edge(h):
+    """(max_k |cos E|, a k* in [-pi, pi] reaching it) of cos E's h."""
+    alpha, beta, gamma = h
+    k_star = np.arctan2(gamma, beta)
+    k_star += np.pi * (alpha < 0.0)
+    k_star -= 2.0 * np.pi * (k_star > np.pi)
+    return np.abs(alpha) + np.hypot(beta, gamma), k_star
+
+
+def _ellipse(h) -> tuple:
+    """WalkModel.ellipse of harmonics h, each part C-contiguous."""
+    return tuple(np.ascontiguousarray(np.moveaxis(h[1:], 0, -1)))
 
 
 # Largest cell count of a sampled window: up to 2^53 every grid index and
@@ -124,10 +127,10 @@ def _edge(h: dict, shape):
 MAX_CELLS = 2**53
 
 
-def sampled_band_edge(cls, angles, lo: float, hi: float, cells: int):
-    """Largest |cos E| of a family class at its broadcast angle arrays
-    (a tuple, one per field) over np.linspace(lo, hi, cells + 1), the
-    first such momentum, and WalkModel.envelope's (peak, k*), per node.
+def sampled_band_edge(h, lo: float, hi: float, cells: int):
+    """Largest |cos E| over np.linspace(lo, hi, cells + 1), the first
+    such momentum, and WalkModel.envelope's (peak, k*), per node of
+    harmonics h (WalkModel.harmonics, or any array whose row 0 is cos E).
 
     cos E is a first harmonic plus a constant, so over an arc its
     sampled |cos E| peaks on a grid neighbour of the envelope's k* or
@@ -141,12 +144,11 @@ def sampled_band_edge(cls, angles, lo: float, hi: float, cells: int):
     where a neighbour pair already starts at cell 0: on a full window
     lo and hi are one point of the circle, but about a shifted origin
     their floats differ and hi can beat lo by an ulp.  Ties go to the
-    lowest grid index.  The harmonics of cos E are derived once per call.
+    lowest grid index.
     """
     if not 1 <= cells <= MAX_CELLS:
         raise ValueError("cells must be in [1, 2**53]")
-    h = _harmonics(_laurent(cls.step(*angles), diagonal=True), _TRACES[0])
-    peak, k_star = _edge(h, np.broadcast(*angles).shape)
+    peak, k_star = _edge(h[0])
     k = np.stack([k_star, k_star + np.pi])
     j = np.floor((k - lo) * (cells / (hi - lo))).astype(np.intp)
     j %= round(cells * (2.0 * np.pi / (hi - lo)))
@@ -156,7 +158,7 @@ def sampled_band_edge(cls, angles, lo: float, hi: float, cells: int):
     step = (hi - lo) / cells
     ks = idx * step + lo
     ks[idx == cells] = hi
-    c = np.abs(_fourier([h], ks, ks.shape)[0])
+    c = np.abs(_wave(h[:1], ks)[0])
     best = c.max(axis=0)
     first = np.where(c == best, idx, cells).min(axis=0)
     return best, np.where(first == cells, hi, first * step + lo), peak, k_star
@@ -173,8 +175,8 @@ class WalkModel:
     """Everything a walk family derives from its declaration: a frozen
     dataclass subclass whose fields are its coin angles (canonicalised
     here) and whose static step(*angles) lists its coins and shifts.
-    The class methods numerators, dispersion and envelope broadcast over
-    angle and momentum arrays; a model reads them at its own angles.
+    The class methods broadcast over angle and momentum arrays; a model
+    reads them at its own angles.
     """
 
     family = "abstract"
@@ -211,38 +213,34 @@ class WalkModel:
         return tuple(ops)
 
     @classmethod
+    def harmonics(cls, *angles):
+        """H, shape (4, 3, ...), at the angles, broadcast: rows cos E, N_x,
+        N_y and N_z, each Re sum_p tr(S P_p) e^{ipk} / 2 = h0 + hc cos k
+        + hs sin k with columns (h0, hc, hs), from one fold of the step."""
+        return _harmonics(cls, angles)
+
+    @classmethod
     def numerators(cls, *args):
         """Unnormalized Bloch components N(k) at the angles and momentum
         args = (*angles, k), broadcast, shape (..., 3)."""
-        terms = _laurent(cls.step(*args[:-1]))
-        return np.stack(_fourier([_harmonics(terms, tr) for tr in _TRACES[1:]],
-                                 args[-1], np.broadcast(*args).shape), axis=-1)
+        return np.stack(_wave(cls.harmonics(*args[:-1])[1:], args[-1]), -1)
 
     @classmethod
     def ellipse(cls, *angles):
-        """(n0, nc, ns) with N(k) = n0 + nc cos k + ns sin k at the
-        angles, broadcast, each shape (..., 3); no momentum is sampled."""
-        terms = _laurent(cls.step(*angles))
-        out = np.zeros((3, *np.broadcast(*angles).shape, 3))
-        for j, trace in enumerate(_TRACES[1:]):
-            for slot, h in _harmonics(terms, trace).items():
-                out[slot, ..., j] = h
-        return tuple(out)
+        """(n0, nc, ns), each (..., 3): N(k) = n0 + nc cos k + ns sin k."""
+        return _ellipse(cls.harmonics(*angles))
 
     @classmethod
     def dispersion(cls, *args):
         """cos E(k) at the angles and momentum args = (*angles, k),
         broadcast."""
-        terms = _laurent(cls.step(*args[:-1]), diagonal=True)
-        return _fourier([_harmonics(terms, _TRACES[0])], args[-1],
-                        np.broadcast(*args).shape)[0]
+        return _wave(_harmonics(cls, args[:-1], diagonal=True), args[-1])[0]
 
     @classmethod
     def envelope(cls, *angles):
         """Exact band-edge envelope (max_k |cos E|, k*) at the angles,
         broadcast; k* lies in [-pi, pi]."""
-        terms = _laurent(cls.step(*angles), diagonal=True)
-        return _edge(_harmonics(terms, _TRACES[0]), np.broadcast(*angles).shape)
+        return _edge(_harmonics(cls, angles, diagonal=True)[0])
 
     def quasi_energy(self, k):
         """Quasi-energy band E(k) in [0, pi] (element-wise arccos)."""
@@ -373,7 +371,7 @@ def make_model(family: str, angles) -> WalkModel:
 
 def two_angle_class(family: str):
     """The family class of a two-angle family name; its class methods
-    numerators, dispersion and envelope take (a1, a2, ...)."""
+    take (a1, a2, ...)."""
     if family not in TWO_ANGLE_FAMILIES:
         raise ValueError(f"family {family!r} is not a two-angle family")
     return FAMILY_CLASSES[family]

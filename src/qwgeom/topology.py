@@ -4,8 +4,8 @@ Provides gap maps over two-angle parameter squares, location of
 isolated gap closings (Dirac points), all refined together by one array
 pattern search, and the integer winding number of the Bloch curve
 k -> N(k) about the origin of its plane.  Every family's N(k) is a first
-harmonic, so its Bloch curve is an ellipse, read off the step with no
-momentum sampled (models.WalkModel.ellipse), and the winding follows in
+harmonic, so its Bloch curve is an ellipse, read with cos E off one fold
+of the step (models.WalkModel.harmonics), and the winding follows in
 closed form (winding_number); a step whose N(k) has degree 2 in e^{ik}
 would need the argument principle.
 """
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaplessPointError
-from .models import MAX_CELLS, sampled_band_edge, two_angle_class
+from .models import (MAX_CELLS, _edge, _ellipse, _harmonics,
+                     sampled_band_edge, two_angle_class)
 from .utils import fold_angle
 
 # Angle rows per scan_gap block: at 721^2 nodes, 0.15 s and 13 MB of peak
@@ -105,8 +106,9 @@ def scan_gap(family: str, resolution: int = 201, k_samples: int = 361) -> GapMap
     argmin_k = np.empty((resolution, resolution))
     for start in range(0, resolution, SCAN_BLOCK_ROWS):
         rows = slice(start, start + SCAN_BLOCK_ROWS)
-        best, argmin_k[rows], _, _ = sampled_band_edge(
-            cls, (angles[rows, None], angles), -np.pi, np.pi, k_samples - 1)
+        h = _harmonics(cls, (angles[rows, None], angles), diagonal=True)
+        best, argmin_k[rows], _, _ = sampled_band_edge(h, -np.pi, np.pi,
+                                                       k_samples - 1)
         gap[rows] = 1.0 - best
     return GapMap(family=family, angles1=angles.copy(), angles2=angles.copy(),
                   gap=gap, argmin_k=argmin_k, k_samples=k_samples)
@@ -184,9 +186,9 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     down.  A grid coarser than min_census_resolution(candidate_gap) can
     miss closings, so it raises ValueError.  Each point's momentum is
     the envelope's k* at the refined angles, folded by utils.fold_angle
-    (+pi within 1e-12 of +-pi); for the non-commuting family cos E = +1
-    there, so every touching is reported at energy 0.  Points are sorted
-    by angles.
+    (+pi within 1e-12 of +-pi); its energy is pi where cos E's constant
+    term is negative, so cos E(k*) = -1, else 0 (every non-commuting
+    touching).  Points are sorted by angles.
     """
     floor = min_census_resolution(candidate_gap)
     if coarse_resolution < floor:
@@ -219,8 +221,9 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
                                     2.0 * np.pi / (coarse_resolution - 1))
     accept = gaps <= ACCEPT_GAP
     a1, a2 = found[accept].T
-    k = fold_angle(cls.envelope(a1, a2)[1])
-    energy = np.where(cls.dispersion(a1, a2, k) > 0.0, 0.0, math.pi)
+    h = _harmonics(cls, (a1, a2), diagonal=True)[0]
+    k = fold_angle(_edge(h)[1])
+    energy = np.where(h[0] < 0.0, math.pi, 0.0)
     points = sorted(map(DiracPoint, a1.tolist(), a2.tolist(), k.tolist(),
                         energy.tolist(), gaps[accept].tolist()),
                     key=lambda p: (p.angle1, p.angle2))
@@ -245,8 +248,8 @@ def winding_number(model) -> int:
     """Winding of the Bloch curve k -> N(k) of a walk model about the
     origin's projection onto the curve's plane, in closed form.
 
-    The curve is the ellipse WalkModel.ellipse reads off the step, and
-    it winds where ellipse_encloses_origin says.  The winding is then
+    The curve is the ellipse of the model's harmonics, whose cos E row
+    the gap test reads, and it winds where ellipse_encloses_origin says.  The winding is then
     the sign of axis.t, about the model's chiral axis where it declares
     one, so it changes only where the gap closes; otherwise about t with
     its largest-magnitude component made positive.
@@ -256,10 +259,11 @@ def winding_number(model) -> int:
     whole zone; the closed form decides every other model, so a refusal
     means min_k |N| = sin E below about sqrt(2 CLOSING_GAP) = 4.2e-8.
     """
-    if 1.0 - float(model.envelope(*model.angles)[0]) <= CLOSING_GAP:
+    h = model.harmonics(*model.angles)
+    if 1.0 - float(_edge(h[0])[0]) <= CLOSING_GAP:
         raise GaplessPointError(f"the Bloch curve of {model!r} passes "
                                 "through the winding centre")
-    inside, t = ellipse_encloses_origin(*model.ellipse(*model.angles))
+    inside, t = ellipse_encloses_origin(*_ellipse(h))
     if not inside:
         return 0
     axis = model.chiral_axis

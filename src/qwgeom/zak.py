@@ -6,8 +6,9 @@ state moves on one great circle, and its Zak phase (Zak, PRL 62, 2747
 (1989)) on a window about any k0 is exact from the window's ends alone
 (_planar_phases).  zak_numeric, zak_map and zak_difference all read it
 and refuse a window by one rule (_refused), whose sampled part alone
-n_points sets; the sampled Wilson chain the phase replaced is kept in
-the tests as its oracle.  Phases are folded by utils.fold_angle (also
+n_points sets, both from one fold of the step (WalkModel.harmonics);
+the sampled Wilson chain the phase replaced is kept in the tests as its
+oracle.  Phases are folded by utils.fold_angle (also
 fold_angle_array here), so a phase within 1e-12 of +-pi reads +pi.
 """
 
@@ -19,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GaplessPointError, OrthogonalStatesError
-from .models import (MAX_CELLS, SplitStepWalk, WalkModel, sampled_band_edge,
-                     two_angle_class)
+from .models import (MAX_CELLS, SplitStepWalk, WalkModel, _ellipse, _wave,
+                     sampled_band_edge, two_angle_class)
 from .spin import half_solid_angle
 from .topology import CLOSING_GAP, SCAN_BLOCK_ROWS, ellipse_encloses_origin
 from .utils import canonical_angle, fold_angle
@@ -108,24 +109,19 @@ def _window(k_origin: float, n_points: int, span: str):
     return k_origin, k_origin - half_width, k_origin + half_width
 
 
-def _refused(cls, angles, window, n_points: int, span: str):
+def _refused(h, window, n_points: int, span: str):
     """Whether the window (origin, lo, hi) of _window is gapless, per node
-    of a family class's broadcast angles: one of its n_points + 1 momenta
+    of harmonics h (WalkModel.harmonics): one of its n_points + 1 momenta
     has gap < PATH_GAP_TOL (models.sampled_band_edge), or it holds k* or
     k* + pi, the only momenta that can close, with gap at most
-    topology.CLOSING_GAP; k* + pi's gap is read only where k*'s is."""
+    topology.CLOSING_GAP, k* + pi only where k* has such a gap too."""
     origin, lo, hi = window
-    best, _, peak, k_star = sampled_band_edge(cls, angles, lo, hi, n_points)
-    refused = np.asarray(1.0 - best < PATH_GAP_TOL)
-    near = np.asarray(1.0 - peak <= CLOSING_GAP)
-    if near.any():
-        ks = k_star[near] + np.array([[0.0], [np.pi]])
-        closes = np.abs(fold_angle(ks - origin)) <= _SPANS[span]
-        cos_e = cls.dispersion(*(np.broadcast_to(a, near.shape)[near]
-                                 for a in angles), ks[1])
-        closes[1] &= 1.0 - np.abs(cos_e) <= CLOSING_GAP
-        refused[near] |= closes.any(axis=0)
-    return refused
+    best, _, peak, k_star = sampled_band_edge(h, lo, hi, n_points)
+    ks = np.stack([k_star, k_star + np.pi])
+    closes = np.abs(fold_angle(ks - origin)) <= _SPANS[span]
+    closes[1] &= 1.0 - np.abs(_wave(h[:1], ks[1])[0]) <= CLOSING_GAP
+    return (1.0 - best < PATH_GAP_TOL) | (closes.any(axis=0)
+                                         & (1.0 - peak <= CLOSING_GAP))
 
 
 def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
@@ -143,9 +139,10 @@ def zak_numeric(model: WalkModel, band: int, k_origin: float = 0.0,
     if band not in (+1, -1):
         raise ValueError("band must be +1 or -1")
     window = _window(k_origin, n_points, span)
-    if _refused(type(model), model.angles, window, n_points, span):
+    h = model.harmonics(*model.angles)
+    if _refused(h, window, n_points, span):
         raise GaplessPointError(f"gapless momentum on the Zak path of {model!r}")
-    plus, minus = _planar_phases(type(model), model.angles, window[0], span)
+    plus, minus = _planar_phases(_ellipse(h), window[0], span, model.family)
     return ZakResult(band=band, phase=float(plus if band > 0 else minus),
                      k_origin=float(k_origin), n_points=n_points,
                      model=model, span=span)
@@ -246,10 +243,10 @@ def zak_splitstep_analytic(theta1: float, theta2: float) -> SplitStepZak:
     return SplitStepZak(endpoint_form, published, planar)
 
 
-def _planar_phases(cls, angles, origin: float, span: str):
-    """Both bands' Zak phases of a family on the window about origin,
-    broadcast over its angles, from its Bloch ellipse
-    N = n0 + nc cos k + ns sin k (cls.ellipse).  N is planar, so band s's
+def _planar_phases(ellipse, origin: float, span: str, family: str):
+    """Both bands' Zak phases on the window about origin, per node of a
+    family's Bloch ellipse N = n0 + nc cos k + ns sin k (the arrays
+    (n0, nc, ns) of WalkModel.ellipse).  N is planar, so band s's
     state s n moves on one great circle, where two chains between the
     same ends differ by a multiple of pi: the full-zone phase is pi where
     the ellipse encloses the origin (pi |winding|), else 0, and the
@@ -265,10 +262,10 @@ def _planar_phases(cls, angles, origin: float, span: str):
     the gauge jumps, a multiple of pi that the doubling removes.  Raises
     ValueError if |n0.t| > PLANAR_TOL.
     """
-    n0, nc, ns = cls.ellipse(*angles)
+    n0, nc, ns = ellipse
     t = np.cross(nc, ns)
     if np.any(np.abs(np.einsum("...i,...i", n0, t)) > PLANAR_TOL):
-        raise ValueError(f"the Bloch curve of family {cls.family!r} is not "
+        raise ValueError(f"the Bloch curve of family {family!r} is not "
                          "planar, so its Zak phase has no closed form")
     if span == SPAN_FULL:
         phase = np.where(ellipse_encloses_origin(n0, nc, ns)[0], np.pi, 0.0)
@@ -298,9 +295,9 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     an exact closing.  The other nodes' phases are zak_numeric's, within
     1.3e-14 of the sampled chain at the default size; a family whose
     Bloch curve is not planar at a live node raises ValueError.  The
-    rows run topology.SCAN_BLOCK_ROWS at a time, so the peak memory is
-    that of the map and one block; the default map takes 0.04-0.05 s
-    (2-vCPU VM).
+    rows run topology.SCAN_BLOCK_ROWS at a time, one fold each, so the
+    peak memory is that of the map and one block; the default map takes
+    0.02-0.03 s (2-vCPU VM).
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
@@ -312,11 +309,11 @@ def zak_map(family: str, resolution: int = 201, n_points: int = 512, *,
     masked = np.empty(shape, dtype=bool)
     for start in range(0, resolution, SCAN_BLOCK_ROWS):
         rows = slice(start, start + SCAN_BLOCK_ROWS)
-        a1, a2 = np.meshgrid(angles[rows], angles, indexing="ij")
-        masked[rows] = _refused(cls, (a1, a2), window, n_points, span)
+        h = cls.harmonics(angles[rows, None], angles)
+        masked[rows] = _refused(h, window, n_points, span)
         live = ~masked[rows]
         plus[rows][live], minus[rows][live] = _planar_phases(
-            cls, (a1[live], a2[live]), 0.0, span)
+            _ellipse(h[:, :, live]), 0.0, span, family)
     return ZakMap(family=family, angles1=angles, angles2=angles.copy(),
                   zak_plus=plus, zak_minus=minus, masked=masked,
                   n_points=n_points, span=span)

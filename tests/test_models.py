@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from qwgeom.errors import GaplessPointError
 from qwgeom.models import (FAMILY_CLASSES, TWO_ANGLE_FAMILIES,
                            NonCommutingWalk, SplitStepWalk, StandardWalk,
-                           make_model, sampled_band_edge, two_angle_class)
-from qwgeom.spin import PAULI_X, PAULI_Y, PAULI_Z
+                           WalkModel, make_model, sampled_band_edge,
+                           two_angle_class)
+from qwgeom.spin import PAULI_X, PAULI_Y, PAULI_Z, rotation_y
 from qwgeom.utils import canonical_angle
 from qwgeom.zak import SPAN_FULL, SPAN_HALF, _SPANS
 from qwgeom.zak import _angular_coeffs as angular_coeffs
@@ -256,6 +257,30 @@ def test_ellipse_rebuilds_the_bloch_numerators(model, k):
     assert np.max(np.abs(n0 + nc * np.cos(k) + ns * np.sin(k) - n)) < 1e-15
 
 
+@given(model=walk_models(), k=angles)
+def test_harmonics_rows_are_cos_energy_and_the_ellipse(model, k):
+    h = model.harmonics(*model.angles)
+    assert h.shape == (4, 3)
+    wave = h[:, 0] + h[:, 1] * np.cos(k) + h[:, 2] * np.sin(k)
+    assert abs(wave[0] - float(model.cos_energy(k))) < 1e-15
+    assert np.max(np.abs(wave[1:] - model.bloch_numerators(k))) < 1e-15
+    assert np.array_equal(np.stack(model.ellipse(*model.angles)),
+                          np.moveaxis(h[1:], 0, -1))
+
+
+def test_harmonics_broadcast_and_keep_absent_terms_out():
+    a1, a2 = np.linspace(-3.0, 3.0, 5)[:, None], np.linspace(-2.0, 2.0, 4)
+    h = NonCommutingWalk.harmonics(a1, a2)
+    assert h.shape == (4, 3, 5, 4)
+    assert np.array_equal(h[:, :, 2, 3],
+                          NonCommutingWalk.harmonics(a1[2, 0], a2[3]))
+    # At theta1 = 0 no term reaches N_x, which reads +0.0 at every k, and
+    # N_z has only its sin k term, so at k = 0 it keeps the sign of 0 * hs.
+    n = SplitStepWalk(0.0, np.pi / 2).bloch_numerators(np.array([0.0, 2.0]))
+    assert np.all(np.signbit(n[:, 0]) == [False, False])
+    assert np.signbit(n[0, 2])
+
+
 def test_ellipse_broadcasts_over_angle_arrays():
     a1, a2 = np.linspace(-3.0, 3.0, 5)[:, None], np.linspace(-2.0, 2.0, 4)
     for cls in (NonCommutingWalk, SplitStepWalk, SwappedCoinWalk):
@@ -341,8 +366,8 @@ def test_sampled_band_edge_equals_full_sweep(family, node, origin, span,
         cls = FAMILY_CLASSES[family]
         node = node[:len(dataclasses.fields(cls))]
         sweep = np.abs(cls.dispersion(*node, ks))
-        best, k_best, peak, k_star = sampled_band_edge(cls, node, lo, hi,
-                                                       cells)
+        best, k_best, peak, k_star = sampled_band_edge(cls.harmonics(*node),
+                                                       lo, hi, cells)
         assert (peak, k_star) == cls.envelope(*node)
     assert best == sweep.max()
     assert abs(cls.dispersion(*node, k_best)) == best
@@ -463,7 +488,31 @@ def test_two_angle_helpers():
     with pytest.raises(ValueError):
         two_angle_class("standard")
     with pytest.raises(ValueError):
-        sampled_band_edge(SplitStepWalk, (0.4, 0.9), -np.pi, np.pi, 0)
+        sampled_band_edge(SplitStepWalk.harmonics(0.4, 0.9), -np.pi, np.pi,
+                          0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _DoubleShiftWalk(WalkModel):
+    """A test-only family whose step moves each spin component two sites,
+    so U(k) has degree 2 in e^{ik}."""
+
+    theta: float
+
+    family = "double-shift"
+
+    @staticmethod
+    def step(theta):
+        return (rotation_y(theta), (1, -1), (1, -1))
+
+
+def test_a_step_of_degree_two_is_refused():
+    model = _DoubleShiftWalk(0.3)
+    for call in (lambda: _DoubleShiftWalk.harmonics(0.3),
+                 lambda: _DoubleShiftWalk.envelope(np.array([0.3, 0.4])),
+                 lambda: model.momentum_unitaries(np.zeros(3))):
+        with pytest.raises(ValueError, match="more than one site"):
+            call()
 
 
 def test_family_labels_and_angles():

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qwgeom import cli
+from qwgeom import cli, models
 from qwgeom.errors import GaplessPointError
 from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
                            SplitStepWalk, StandardWalk, two_angle_class)
-from qwgeom.topology import (_cluster_components, _refine_touchings,
-                             find_dirac_points, min_census_resolution,
-                             scan_gap, winding_number)
+from qwgeom.topology import (SCAN_BLOCK_ROWS, _cluster_components,
+                             _refine_touchings, find_dirac_points,
+                             min_census_resolution, scan_gap, winding_number)
 from qwgeom.utils import fold_angle
-from qwgeom.zak import zak_map
+from qwgeom.zak import zak_map, zak_numeric
 
 from conftest import (SwappedCoinWalk, angles, family_registered,
                       swapped_coin_unitary, swapped_coins_registered)
@@ -551,3 +551,42 @@ def test_winding_number_gapless_model_raises():
     for model in closings:
         with pytest.raises(GaplessPointError):
             winding_number(model)
+
+
+def test_each_reader_folds_the_step_once(monkeypatch):
+    # Every Laurent fold of a step goes through models._laurent; count
+    # them, with the flag that says whether all four traces were formed.
+    folds = []
+    laurent = models._laurent
+
+    def counted(ops, diagonal=False):
+        folds.append(diagonal)
+        return laurent(ops, diagonal)
+
+    monkeypatch.setattr(models, "_laurent", counted)
+    for model in (StandardWalk(0.7), NonCommutingWalk(0.7, 0.3),
+                  SplitStepWalk(0.9, -0.4)):
+        folds.clear()
+        winding_number(model)
+        assert folds == [False]
+        folds.clear()
+        zak_numeric(model, +1, k_origin=1.1, span="full")
+        assert folds == [False]
+    resolution = 2 * SCAN_BLOCK_ROWS + 3
+    folds.clear()
+    zak_map("noncommuting", resolution, 64)
+    assert folds == [False] * 3
+    # The census folds once per envelope call, and once more for the
+    # momentum and energy of all its points together.
+    envelope = NonCommutingWalk.envelope.__func__
+    calls = []
+
+    def counted_envelope(cls, *angles):
+        calls.append(len(folds))
+        return envelope(cls, *angles)
+
+    monkeypatch.setattr(NonCommutingWalk, "envelope",
+                        classmethod(counted_envelope))
+    folds.clear()
+    assert find_dirac_points("noncommuting", 201).points
+    assert len(folds) == len(calls) + 1

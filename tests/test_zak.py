@@ -113,16 +113,20 @@ def _per_band_phase(numerators, band, weight):
 
 
 def _wilson_chain(numerators, weight):
-    """Both bands' folded Wilson phases [band +1, band -1] by
-    _per_band_phase.  |<v_i|v_i+1>| = |n_i + n_i+1| / 2 for both bands,
-    so a chain with |n_i + n_i+1| < 2e-12 is refused
+    """Both bands' folded Wilson phases [band +1, band -1], bit for bit
+    _per_band_phase's: the unit states are formed once, since band -1's
+    scale -1 / |N| is exactly -(1 / |N|).  |<v_i|v_i+1>| = |n_i + n_i+1|
+    / 2 for both bands, so a chain with |n_i + n_i+1| < 2e-12 is refused
     (OrthogonalStatesError)."""
-    n = numerators / np.linalg.norm(numerators, axis=-1, keepdims=True)
-    pairs = n[..., :-1, :] + n[..., 1:, :]
-    if np.any(np.linalg.norm(pairs, axis=-1) < 2.0 * zak.OVERLAP_TOL):
+    xyz = np.moveaxis(numerators, -1, 0)
+    x, y, z = xyz
+    n = np.multiply(xyz, 1.0 / np.sqrt(x * x + y * y + z * z), order="C")
+    px, py, pz = n[..., :-1] + n[..., 1:]
+    if np.any(px * px + py * py + pz * pz < (2.0 * zak.OVERLAP_TOL) ** 2):
         raise OrthogonalStatesError("consecutive states are orthogonal; "
                                     "phase chain is undefined")
-    return [_per_band_phase(numerators, band, weight) for band in (+1, -1)]
+    return [zak.fold_angle_array(weight * half_solid_angle(
+        _SOUTH, s[..., :-1], s[..., 1:]).sum(axis=-1)) for s in (n, -n)]
 
 
 def _sampled_refusal(model, k_origin, n_points, span):
@@ -474,8 +478,8 @@ def _full_sample_mask(family, a1, a2, ks, chunk=4096):
 def _edge_mask(family, a1, a2, lo, hi, n_points):
     """The sampled part of zak_map's mask, from models.sampled_band_edge,
     per node of (nodes, 1) angle arrays."""
-    best = sampled_band_edge(two_angle_class(family), (a1[:, 0], a2[:, 0]),
-                             lo, hi, n_points)[0]
+    h = two_angle_class(family).harmonics(a1[:, 0], a2[:, 0])
+    best = sampled_band_edge(h, lo, hi, n_points)[0]
     return 1.0 - best < zak.PATH_GAP_TOL
 
 
@@ -666,7 +670,8 @@ def test_planar_chain_is_defined_on_unmasked_nodes(cls, nodes, span,
     assume(not masked)
     # A 0/0 in normalising the three-state chain's states warns, which
     # fails.
-    plus, minus = zak._planar_phases(cls, (a1, a2), 0.0, span)
+    plus, minus = zak._planar_phases(cls.ellipse(a1, a2), 0.0, span,
+                                     cls.family)
     assert np.isfinite(plus) and np.isfinite(minus)
 
 
