@@ -9,10 +9,6 @@ class QwGeomError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegeneratePointError(QwGeomError):
-    """A Bloch vector had (near-)zero length where a direction was needed."""
-
-
 class GaplessPointError(QwGeomError):
     """A quantity was requested at or too close to a band-touching point."""
 

@@ -108,13 +108,19 @@ def _wave(h, k) -> list:
     return [hc * c + hs * s + h0 for h0, hc, hs in h]
 
 
+def _peak(h):
+    """max_k |cos E| = |alpha| + hypot(beta, gamma) of cos E's h."""
+    alpha, beta, gamma = h
+    return np.abs(alpha) + np.hypot(beta, gamma)
+
+
 def _edge(h):
     """(max_k |cos E|, a k* in [-pi, pi] reaching it) of cos E's h."""
     alpha, beta, gamma = h
     k_star = np.arctan2(gamma, beta)
     k_star += np.pi * (alpha < 0.0)
     k_star -= 2.0 * np.pi * (k_star > np.pi)
-    return np.abs(alpha) + np.hypot(beta, gamma), k_star
+    return _peak(h), k_star
 
 
 def _ellipse(h) -> tuple:

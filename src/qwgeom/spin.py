@@ -1,12 +1,10 @@
 """Two-level (spin-1/2) building blocks: read-only Pauli matrices, coin
-rotations, Bloch-sphere eigenstates, a closed-form eigensolver for
-n . sigma, and the half-solid-angle kernel of Wilson links and areas."""
+rotations, Bloch-sphere eigenstates, and the half-solid-angle kernel of
+Wilson links and areas."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import DegeneratePointError
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -52,51 +50,6 @@ def bloch_sphere_state(theta: float, phi: float, band: int) -> np.ndarray:
     if band == +1:
         return np.array([np.cos(half) * ep, np.sin(half) * em])
     return np.array([np.sin(half) * ep, -np.cos(half) * em])
-
-
-def _stable_components(nx, ny, nz, r, sign):
-    """Upper/lower eigenvector components of n . sigma for one band.
-
-    Uses the algebraic identities
-        nz - s r      = -s nperp^2 / (r + s nz)
-        2 r (r - s nz) = 2 r nperp^2 / (r + s nz)
-    whenever s nz >= 0, so no catastrophic cancellation occurs near the
-    poles.  Inputs may be arrays; returns (upper, lower) complex arrays.
-    """
-    nperp2 = nx * nx + ny * ny
-    direct = sign * nz < 0.0
-    # Where direct is True the subtraction r - s nz adds magnitudes.
-    denom = np.where(direct, 1.0, r + sign * nz)
-    lower = np.where(direct, nz - sign * r, -sign * nperp2 / denom)
-    d2 = np.where(direct, 2.0 * r * (r - sign * nz), 2.0 * r * nperp2 / denom)
-    d = np.sqrt(d2)
-    pole = d2 <= (1e-28) * r * r
-    safe_d = np.where(pole, 1.0, d)
-    upper = np.where(pole, 1.0 + 0.0j, (-nx + 1.0j * ny) / safe_d)
-    lower = np.where(pole, 0.0 + 0.0j, lower / safe_d)
-    return upper, lower
-
-
-def band_eigenvector(n_vectors: np.ndarray, band: int) -> np.ndarray:
-    """Normalized eigenvectors of n . sigma for a batch of Bloch vectors.
-
-    n_vectors has shape (..., 3) and need not be normalized; band is +1 or
-    -1 and selects the eigenvalue +|n| or -|n|.  Returns shape (..., 2).
-    The phase convention keeps the lower component real; at a pole of that
-    chart the vector (1, 0) is returned.  Raises DegeneratePointError if
-    any input vector has length below 1e-150.
-    """
-    if band not in (+1, -1):
-        raise ValueError("band must be +1 or -1")
-    n = np.asarray(n_vectors, dtype=float)
-    if n.shape[-1] != 3:
-        raise ValueError("n_vectors must have shape (..., 3)")
-    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
-    r = np.sqrt(nx * nx + ny * ny + nz * nz)
-    if np.any(r < 1e-150):
-        raise DegeneratePointError("zero Bloch vector has no eigenbasis")
-    upper, lower = _stable_components(nx, ny, nz, r, float(band))
-    return np.stack([upper, lower], axis=-1)
 
 
 def half_solid_angle(apex, a, b) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaplessPointError
-from .models import (MAX_CELLS, _edge, _ellipse, _harmonics,
+from .models import (MAX_CELLS, _edge, _ellipse, _harmonics, _peak,
                      sampled_band_edge, two_angle_class)
 from .utils import fold_angle
 
@@ -196,7 +196,7 @@ def find_dirac_points(family: str, coarse_resolution: int = 721,
     cls = two_angle_class(family)
 
     def gap_at(a1, a2):
-        return 1.0 - cls.envelope(a1, a2)[0]
+        return 1.0 - _peak(_harmonics(cls, (a1, a2), diagonal=True)[0])
 
     angles = np.linspace(-np.pi, np.pi, coarse_resolution)
     gap = np.empty((coarse_resolution, coarse_resolution))

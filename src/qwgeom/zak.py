@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GaplessPointError, OrthogonalStatesError
+from .errors import GaplessPointError
 from .models import (MAX_CELLS, SplitStepWalk, WalkModel, _ellipse, _wave,
                      sampled_band_edge, two_angle_class)
 from .spin import half_solid_angle
@@ -27,7 +27,6 @@ from .topology import CLOSING_GAP, SCAN_BLOCK_ROWS, ellipse_encloses_origin
 from .utils import canonical_angle, fold_angle
 
 PATH_GAP_TOL = 1e-6
-OVERLAP_TOL = 1e-12
 _SOUTH = np.array([0.0, 0.0, -1.0])
 # Largest |n0 . (nc x ns)| taken as planar; every family here gives 0.
 PLANAR_TOL = 1e-12
@@ -69,31 +68,6 @@ class ZakMap:
     masked: np.ndarray
     n_points: int
     span: str
-
-
-def discrete_berry_phase(vectors: np.ndarray, closed: bool = False) -> float:
-    """Overlap-chain (Wilson-line) phase sum_i arg<v_i|v_{i+1}>.
-
-    vectors has shape (m, dim).  With closed=True the chain additionally
-    wraps from the last vector back to the first.  Summing the per-link
-    angles (instead of taking the angle of the product) keeps windings
-    beyond (-pi, pi]; fold the result if only the folded phase matters.
-    The sign convention (Im log of the overlap product, not its negative)
-    is the one under which the band-resolved closed-form integrand of
-    zak_noncommuting_integrand integrates to the numeric Zak phase of the
-    same band.  Raises OrthogonalStatesError when any consecutive overlap
-    has magnitude below 1e-12.
-    """
-    v = np.asarray(vectors)
-    if v.ndim != 2 or v.shape[0] < 2:
-        raise ValueError("vectors must have shape (m, dim) with m >= 2")
-    overlaps = np.sum(np.conj(v[:-1]) * v[1:], axis=1)
-    if closed:
-        overlaps = np.concatenate([overlaps, [np.dot(np.conj(v[-1]), v[0])]])
-    if np.any(np.abs(overlaps) < OVERLAP_TOL):
-        raise OrthogonalStatesError("consecutive states are orthogonal; "
-                                    "phase chain is undefined")
-    return float(np.sum(np.angle(overlaps)))
 
 
 def _window(k_origin: float, n_points: int, span: str):
@@ -255,12 +229,11 @@ def _planar_phases(ellipse, origin: float, span: str, family: str):
     origin).  For the unit ends a, b and t = nc x ns, q = u +- v with
     u = a + b, v = t x (a - b) and u.v >= 0, so q.a = q.b = 1 + a.b +
     |t.(a x b)| >= 0, even for antipodal ends (the non-commuting walk's),
-    and no link meets orthogonal states.  In spin.band_eigenvector's
-    gauge the lower component of band s is real with sign -s, so each
-    Wilson link arg<v_i|v_i+1> is spin.half_solid_angle(-z, s n_i,
-    s n_i+1).  At the chart pole s n = +z a link reads 0 or +-pi where
-    the gauge jumps, a multiple of pi that the doubling removes.  Raises
-    ValueError if |n0.t| > PLANAR_TOL.
+    and no link meets orthogonal states.  With band s's lower spinor
+    component real of sign -s, each Wilson link arg<v_i|v_i+1> is
+    spin.half_solid_angle(-z, s n_i, s n_i+1).  At the chart pole s n = +z
+    a link reads 0 or +-pi where the gauge jumps, a multiple of pi that
+    the doubling removes.  Raises ValueError if |n0.t| > PLANAR_TOL.
     """
     n0, nc, ns = ellipse
     t = np.cross(nc, ns)

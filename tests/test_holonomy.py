@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import discrete_berry_phase
 from qwgeom.errors import (CurveNotSupportedError, FiniteDifferenceError,
                            OrthogonalStatesError)
 from qwgeom.holonomy import (SphereCurve, TangentVector, _polygon_rotation,
@@ -16,7 +17,6 @@ from qwgeom.holonomy import (SphereCurve, TangentVector, _polygon_rotation,
                              solid_angle, sphere_point, state_distance)
 from qwgeom.spin import bloch_sphere_state
 from qwgeom.utils import fold_angle
-from qwgeom.zak import discrete_berry_phase
 
 
 def _circ(a, b):

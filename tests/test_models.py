@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from qwgeom.errors import GaplessPointError
 from qwgeom.models import (FAMILY_CLASSES, TWO_ANGLE_FAMILIES,
                            NonCommutingWalk, SplitStepWalk, StandardWalk,
-                           WalkModel, make_model, sampled_band_edge,
-                           two_angle_class)
+                           WalkModel, _harmonics, _peak, make_model,
+                           sampled_band_edge, two_angle_class)
 from qwgeom.spin import PAULI_X, PAULI_Y, PAULI_Z, rotation_y
 from qwgeom.utils import canonical_angle
 from qwgeom.zak import SPAN_FULL, SPAN_HALF, _SPANS
@@ -314,6 +314,19 @@ def test_envelope_is_max_abs_cos_energy(family, a1, a2):
     # a unit-amplitude cosine in k (or flatter) near it.
     dk = ks[1] - ks[0]
     assert env - sampled <= dk * dk / 8 + 1e-15
+
+
+@given(family=st.sampled_from(TWO_ANGLE_FAMILIES),
+       a1=st.lists(angles, min_size=1, max_size=8),
+       a2=st.lists(angles, min_size=1, max_size=8))
+def test_peak_is_the_envelope_peak_bit_for_bit(family, a1, a2):
+    # The Dirac census reads the peak alone, off the diagonal fold.
+    cls = two_angle_class(family)
+    a1, a2 = np.array(a1)[:, None], np.array(a2)
+    peak = _peak(_harmonics(cls, (a1, a2), diagonal=True)[0])
+    env = cls.envelope(a1, a2)[0]
+    assert peak.shape == env.shape == (a1.size, a2.size)
+    assert peak.tobytes() == env.tobytes()
 
 
 _closings = st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi])

@@ -6,10 +6,9 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qwgeom.errors import DegeneratePointError
-from qwgeom.spin import (PAULI_X, PAULI_Y, PAULI_Z, band_eigenvector,
-                         bloch_sphere_state, half_solid_angle, rotation_x,
-                         rotation_y)
+from conftest import DegeneratePointError, band_eigenvector
+from qwgeom.spin import (PAULI_X, PAULI_Y, PAULI_Z, bloch_sphere_state,
+                         half_solid_angle, rotation_x, rotation_y)
 
 
 def test_pauli_algebra():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qwgeom import cli, models
+from qwgeom import cli, models, topology
 from qwgeom.errors import GaplessPointError
 from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
                            SplitStepWalk, StandardWalk, two_angle_class)
@@ -310,13 +310,12 @@ def test_dirac_census_lands_on_the_touchings(resolution):
 def test_census_drops_candidates_that_do_not_close(monkeypatch, capsys):
     # A gap floor of about 1e-6 everywhere: every candidate refines to a
     # minimum above ACCEPT_GAP.
-    exact = NonCommutingWalk.envelope
+    exact = topology._peak
 
-    def lifted(theta, phi):
-        env, k_star = exact(theta, phi)
-        return env * (1.0 - 1e-6), k_star
+    def lifted(h):
+        return exact(h) * (1.0 - 1e-6)
 
-    monkeypatch.setattr(NonCommutingWalk, "envelope", staticmethod(lifted))
+    monkeypatch.setattr(topology, "_peak", lifted)
     ds = find_dirac_points("noncommuting", 121)
     assert (ds.points, ds.dropped, ds.continuous_boundary) == ((), 13, False)
     code = cli.main(["dirac-points", "--family", "noncommuting",
@@ -576,17 +575,16 @@ def test_each_reader_folds_the_step_once(monkeypatch):
     folds.clear()
     zak_map("noncommuting", resolution, 64)
     assert folds == [False] * 3
-    # The census folds once per envelope call, and once more for the
-    # momentum and energy of all its points together.
-    envelope = NonCommutingWalk.envelope.__func__
+    # The census folds once per read of the envelope's peak, and once
+    # more for the momentum and energy of all its points together.
+    peak = topology._peak
     calls = []
 
-    def counted_envelope(cls, *angles):
+    def counted_peak(h):
         calls.append(len(folds))
-        return envelope(cls, *angles)
+        return peak(h)
 
-    monkeypatch.setattr(NonCommutingWalk, "envelope",
-                        classmethod(counted_envelope))
+    monkeypatch.setattr(topology, "_peak", counted_peak)
     folds.clear()
     assert find_dirac_points("noncommuting", 201).points
     assert len(folds) == len(calls) + 1

@@ -11,22 +11,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (SwappedCoinWalk, angles, family_registered,
-                      swapped_coin_unitary, swapped_coins_registered,
-                      walk_models)
+from conftest import (OVERLAP_TOL, SwappedCoinWalk, angles,
+                      band_eigenvector, discrete_berry_phase,
+                      family_registered, swapped_coin_unitary,
+                      swapped_coins_registered, walk_models)
 from qwgeom import zak
 from qwgeom.errors import GaplessPointError, OrthogonalStatesError
 from qwgeom.models import (SHIFT_H, SHIFT_V, NonCommutingWalk, SplitStepWalk,
                            StandardWalk, WalkModel, make_model,
                            sampled_band_edge, two_angle_class)
-from qwgeom.spin import (band_eigenvector, half_solid_angle, rotation_x,
-                         rotation_y)
+from qwgeom.spin import half_solid_angle, rotation_x, rotation_y
 from qwgeom.topology import CLOSING_GAP
 from qwgeom.utils import fold_angle
 from qwgeom.zak import (SPAN_FULL, SPAN_HALF, _SPANS, _angular_coeffs,
-                        discrete_berry_phase, zak_difference, zak_map,
-                        zak_noncommuting_integrand, zak_numeric,
-                        zak_splitstep_analytic)
+                        zak_difference, zak_map, zak_noncommuting_integrand,
+                        zak_numeric, zak_splitstep_analytic)
 
 
 def _circ(a, b):
@@ -122,7 +121,7 @@ def _wilson_chain(numerators, weight):
     x, y, z = xyz
     n = np.multiply(xyz, 1.0 / np.sqrt(x * x + y * y + z * z), order="C")
     px, py, pz = n[..., :-1] + n[..., 1:]
-    if np.any(px * px + py * py + pz * pz < (2.0 * zak.OVERLAP_TOL) ** 2):
+    if np.any(px * px + py * py + pz * pz < (2.0 * OVERLAP_TOL) ** 2):
         raise OrthogonalStatesError("consecutive states are orthogonal; "
                                     "phase chain is undefined")
     return [zak.fold_angle_array(weight * half_solid_angle(
