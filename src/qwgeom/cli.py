@@ -12,12 +12,14 @@ a gapless point, degenerate input, a finite-difference failure (qgt also
 where rounding distorts its stencil offsets, at large angles) or any
 other ValueError the library raises.  main parses with one parser per
 process and checks --out (and walk's --manifest) before it runs the
-command; each _cmd_* handler returns its artifact text (walk also its
-manifest text) and main writes --out, then --manifest, so a refused
-path leaves no half run.  Each file is rewritten in place
-(emit.write_text): a write that fails later exits 2 and leaves a prefix
-of the new text; a process killed mid-write can leave the new bytes
-followed by the old file's tail.
+command; each _cmd_* handler returns its artifact, a JSON text or a
+table's emit.csv_chunks pieces (walk also its manifest text), and main
+writes --out, then --manifest, so a refused path leaves no half run.
+A table is written block by block as it is formatted, never joined.
+Each file is rewritten in place (emit.write_text): a write that fails
+later, or a failure while a block is formatted (a MemoryError exits 2),
+leaves a prefix of the new text; a process killed mid-write can leave
+the new bytes followed by the old file's tail.
 Angles are radians, decimals or exact pi multiples ("pi/4", "1.5pi")
 that keep special points exact; a negative one may follow its flag as
 the next token ("--theta -pi/2").  Only the model commands take angle
@@ -48,6 +50,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import fields
 
 import numpy as np
@@ -198,24 +201,25 @@ def _k_grid(n: int) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, n)
 
 
-def _cmd_spectrum(args) -> str:
+def _cmd_spectrum(args) -> Iterator[str]:
     model = _build_model(args)
     _check_budget(args, emit.CSV_ROW_BYTES * args.k_samples, "k-samples")
-    return emit.spectrum_csv(model, _k_grid(args.k_samples))
+    return emit.csv_chunks(*emit.spectrum_table(model,
+                                                _k_grid(args.k_samples)))
 
 
-def _cmd_bloch(args) -> str:
+def _cmd_bloch(args) -> Iterator[str]:
     model = _build_model(args)
     _check_budget(args, emit.CSV_ROW_BYTES * args.k_samples, "k-samples")
-    return emit.bloch_csv(model, _k_grid(args.k_samples))
+    return emit.csv_chunks(*emit.bloch_table(model, _k_grid(args.k_samples)))
 
 
-def _cmd_phase_diagram(args) -> str:
+def _cmd_phase_diagram(args) -> Iterator[str]:
     _check_budget(args, emit.CSV_ROW_BYTES * args.resolution**2,
                   "resolution")
     gm = scan_gap(args.family, resolution=args.resolution,
                   k_samples=args.k_samples)
-    return emit.gap_map_csv(gm)
+    return emit.csv_chunks(*emit.gap_map_table(gm))
 
 
 def _cmd_dirac_points(args) -> str:
@@ -238,12 +242,12 @@ def _cmd_zak(args) -> str:
     return emit.zak_result_json(zr)
 
 
-def _cmd_zak_map(args) -> str:
+def _cmd_zak_map(args) -> Iterator[str]:
     _check_budget(args, emit.CSV_ROW_BYTES * args.resolution**2,
                   "resolution")
     zm = zak_map(args.family, resolution=args.resolution,
                  n_points=args.n_points, span=args.span)
-    return emit.zak_map_csv(zm)
+    return emit.csv_chunks(*emit.zak_map_table(zm))
 
 
 def _cmd_winding(args) -> str:
@@ -262,12 +266,13 @@ def _check_budget(args, need: int, *flags: str) -> None:
                           f" {MEMORY_BUDGET >> 20} MiB budget")
 
 
-def _cmd_walk(args) -> tuple[str, str]:
-    """Evolve, check against the momentum oracle, and return the CSV and
-    the manifest.  max_norm_drift is sampled, not taken at every step:
-    it is the largest |norm(t) - norm(0)| over the steps t that are a
-    multiple of TRIM_STEPS and the last step t = --steps, the only steps
-    whose full-window state the walk builds from its compact lattice."""
+def _cmd_walk(args) -> tuple[Iterator[str], str]:
+    """Evolve, check against the momentum oracle, and return the CSV's
+    pieces and the manifest.  max_norm_drift is sampled, not taken at
+    every step: it is the largest |norm(t) - norm(0)| over the steps t
+    that are a multiple of TRIM_STEPS and the last step t = --steps, the
+    only steps whose full-window state the walk builds from its compact
+    lattice."""
     model = _build_model(args)
     state0 = initial_state(args.chirality)
     _check_budget(args, peak_bytes(state0.amplitudes.shape[0], args.steps),
@@ -289,10 +294,10 @@ def _cmd_walk(args) -> tuple[str, str]:
           file=sys.stderr)
     manifest = emit.walk_manifest_json(model, args.steps, args.chirality,
                                        norm0, norm_final, max_drift, sim, tv)
-    return emit.distribution_csv(dist), manifest
+    return emit.csv_chunks(*emit.distribution_table(dist)), manifest
 
 
-def _cmd_holonomy_sphere(args) -> str:
+def _cmd_holonomy_sphere(args) -> Iterator[str]:
     need = STEP_BYTES * args.steps + emit.CSV_ROW_BYTES * args.loops
     _check_budget(args, need, "loops", "steps")
     table = np.empty((args.loops, 5))
@@ -305,7 +310,7 @@ def _cmd_holonomy_sphere(args) -> str:
         area = solid_angle(curve, steps=args.steps)
         row[:] = (theta0, rotation, area, abs(fold_angle(rotation - area)),
                   abs(vf.norm - v0.norm))
-    return emit.holonomy_table_csv(table)
+    return emit.csv_chunks(*emit.holonomy_table(table))
 
 
 def _cmd_qgt(args) -> str:
@@ -445,7 +450,7 @@ def main(argv=None) -> int:
         for path in (args.out, manifest_path):
             _check_writable(path)
         outputs = args.handler(args)
-        if isinstance(outputs, str):
+        if not isinstance(outputs, tuple):
             outputs = (outputs, None)
         text, manifest = outputs
         emit.write_text(text, args.out)

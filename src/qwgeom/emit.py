@@ -6,24 +6,29 @@ keys, two-space indent, and a trailing newline.  Identical inputs give
 byte-identical text, so data files carry no timestamps or environment
 details (a run manifest holds metadata separately).
 
-Every CSV table goes through csv_text as arrays, CSV_BLOCK_ROWS rows per
-% string; a grid map's axes broadcast as angles1[:, None] and angles2.
-A table longer than one block formats each distinct value of a float64
-column once, taken from the column before broadcasting and told apart by
-bit pattern (so -0.0 and 0.0, or two NaN payloads, keep their own
-text), when the column has at most half as many distinct values as the
-table has rows; its cells then enter the block through %s.  The grid
-maps' axes and most of their value columns repeat that much.  Shorter
-tables, other float columns and the %d columns format every cell.
+Every CSV table is declared once, by a *_table function that returns its
+header and columns, and formatted by csv_chunks as arrays, CSV_BLOCK_ROWS
+rows per % string; a grid map's axes broadcast as angles1[:, None] and
+angles2.  A *_csv emitter returns csv_text, the join of those pieces;
+the CLI hands the pieces to write_text, which writes each block as it is
+formatted, so the whole text is never held.  A table longer than one
+block formats each distinct value of a float64 column once, taken from
+the column before broadcasting and told apart by bit pattern (so -0.0
+and 0.0, or two NaN payloads, keep their own text), when the column has
+at most half as many distinct values as the table has rows; its cells
+then enter the block through %s.  The grid maps' axes and most of their
+value columns repeat that much.  Shorter tables, other float columns and
+the %d columns format every cell.
 
 write_text rewrites a file destination in place, with no truncate on
 open: truncating an existing file to zero first cost several times the
 write itself on small artifacts.  The file is written from its start and
 then, if it is a regular file, cut to the bytes written, so a finished
 write holds exactly the new text, on the same inode (hard links see it,
-mode bits stay).  A failed write is cut at the failure and leaves a
-prefix of the new text; a process killed mid-write can leave the new
-bytes followed by the old file's tail.
+mode bits stay).  A write that fails, or a failure while the next piece
+is formatted (a MemoryError, say), is cut there and leaves a prefix of
+the new text; a process killed mid-write can leave the new bytes
+followed by the old file's tail.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import json
 import os
 import stat
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -44,35 +50,29 @@ from .zak import ZakMap, ZakResult
 # Rows formatted by one % operation.
 CSV_BLOCK_ROWS = 4096
 # Peak bytes per row of any CSV command, counting the row's share of the
-# arrays it renders and of the text (the formatted blocks and the joined
-# text coexist once).  Peak RSS growth measured 178-199 for phase-diagram
-# at 801-1601 nodes a side, 186-207 for zak-map at 401-1201, 191-221 for
-# spectrum and bloch at 1e6-3e6 samples, and 223 per holonomy-sphere
-# loop at 4e4 loops (Linux x86-64, numpy 2.4).  The distinct-value path
-# adds up to 20-40 of these bytes on some tables: its sort buffers, freed
-# before the text is joined, leave the heap holding more of the blocks.
-CSV_ROW_BYTES = 256
-# Characters write_text encodes and writes at a time, so a long text is
-# never held a second time as one encoded buffer.
-WRITE_CHARS = 2**20
+# arrays it builds and renders and of csv_chunks' lookup tables; the CLI
+# holds one block of text at a time.  Peak RSS growth over a bare import
+# measured 42-43 for phase-diagram (non-commuting; split-step 27-30) at
+# 801-1601 nodes a side, 102-112 for zak-map --n-points 16 (non-commuting
+# half span; split-step full span 28-43) at 401-1201, 42-43 for spectrum
+# and 72-73 for bloch at 1e6-3e6 samples, and 60-132 per holonomy-sphere
+# --steps 100 loop at 1.6e5-4e4 loops, where about 3 MB of fixed transport
+# temporaries dominate (Linux x86-64, numpy 2.4).  This covers the largest,
+# zak-map, by 14%: its lookup tables of distinct phase text take about 74
+# of its bytes.
+CSV_ROW_BYTES = 128
 
 
-def csv_text(header, columns) -> str:
-    """CSV text of columns that broadcast to one shape, rows in C order.
+def csv_chunks(header, columns) -> Iterator[str]:
+    """The CSV text of columns that broadcast to one shape, rows in C
+    order, as pieces: the header line, then CSV_BLOCK_ROWS rows a string.
 
-    Integer and bool columns print with %d, all others with %.17g.
+    Integer and bool columns print with %d, all others with %.17g; the
+    float columns that repeat enough (see the module docstring) are
+    formatted once per distinct value.  The lookup tables live as long
+    as this generator.
     """
-    parts = [",".join(header) + "\n"]
-    parts.extend(_csv_blocks(columns))
-    return "".join(parts)
-
-
-def _csv_blocks(columns):
-    """The CSV text of the broadcast columns, CSV_BLOCK_ROWS rows a string,
-    with the float columns that repeat enough (see the module docstring)
-    formatted once per distinct value.  The lookup tables die with this
-    generator, before csv_text joins the blocks.
-    """
+    yield ",".join(header) + "\n"
     sources = [np.asarray(c) for c in columns]
     columns = np.broadcast_arrays(*sources)
     width = len(columns)
@@ -97,6 +97,11 @@ def _csv_blocks(columns):
                                               values.view(np.uint64))]
             cells[j::width] = values.tolist()
         yield (row_format * n) % tuple(cells)
+
+
+def csv_text(header, columns) -> str:
+    """The pieces of csv_chunks joined into one string."""
+    return "".join(csv_chunks(header, columns))
 
 
 def _distinct_text(column, rows):
@@ -125,21 +130,33 @@ def model_payload(model: WalkModel) -> dict:
     return {"family": model.family, "angles": [float(a) for a in model.angles]}
 
 
-def spectrum_csv(model: WalkModel, ks: np.ndarray) -> str:
+def spectrum_table(model: WalkModel, ks: np.ndarray):
     ce = np.asarray(model.cos_energy(ks), dtype=float)
     energy = np.arccos(np.clip(ce, -1.0, 1.0))
-    return csv_text(("k", "cos_energy", "energy", "gap"),
-                    (ks, ce, energy, 1.0 - np.abs(ce)))
+    return (("k", "cos_energy", "energy", "gap"),
+            (ks, ce, energy, 1.0 - np.abs(ce)))
+
+
+def spectrum_csv(model: WalkModel, ks: np.ndarray) -> str:
+    return csv_text(*spectrum_table(model, ks))
+
+
+def bloch_table(model: WalkModel, ks: np.ndarray):
+    n = model.bloch_vector(ks)
+    return ("k", "nx", "ny", "nz"), (ks, *np.moveaxis(n, -1, 0))
 
 
 def bloch_csv(model: WalkModel, ks: np.ndarray) -> str:
-    n = model.bloch_vector(ks)
-    return csv_text(("k", "nx", "ny", "nz"), (ks, *np.moveaxis(n, -1, 0)))
+    return csv_text(*bloch_table(model, ks))
+
+
+def gap_map_table(gm: GapMap):
+    return (("angle1", "angle2", "min_gap", "argmin_k"),
+            (gm.angles1[:, None], gm.angles2, gm.gap, gm.argmin_k))
 
 
 def gap_map_csv(gm: GapMap) -> str:
-    return csv_text(("angle1", "angle2", "min_gap", "argmin_k"),
-                    (gm.angles1[:, None], gm.angles2, gm.gap, gm.argmin_k))
+    return csv_text(*gap_map_table(gm))
 
 
 def dirac_points_json(ds: DiracPointSet) -> str:
@@ -167,14 +184,22 @@ def zak_result_json(zr: ZakResult) -> str:
     return json_text(payload)
 
 
+def zak_map_table(zm: ZakMap):
+    return (("angle1", "angle2", "zak_plus", "zak_minus", "masked"),
+            (zm.angles1[:, None], zm.angles2, zm.zak_plus, zm.zak_minus,
+             zm.masked))
+
+
 def zak_map_csv(zm: ZakMap) -> str:
-    return csv_text(("angle1", "angle2", "zak_plus", "zak_minus", "masked"),
-                    (zm.angles1[:, None], zm.angles2, zm.zak_plus,
-                     zm.zak_minus, zm.masked))
+    return csv_text(*zak_map_table(zm))
+
+
+def distribution_table(d: Distribution):
+    return ("x", "p"), (d.positions, d.p)
 
 
 def distribution_csv(d: Distribution) -> str:
-    return csv_text(("x", "p"), (d.positions, d.p))
+    return csv_text(*distribution_table(d))
 
 
 def winding_json(model: WalkModel, winding: int) -> str:
@@ -185,11 +210,15 @@ def winding_json(model: WalkModel, winding: int) -> str:
     return json_text(payload)
 
 
+def holonomy_table(table: np.ndarray):
+    """The CSV declaration of a (loops, 5) table, one row per latitude
+    loop."""
+    return (("theta0", "rotation_angle", "solid_angle", "mismatch",
+             "norm_drift"), table.T)
+
+
 def holonomy_table_csv(table: np.ndarray) -> str:
-    """CSV of a (loops, 5) table, one row per latitude loop."""
-    header = ("theta0", "rotation_angle", "solid_angle", "mismatch",
-              "norm_drift")
-    return csv_text(header, table.T)
+    return csv_text(*holonomy_table(table))
 
 
 def qgt_json(gt: GeometricTensor, band: int, h: float) -> str:
@@ -224,12 +253,16 @@ def walk_manifest_json(model: WalkModel, n_steps: int, chirality: str,
     return json_text(payload)
 
 
-def write_text(text: str, out: str) -> None:
-    """Write payload text to stdout for '-', or in place to the path out
-    (see the module docstring), WRITE_CHARS characters at a time."""
+def write_text(pieces: str | Iterable[str], out: str) -> None:
+    """Write text to stdout for '-', or in place to the path out (see
+    the module docstring).  pieces is one str or an iterable of str,
+    each encoded and written as it arrives, so a table streamed from
+    csv_chunks is never held whole."""
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     if out == "-":
-        for start in range(0, len(text), WRITE_CHARS):
-            sys.stdout.write(text[start:start + WRITE_CHARS])
+        for piece in pieces:
+            sys.stdout.write(piece)
         return
     fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
@@ -237,12 +270,13 @@ def write_text(text: str, out: str) -> None:
         # hold no stale tail anyway.
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         try:
-            for start in range(0, len(text), WRITE_CHARS):
-                data = memoryview(text[start:start + WRITE_CHARS].encode())
+            for piece in pieces:
+                data = memoryview(piece.encode())
                 while data:
                     data = data[os.write(fd, data):]
         finally:
-            # The offset counts the bytes written, all or up to a failure.
+            # The offset counts the bytes written, all or up to a failure
+            # in writing or in making the next piece.
             if regular:
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     finally:

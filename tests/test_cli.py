@@ -17,7 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qwgeom import cli, emit, holonomy, walk
-from qwgeom.models import two_angle_class
+from qwgeom.models import make_model, two_angle_class
+from qwgeom.topology import scan_gap
+from qwgeom.zak import zak_map
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -415,7 +417,7 @@ def test_holonomy_loops_over_memory_budget_exits_two(capsys, tmp_path,
 
     for name in ("latitude_loop", "parallel_transport", "solid_angle"):
         monkeypatch.setattr(cli, name, refuse)
-    monkeypatch.setattr(emit, "holonomy_table_csv", refuse)
+    monkeypatch.setattr(emit, "holonomy_table", refuse)
     out_path = tmp_path / "holonomy.csv"
     code, out, err = run(capsys, "holonomy-sphere", "--loops", "10000000000",
                          "--out", str(out_path))
@@ -505,7 +507,7 @@ def test_curve_command_over_memory_budget_exits_two(capsys, tmp_path,
         raise AssertionError("the budget check let an oversize curve through")
 
     monkeypatch.setattr(cli, "_k_grid", refuse)
-    for name in ("spectrum_csv", "bloch_csv"):
+    for name in ("spectrum_table", "bloch_table"):
         monkeypatch.setattr(emit, name, refuse)
     out_path = tmp_path / "curve.out"
     code, out, err = run(capsys, argv[0], "--family", "noncommuting",
@@ -590,7 +592,7 @@ def test_library_errors_exit_with_one_line(capsys, monkeypatch, error, code):
     def fail(*args):
         raise error
 
-    monkeypatch.setattr(emit, "spectrum_csv", fail)
+    monkeypatch.setattr(emit, "spectrum_table", fail)
     status, out, err = run(capsys, "spectrum", "--family", "standard",
                            "--theta", "0.3", "--k-samples", "9")
     assert (status, out) == (code, "")
@@ -679,25 +681,128 @@ def test_output_to_dev_null_exits_zero(capsys, argv, flag):
 
 def test_a_failed_write_leaves_a_prefix_of_the_new_text(capsys, tmp_path,
                                                         monkeypatch):
-    argv = ("qgt", "--theta", "0.4", "--phi", "1.1")
+    # Four rows a block: the header and then ten blocks, one write each.
+    monkeypatch.setattr(emit, "CSV_BLOCK_ROWS", 4)
+    argv = ("spectrum", "--family", "standard", "--theta", "0.3",
+            "--k-samples", "40")
     code, expected, _ = run(capsys, *argv)
-    path = tmp_path / "qgt.json"
+    path = tmp_path / "s.csv"
     path.write_text("old bytes\n" * len(expected))
-    monkeypatch.setattr(emit, "WRITE_CHARS", 16)
     written, os_write = [], os.write
 
     def write_once(fd, data):
-        # The first chunk is written, the second meets a full disk.
+        # The first piece is written, the second meets a full disk.
         if written:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        written.append(fd)
+        written.append(bytes(data))
         return os_write(fd, data)
 
     monkeypatch.setattr(os, "write", write_once)
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write output:")
-    assert path.read_bytes() == expected[:16].encode()
+    assert written == [b"k,cos_energy,energy,gap\n"]
+    assert path.read_bytes() == written[0]
+
+
+def test_a_failure_while_formatting_leaves_a_prefix(capsys, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.setattr(emit, "CSV_BLOCK_ROWS", 4)
+    argv = ("spectrum", "--family", "standard", "--theta", "0.3",
+            "--k-samples", "40")
+    code, expected, _ = run(capsys, *argv)
+    path = tmp_path / "s.csv"
+    path.write_text("old bytes\n" * len(expected))
+    inode = path.stat().st_ino
+    chunks, made = getattr(emit, "csv_chunks", None), []
+
+    def fail_after_first_block(header, columns):
+        for piece in chunks(header, columns):
+            if len(made) == 2:
+                raise MemoryError
+            made.append(piece)
+            yield piece
+
+    monkeypatch.setattr(emit, "csv_chunks", fail_after_first_block,
+                        raising=False)
+    assert run(capsys, *argv, "--out", str(path)) == (
+        2, "", "error: out of memory\n")
+    # The header and the first block, and none of the old bytes.
+    assert len(made) == 2 and made[1].count("\n") == 4
+    assert path.read_text() == "".join(made) == expected[:len("".join(made))]
+    assert path.stat().st_ino == inode
+
+
+def _standard_walk_csv(steps: int) -> str:
+    state = walk.evolve(walk.initial_state("+"),
+                        make_model("standard", [0.3]), steps)
+    return emit.distribution_csv(walk.probability_distribution(state))
+
+
+# Each table command at 30 to 49 rows, and the library string of the same
+# table.  holonomy-sphere's is emitted from the values its CSV prints,
+# which %.17g gives back exactly.
+_TABLE_COMMANDS = {
+    "spectrum": (("spectrum", "--family", "standard", "--theta", "0.3",
+                  "--k-samples", "40"),
+                 lambda out: emit.spectrum_csv(make_model("standard", [0.3]),
+                                               np.linspace(-np.pi, np.pi,
+                                                           40))),
+    "bloch": (("bloch", "--family", "noncommuting", "--theta", "0.9",
+               "--phi", "0.3", "--k-samples", "40"),
+              lambda out: emit.bloch_csv(make_model("noncommuting",
+                                                    [0.9, 0.3]),
+                                         np.linspace(-np.pi, np.pi, 40))),
+    "phase-diagram": (("phase-diagram", "--family", "noncommuting",
+                       "--resolution", "7", "--k-samples", "16"),
+                      lambda out: emit.gap_map_csv(scan_gap(
+                          "noncommuting", resolution=7, k_samples=16))),
+    "zak-map": (("zak-map", "--family", "splitstep", "--resolution", "7",
+                 "--n-points", "16"),
+                lambda out: emit.zak_map_csv(zak_map(
+                    "splitstep", resolution=7, n_points=16))),
+    "walk": (("walk", "--family", "standard", "--theta", "0.3", "--steps",
+              "30"),
+             lambda out: _standard_walk_csv(30)),
+    "holonomy-sphere": (("holonomy-sphere", "--loops", "30", "--steps",
+                         "100"),
+                        lambda out: emit.holonomy_table_csv(np.loadtxt(
+                            out.splitlines()[1:], delimiter=",", ndmin=2))),
+}
+
+
+@pytest.mark.parametrize("argv, library", [
+    pytest.param(argv, library, id=name)
+    for name, (argv, library) in _TABLE_COMMANDS.items()])
+def test_table_commands_write_each_block_as_it_is_formatted(
+        capsys, tmp_path, monkeypatch, argv, library):
+    # Four rows a block: each table is the header and at least 8 blocks.
+    monkeypatch.setattr(emit, "CSV_BLOCK_ROWS", 4)
+    chunks, on_disk = getattr(emit, "csv_chunks", None), []
+    path = tmp_path / "table.csv"
+
+    def spy(header, columns):
+        for piece in chunks(header, columns):
+            # Bytes on disk when this piece has been formatted.
+            on_disk.append(path.stat().st_size if path.exists() else 0)
+            yield piece
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table command joined its whole text")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(emit, "csv_text", refuse)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        patch.setattr(emit, "csv_chunks", spy, raising=False)
+        assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+    assert path.read_text() == out == library(out)
+    # When each piece was formatted, every piece before it was on disk.
+    pieces = out.splitlines(keepends=True)
+    lengths = [len(pieces[0])] + [len("".join(pieces[i:i + 4]))
+                                  for i in range(1, len(pieces), 4)]
+    assert len(lengths) >= 9
+    assert on_disk == [sum(lengths[:i]) for i in range(len(lengths))]
 
 
 _WALK = ("walk", "--family", "standard", "--theta", "0.3", "--steps")

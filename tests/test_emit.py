@@ -224,13 +224,30 @@ def test_holonomy_table_matches_cell_oracle():
 
 def test_write_text_writes_chunks_of_multibyte_text_in_place(tmp_path,
                                                               monkeypatch):
-    # Chunks of 7 characters split no code point: each encodes whole.
-    monkeypatch.setattr(emit, "WRITE_CHARS", 7)
+    # Each piece is encoded and written as it arrives, one write each.
+    pieces = ["θ,φ,π\n"] * 11
+    writes, os_write = [], os.write
+
+    def spy(fd, data):
+        writes.append(bytes(data))
+        return os_write(fd, data)
+
+    monkeypatch.setattr(os, "write", spy)
     path = tmp_path / "t.txt"
     path.write_bytes(b"stale " * 100)
-    text = "θ,φ,π\n" * 11
-    emit.write_text(text, str(path))
-    assert path.read_bytes() == text.encode("utf-8")
+    emit.write_text(iter(pieces), str(path))
+    assert writes == [piece.encode("utf-8") for piece in pieces]
+    assert path.read_bytes() == "".join(pieces).encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [0, 1, B, B + 1, 2 * B + 3])
+def test_csv_chunks_yield_the_header_then_one_piece_per_block(n):
+    columns = (np.resize(FLOATS, n), np.resize(INTS, n))
+    pieces = list(emit.csv_chunks(("f", "i"), columns))
+    assert pieces[0] == "f,i\n"
+    assert [p.count("\n") for p in pieces[1:]] == [
+        min(B, n - start) for start in range(0, n, B)]
+    assert "".join(pieces) == emit.csv_text(("f", "i"), columns)
 
 
 def test_write_text_writes_to_a_fifo(tmp_path):
