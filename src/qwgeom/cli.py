@@ -58,8 +58,8 @@ import numpy as np
 from . import emit
 from .errors import QwGeomError
 from .holonomy import (QGT_STEP_RANGE, STEP_BYTES, TangentVector,
-                       latitude_loop, parallel_transport,
-                       quantum_geometric_tensor, solid_angle, sphere_point)
+                       _transport_and_area, latitude_loop,
+                       quantum_geometric_tensor, sphere_point)
 from .models import (FAMILY_CLASSES, MAX_CELLS, TWO_ANGLE_FAMILIES,
                      WalkModel, make_model)
 from .spin import bloch_sphere_state
@@ -306,8 +306,7 @@ def _cmd_holonomy_sphere(args) -> Iterator[str]:
         curve = latitude_loop(theta0)
         v0 = TangentVector(v=np.array([0.0, 1.0, 0.0]),
                            base=sphere_point(theta0, 0.0))
-        vf, rotation = parallel_transport(curve, v0, steps=args.steps)
-        area = solid_angle(curve, steps=args.steps)
+        vf, rotation, area = _transport_and_area(curve, v0, args.steps)
         row[:] = (theta0, rotation, area, abs(fold_angle(rotation - area)),
                   abs(vf.norm - v0.norm))
     return emit.csv_chunks(*emit.holonomy_table(table))

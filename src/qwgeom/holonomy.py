@@ -2,6 +2,10 @@
 and the quantum geometric tensor of a parameterized state family.
 A curve is closed when its ends meet within CLOSURE_TOL.  Angles are
 folded by utils.fold_angle: (-pi, pi], +pi within 1e-12 of +-pi.
+Transport and solid angle read one pass over the curve's samples, made
+in blocks of BLOCK_SEGMENTS segments: the transport composes each
+block's quaternions as it arrives, and the fan keeps one triangle per
+segment.
 """
 
 from __future__ import annotations
@@ -20,25 +24,37 @@ from .utils import fold_angle
 TANGENCY_TOL = 1e-10
 CLOSURE_TOL = 1e-9
 QGT_STEP_RANGE = (1e-7, 1e-3)  # accepted finite-difference widths h
-# Peak bytes per parallel_transport step, from measured peak RSS growth of
-# 240-250 bytes per step at 1e5-4e6 steps (Linux x86-64, numpy 2.4).
-STEP_BYTES = 256
+# Polygon segments per sample block, a power of two: a full block is one
+# subtree of the pairwise quaternion product.
+BLOCK_SEGMENTS = 2**12
+# Peak bytes per step of a transport and solid-angle pass: measured peak
+# RSS growth was 24-27 bytes per step at 4e5-4e6 steps (the fan's 24,
+# plus about 1 MB of block arrays; Linux x86-64, numpy 2.4).
+STEP_BYTES = 32
 _NORTH = np.array([0.0, 0.0, 1.0])
+
+
+def _unit_vectors(theta, phi, t=0.0) -> np.ndarray:
+    """sphere_point's vectors in the shape that theta, phi and t broadcast
+    to.  Sine and cosine are taken of theta and phi as given, before they
+    broadcast, so a constant angle costs one of each."""
+    st = np.sin(theta)
+    _, *xyz = np.broadcast_arrays(t, st * np.cos(phi), st * np.sin(phi),
+                                  np.cos(theta))
+    return np.stack(xyz, axis=-1)
 
 
 def sphere_point(theta, phi) -> np.ndarray:
     """Unit vectors (sin t cos p, sin t sin p, cos t); broadcasts, xyz last."""
-    theta, phi = np.broadcast_arrays(theta, phi)
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
-                    axis=-1)
+    return _unit_vectors(theta, phi)
 
 
 @dataclass(frozen=True)
 class SphereCurve:
     """A curve t in [0, 1] -> (theta(t), phi(t)) on the unit sphere.  The
     parameterization must take a numpy array of t and return angles that
-    broadcast against it; samplers call it once on their whole grid."""
+    broadcast against it; samplers call it on one block of the grid at a
+    time, in order of t."""
 
     parameterization: Callable[[np.ndarray], tuple]
 
@@ -47,7 +63,7 @@ class SphereCurve:
         return theta, phi
 
     def point(self, t) -> np.ndarray:
-        return sphere_point(*self.angles(t))
+        return _unit_vectors(*self.parameterization(t), t)
 
 
 def latitude_loop(theta0: float) -> SphereCurve:
@@ -79,41 +95,155 @@ class TangentVector:
         return float(np.linalg.norm(self.v))
 
 
-def _check_closed(curve: SphereCurve) -> None:
-    if np.linalg.norm(curve.point(0.0) - curve.point(1.0)) > CLOSURE_TOL:
+def _closed_start(curve: SphereCurve) -> np.ndarray:
+    """r(0) of a closed curve, read by the closure test's two samples."""
+    r0 = curve.point(0.0)
+    if np.linalg.norm(r0 - curve.point(1.0)) > CLOSURE_TOL:
         raise CurveNotSupportedError(
             "curve endpoints differ on the sphere; loop is not closed")
+    return r0
 
 
-def _polygon_rotation(pts: np.ndarray, axis: np.ndarray) -> float:
-    """Angle about axis of the transport along the geodesic polygon
-    through the rows of pts: each segment a -> b is the minimal rotation
-    (1 + a.b, a x b) / |a + b|, composed pairwise in log2 rounds.
+def _sample_blocks(curve: SphereCurve, steps: int):
+    """The curve at t = j / (2 steps), j = 0 .. 2 steps (np.linspace's
+    grid, bit for bit), in blocks of BLOCK_SEGMENTS segments: each block
+    starts with the last point of the one before, and each t is sampled
+    once."""
+    n = 2 * steps
+    dt = 1.0 / n
+    pts = np.empty((0, 3))
+    for lo in range(0, n, BLOCK_SEGMENTS):
+        hi = min(lo + BLOCK_SEGMENTS, n)
+        t = np.arange(lo + 1 if lo else 0, hi + 1) * dt
+        if hi == n:
+            t[-1] = 1.0
+        pts = np.concatenate([pts[-1:], curve.point(t)])
+        yield pts
 
-    The quaternions are four component arrays w, x, y, z, and each
-    Hamilton product p q is written out term by term, summed in the order
-    np.sum and np.cross use on (n, 4) stacks of rows, so the angle equals
-    that stacked form (kept in the tests) bit for bit."""
-    (ax, ay, az), (bx, by, bz) = pts[:-1].T, pts[1:].T
-    w = 1.0 + (ax * bx + ay * by + az * bz)
-    x, y, z = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    size = np.sqrt(w * w + x * x + y * y + z * z)
-    if not np.all(size > CLOSURE_TOL):
-        raise CurveNotSupportedError(
-            "consecutive curve samples are antipodal or not finite; "
-            "the geodesic between them is undefined")
-    q = [c / size for c in (w, x, y, z)]
-    while len(q[0]) > 1:
+
+def _sweep(curve: SphereCurve, steps: int, *reducers) -> None:
+    """Hand every sample block of the curve to each reducer in turn."""
+    for pts in _sample_blocks(curve, steps):
+        for reducer in reducers:
+            reducer.add(pts)
+
+
+def _compose(q: list, rounds: int) -> list:
+    """rounds rounds of the pairwise product q_2i+1 q_2i on quaternion
+    component arrays q = [w, x, y, z], an odd length first padded with
+    the identity.  Each Hamilton product p q is written out term by term,
+    summed in the order np.sum and np.cross use on (n, 4) stacks of rows,
+    so it equals that stacked form (kept in the tests) bit for bit."""
+    for _ in range(rounds):
         if len(q[0]) % 2:
-            q = [np.append(c, e) for c, e in zip(q, (1.0, 0.0, 0.0, 0.0))]
+            q = [np.concatenate((c, (e,)))
+                 for c, e in zip(q, (1.0, 0.0, 0.0, 0.0))]
         (pw, px, py, pz), (qw, qx, qy, qz) = ([c[1::2] for c in q],
                                               [c[0::2] for c in q])
         q = [pw * qw - (px * qx + py * qy + pz * qz),
              pw * qx + qw * px + (py * qz - pz * qy),
              pw * qy + qw * py + (pz * qx - px * qz),
              pw * qz + qw * pz + (px * qy - py * qx)]
-    w, x, y, z = (c[0] for c in q)
-    return 2.0 * math.atan2(float(np.dot([x, y, z], axis)), w)
+    return q
+
+
+def _rounds(n: int) -> int:
+    """Rounds of the pairwise product that take n quaternions to one."""
+    return (n - 1).bit_length()
+
+
+class _Polygon:
+    """Rotation of the transport along a geodesic polygon whose points
+    arrive in blocks of `block` (a power of two) segments.  Each segment
+    a -> b is the minimal rotation (1 + a.b, a x b) / |a + b|.  A full
+    block is one subtree of the whole polygon's pairwise product, and an
+    odd level of the last block is exactly where the whole product pads,
+    so each block runs its share of the rounds, the block quaternions
+    finish the same tree, and the angle equals one product over the whole
+    polygon bit for bit."""
+
+    def __init__(self, segments: int, block: int):
+        self._rounds = min(_rounds(block), _rounds(segments))
+        self._blocks = np.empty((4, -(-segments // block)))
+        self._filled = 0
+
+    def add(self, pts: np.ndarray) -> None:
+        (ax, ay, az), (bx, by, bz) = pts[:-1].T, pts[1:].T
+        w = 1.0 + (ax * bx + ay * by + az * bz)
+        x, y, z = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        size = np.sqrt(w * w + x * x + y * y + z * z)
+        if not np.all(size > CLOSURE_TOL):
+            raise CurveNotSupportedError(
+                "consecutive curve samples are antipodal or not finite; "
+                "the geodesic between them is undefined")
+        q = _compose([c / size for c in (w, x, y, z)], self._rounds)
+        self._blocks[:, self._filled] = [c[0] for c in q]
+        self._filled += 1
+
+    def angle(self, axis: np.ndarray) -> float:
+        """Rotation angle about axis, once every block has arrived."""
+        q = _compose(list(self._blocks), _rounds(self._filled))
+        w, x, y, z = (c[0] for c in q)
+        return 2.0 * math.atan2(float(np.dot([x, y, z], axis)), w)
+
+
+class _Transport:
+    """parallel_transport's reducer: the polygons through every sample
+    and through every other one."""
+
+    def __init__(self, steps: int):
+        self._fine = _Polygon(2 * steps, BLOCK_SEGMENTS)
+        self._coarse = _Polygon(steps, BLOCK_SEGMENTS // 2)
+
+    def add(self, pts: np.ndarray) -> None:
+        self._fine.add(pts)
+        self._coarse.add(pts[::2])
+
+    def result(self, v0: TangentVector,
+               r0: np.ndarray) -> tuple[TangentVector, float]:
+        fine, coarse = self._fine.angle(r0), self._coarse.angle(r0)
+        alpha = fine + fold_angle(fine - coarse) / 3.0
+        v_final = math.cos(alpha) * v0.v + math.sin(alpha) * np.cross(r0, v0.v)
+        return TangentVector(v=v_final, base=r0), fold_angle(alpha)
+
+
+class _Fan:
+    """solid_angle's reducer: the triangles (+z, r_j, r_j+1) of both
+    polygons, written block by block into one array per polygon that
+    np.sum reads whole, so the sums are those of the whole polygons."""
+
+    def __init__(self, steps: int):
+        self._fine, self._coarse = np.empty(2 * steps), np.empty(steps)
+        self._filled = 0
+
+    def add(self, pts: np.ndarray) -> None:
+        if not np.all(np.linalg.norm(pts + _NORTH, axis=1) > CLOSURE_TOL):
+            raise CurveNotSupportedError(
+                "curve passes through the south pole -z, or is not finite")
+        lo, hi = self._filled, self._filled + len(pts) - 1
+        coarse = pts[::2]
+        self._fine[lo:hi] = half_solid_angle(_NORTH, pts[:-1].T, pts[1:].T)
+        self._coarse[lo // 2:hi // 2] = half_solid_angle(
+            _NORTH, coarse[:-1].T, coarse[1:].T)
+        self._filled = hi
+
+    def area(self) -> float:
+        fine, coarse = (2.0 * float(np.sum(a))
+                        for a in (self._fine, self._coarse))
+        # The fans agree modulo 4 pi: a coarse edge can pass -z on the
+        # other side.
+        return fine + 2.0 * fold_angle(0.5 * (fine - coarse)) / 3.0
+
+
+def _transport_start(curve: SphereCurve, v0: TangentVector,
+                     steps: int) -> np.ndarray:
+    """parallel_transport's refusals; returns the base point r(0)."""
+    if steps < 100:
+        raise ValueError("steps must be at least 100")
+    r0 = _closed_start(curve)
+    if np.linalg.norm(v0.base - r0) > CLOSURE_TOL:
+        raise CurveNotSupportedError("v0 is not attached to the curve start")
+    return r0
 
 
 def parallel_transport(curve: SphereCurve, v0: TangentVector,
@@ -130,23 +260,10 @@ def parallel_transport(curve: SphereCurve, v0: TangentVector,
     the sphere, folded to (-pi, pi].  Consecutive samples that are
     antipodal (or not finite) raise CurveNotSupportedError.
     """
-    if steps < 100:
-        raise ValueError("steps must be at least 100")
-    _check_closed(curve)
-    r0 = curve.point(0.0)
-    if np.linalg.norm(v0.base - r0) > CLOSURE_TOL:
-        raise CurveNotSupportedError("v0 is not attached to the curve start")
-    pts = curve.point(np.linspace(0.0, 1.0, 2 * steps + 1))
-    fine = _polygon_rotation(pts, r0)
-    coarse = _polygon_rotation(pts[::2], r0)
-    alpha = fine + fold_angle(fine - coarse) / 3.0
-    v_final = math.cos(alpha) * v0.v + math.sin(alpha) * np.cross(r0, v0.v)
-    return TangentVector(v=v_final, base=r0), fold_angle(alpha)
-
-
-def _fan_area(pts: np.ndarray) -> float:
-    """Signed area of the geodesic polygon through the rows of pts."""
-    return 2.0 * float(np.sum(half_solid_angle(_NORTH, pts[:-1].T, pts[1:].T)))
+    r0 = _transport_start(curve, v0, steps)
+    transport = _Transport(steps)
+    _sweep(curve, steps, transport)
+    return transport.result(v0, r0)
 
 
 def solid_angle(curve: SphereCurve, steps: int = 20_000) -> float:
@@ -161,14 +278,20 @@ def solid_angle(curve: SphereCurve, steps: int = 20_000) -> float:
     """
     if steps < 8:
         raise ValueError("steps must be at least 8")
-    _check_closed(curve)
-    pts = curve.point(np.linspace(0.0, 1.0, 2 * steps + 1))
-    if not np.all(np.linalg.norm(pts + _NORTH, axis=1) > CLOSURE_TOL):
-        raise CurveNotSupportedError(
-            "curve passes through the south pole -z, or is not finite")
-    fine, coarse = _fan_area(pts), _fan_area(pts[::2])
-    # The fans agree modulo 4 pi: a coarse edge can pass -z on the other side.
-    return fine + 2.0 * fold_angle(0.5 * (fine - coarse)) / 3.0
+    _closed_start(curve)
+    fan = _Fan(steps)
+    _sweep(curve, steps, fan)
+    return fan.area()
+
+
+def _transport_and_area(curve: SphereCurve, v0: TangentVector,
+                        steps: int) -> tuple[TangentVector, float, float]:
+    """parallel_transport(curve, v0, steps) and solid_angle(curve, steps)
+    from one sampling pass: (v_final, rotation_angle, solid_angle)."""
+    r0 = _transport_start(curve, v0, steps)
+    transport, fan = _Transport(steps), _Fan(steps)
+    _sweep(curve, steps, transport, fan)
+    return (*transport.result(v0, r0), fan.area())
 
 
 def berry_overlap_phase(psi_initial: np.ndarray, psi_final: np.ndarray) -> float:

@@ -195,6 +195,29 @@ def test_holonomy_sphere_prints_a_pi_rotation_as_plus_pi(capsys):
         assert float(row[1]) == math.pi
 
 
+@pytest.mark.parametrize("steps", [100, holonomy.BLOCK_SEGMENTS + 1])
+def test_holonomy_sphere_samples_each_loop_once(capsys, monkeypatch, steps):
+    # Each loop's parameterization sees its 2 steps + 1 grid points once,
+    # over one or several blocks, and the closure test's t = 0 and 1.
+    seen = []
+
+    def counted_loop(theta0):
+        loop = holonomy.latitude_loop(theta0)
+        seen.append(0)
+
+        def parameterization(t):
+            seen[-1] += np.size(t)
+            return loop.parameterization(t)
+
+        return holonomy.SphereCurve(parameterization)
+
+    monkeypatch.setattr(cli, "latitude_loop", counted_loop)
+    code, out, _ = run(capsys, "holonomy-sphere", "--loops", "3", "--steps",
+                       str(steps))
+    assert code == 0 and len(out.splitlines()) == 4
+    assert seen == [2 * steps + 1 + 2] * 3
+
+
 def test_qgt_json_golden(capsys):
     code, out, _ = run(capsys, "qgt", "--theta", "0.4", "--phi", "1.1")
     assert code == 0
@@ -415,7 +438,7 @@ def test_holonomy_loops_over_memory_budget_exits_two(capsys, tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("the budget check let an oversize table through")
 
-    for name in ("latitude_loop", "parallel_transport", "solid_angle"):
+    for name in ("latitude_loop", "_transport_and_area"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(emit, "holonomy_table", refuse)
     out_path = tmp_path / "holonomy.csv"
@@ -861,7 +884,7 @@ def test_post_parse_refusals_print_the_subcommand_usage(capsys, tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("a refused command started its work")
 
-    for name in ("_Walk", "scan_gap", "parallel_transport"):
+    for name in ("_Walk", "scan_gap", "_transport_and_area"):
         monkeypatch.setattr(cli, name, refuse)
     before = {p: (p.is_symlink(), p.read_bytes() if p.exists() else None)
               for p in tmp_path.iterdir()}

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import discrete_berry_phase
+import conftest as whole_array
+from conftest import _polygon_rotation, discrete_berry_phase
+from qwgeom import holonomy
 from qwgeom.errors import (CurveNotSupportedError, FiniteDifferenceError,
                            OrthogonalStatesError)
-from qwgeom.holonomy import (SphereCurve, TangentVector, _polygon_rotation,
+from qwgeom.holonomy import (BLOCK_SEGMENTS, SphereCurve, TangentVector,
                              berry_overlap_phase, latitude_loop,
                              parallel_transport, quantum_geometric_tensor,
                              solid_angle, sphere_point, state_distance)
@@ -34,6 +36,40 @@ def test_sphere_point_and_latitude_loop():
     loop = latitude_loop(0.7)
     assert np.allclose(loop.point(0.0), loop.point(1.0), atol=1e-15)
     assert abs(np.linalg.norm(loop.point(0.37)) - 1.0) < 1e-14
+
+
+def _broadcast_first_sphere_point(theta, phi):
+    """sphere_point as it was: broadcast, then one sine and one cosine per
+    element of the broadcast shape."""
+    theta, phi = np.broadcast_arrays(theta, phi)
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
+                    axis=-1)
+
+
+def test_trig_before_broadcasting_keeps_every_bit():
+    rng = np.random.default_rng(7)
+    big = rng.uniform(-7.0, 7.0, 20_001)
+    # Whole, strided, offset and single-element inputs, and a stride-0
+    # broadcast of one angle.
+    for phi in (big, big[::3], big[1:], big[5:6], np.broadcast_to(big[2],
+                                                                   (9,))):
+        for theta in (float(big[0]), big[7:8], phi[::-1], 0.0, np.pi):
+            new, old = sphere_point(theta, phi), \
+                _broadcast_first_sphere_point(theta, phi)
+            assert new.shape == old.shape
+            assert np.array_equal(new, old)
+    grid = (np.array([[0.3], [1.2]]), np.array([0.0, 1.0, 2.0]))
+    assert np.array_equal(sphere_point(*grid),
+                          _broadcast_first_sphere_point(*grid))
+    wobbly = SphereCurve(lambda t: (1.0 + 0.3 * np.sin(6.0 * np.pi * t),
+                                    2.0 * np.pi * t))
+    constant = SphereCurve(lambda t: (0.8, 0.25))
+    for curve in (latitude_loop(0.7), wobbly, constant):
+        for t in (np.linspace(0.0, 1.0, 8193), 0.0, 0.37):
+            assert np.array_equal(
+                curve.point(t), _broadcast_first_sphere_point(*curve.angles(t)))
+    assert constant.point(np.zeros(4)).shape == (4, 3)
 
 
 def test_curve_sampling_broadcasts():
@@ -204,6 +240,124 @@ def test_polygon_rotation_equals_the_stacked_quaternion_oracle(
         if len(grid) > 1:
             assert _polygon_rotation(grid, r0) == oracle_polygon_rotation(
                 grid, r0)
+
+
+def _curve(shape, theta0, wobble, drift, harmonic):
+    """A latitude loop, a wobbly loop, or a latitude loop that stops at
+    its seam (zero speed at t = 0 and 1)."""
+    if shape == "latitude":
+        return latitude_loop(theta0)
+    if shape == "seam-stop":
+        return SphereCurve(
+            lambda t: (theta0, 2.0 * np.pi * t - np.sin(2.0 * np.pi * t)))
+    return SphereCurve(lambda t: (
+        theta0 + wobble * np.sin(2.0 * np.pi * harmonic * t),
+        2.0 * np.pi * t + drift * np.sin(2.0 * np.pi * t)))
+
+
+def _block_polygon_rotation(pts, axis):
+    """The rotation of the polygon through pts, fed to holonomy._Polygon in
+    the blocks that the sampling pass makes."""
+    segments = len(pts) - 1
+    polygon = holonomy._Polygon(segments, BLOCK_SEGMENTS)
+    for lo in range(0, segments, BLOCK_SEGMENTS):
+        polygon.add(pts[lo:lo + BLOCK_SEGMENTS + 1])
+    return polygon.angle(axis)
+
+
+@given(shape=st.sampled_from(["latitude", "wobbly", "seam-stop"]),
+       theta0=st.floats(0.05, np.pi - 0.05), wobble=st.floats(0.0, 0.3),
+       drift=st.floats(-0.5, 0.5), harmonic=st.integers(1, 6),
+       segments=st.sampled_from([BLOCK_SEGMENTS - 1, BLOCK_SEGMENTS,
+                                 BLOCK_SEGMENTS + 1, 3 * BLOCK_SEGMENTS + 1])
+       | st.integers(1, 3 * BLOCK_SEGMENTS).map(lambda n: 2 * n + 1))
+def test_block_polygon_equals_the_whole_polygon_oracle(
+        shape, theta0, wobble, drift, harmonic, segments):
+    # Segment counts just under, at and over one block, and odd ones, so
+    # the last block pads at the levels where the whole product does.
+    curve = _curve(shape, theta0, wobble, drift, harmonic)
+    pts = curve.point(np.linspace(0.0, 1.0, segments + 1))
+    r0 = curve.point(0.0)
+    assert _block_polygon_rotation(pts, r0) == _polygon_rotation(pts, r0)
+
+
+def test_sample_blocks_cover_the_linspace_grid_once():
+    curve = _curve("wobbly", 1.0, 0.3, 0.2, 3)
+    for steps in (100, BLOCK_SEGMENTS // 2, BLOCK_SEGMENTS // 2 + 1,
+                  3 * BLOCK_SEGMENTS // 2 + 1):
+        blocks = list(holonomy._sample_blocks(curve, steps))
+        assert [len(b) - 1 for b in blocks[:-1]] == [BLOCK_SEGMENTS] * (
+            len(blocks) - 1)
+        for before, after in zip(blocks, blocks[1:]):
+            assert np.array_equal(before[-1], after[0])
+        whole = curve.point(np.linspace(0.0, 1.0, 2 * steps + 1))
+        assert np.array_equal(
+            np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]]), whole)
+
+
+_STEPS = st.sampled_from([BLOCK_SEGMENTS // 2 - 1, BLOCK_SEGMENTS // 2,
+                          BLOCK_SEGMENTS // 2 + 1,
+                          3 * BLOCK_SEGMENTS // 2 + 1]) | st.integers(
+    100, 2 * BLOCK_SEGMENTS)
+
+
+@given(shape=st.sampled_from(["latitude", "wobbly", "seam-stop"]),
+       theta0=st.floats(0.05, np.pi - 0.05), wobble=st.floats(0.0, 0.3),
+       drift=st.floats(-0.5, 0.5), harmonic=st.integers(1, 6), steps=_STEPS)
+@example(shape="wobbly", theta0=1.0, wobble=0.3, drift=0.2, harmonic=3,
+         steps=20_000)
+def test_streamed_transport_and_area_equal_the_whole_array_oracle(
+        shape, theta0, wobble, drift, harmonic, steps):
+    # 2 steps straddles one block (BLOCK_SEGMENTS - 2, BLOCK_SEGMENTS,
+    # + 2, 3 BLOCK_SEGMENTS + 2) and steps, the coarse polygon's
+    # segment count, is odd or even.
+    curve = _curve(shape, theta0, wobble, drift, harmonic)
+    r0 = curve.point(0.0)
+    east = np.cross([0.0, 0.0, 1.0], r0)
+    v0 = TangentVector(v=east / np.linalg.norm(east), base=r0)
+    vf, rotation = parallel_transport(curve, v0, steps=steps)
+    area = solid_angle(curve, steps=steps)
+    oracle_vf, oracle_rotation = whole_array.parallel_transport(curve, v0,
+                                                                steps)
+    assert rotation == oracle_rotation
+    assert np.array_equal(vf.v, oracle_vf.v)
+    assert np.array_equal(vf.base, oracle_vf.base)
+    assert area == whole_array.solid_angle(curve, steps)
+    one_pass = holonomy._transport_and_area(curve, v0, steps)
+    assert one_pass[1:] == (rotation, area)
+    assert np.array_equal(one_pass[0].v, vf.v)
+
+
+def _refusal(call):
+    with pytest.raises(CurveNotSupportedError) as info:
+        call()
+    return info.type, str(info.value)
+
+
+def test_streamed_refusals_in_the_last_block_match_the_oracle():
+    steps = 5 * BLOCK_SEGMENTS // 2  # five blocks; t >= 0.8 in the last
+
+    def jump(t):
+        far = (t >= 0.9) & (t < 0.95)
+        return np.where(far, np.pi - 0.8, 0.8), np.where(far, np.pi, 0.0)
+
+    antipodal = SphereCurve(jump)
+    assert _refusal(lambda: parallel_transport(antipodal, _east(0.8), steps)) \
+        == _refusal(lambda: whole_array.parallel_transport(
+            antipodal, _east(0.8), steps))
+    # A great circle through both poles, at -z for t = 7/8.
+    meridian = _tilted_circle(np.array([1.0, 0.0, 0.0]), np.pi / 2,
+                              np.pi - 1.75 * np.pi, 1)
+    assert np.linalg.norm(meridian.point(0.875) + [0.0, 0.0, 1.0]) < 1e-15
+    refusal = _refusal(lambda: whole_array.solid_angle(meridian, steps))
+    assert "south pole" in refusal[1]
+    assert _refusal(lambda: solid_angle(meridian, steps)) == refusal
+    with pytest.raises(CurveNotSupportedError, match="antipodal"):
+        holonomy._transport_and_area(antipodal, _east(0.8), steps)
+    r0 = meridian.point(0.0)
+    v0 = TangentVector(v=np.cross(r0, [1.0, 0.0, 0.0]), base=r0)
+    with pytest.raises(CurveNotSupportedError, match="south pole"):
+        holonomy._transport_and_area(meridian, v0, steps)
 
 
 def test_solid_angle_latitude_exact():
