@@ -1,24 +1,24 @@
 """Deterministic CSV/JSON rendering of computed artifacts.
 
-Every emitter returns a complete text payload: CSV with one header row,
-"\n" newlines, and floats at 17 significant digits; JSON with sorted
-keys, two-space indent, and a trailing newline.  Identical inputs give
-byte-identical text, so data files carry no timestamps or environment
-details (a run manifest holds metadata separately).
-
 Every CSV table is declared once, by a *_table function that returns its
-header and columns, and formatted by csv_chunks as arrays, CSV_BLOCK_ROWS
+header and columns, and formatted by csv_chunks as arrays: one header
+row, "\n" newlines and floats at 17 significant digits, CSV_BLOCK_ROWS
 rows per % string; a grid map's axes broadcast as angles1[:, None] and
-angles2.  A *_csv emitter returns csv_text, the join of those pieces;
-the CLI hands the pieces to write_text, which writes each block as it is
-formatted, so the whole text is never held.  A table longer than one
-block formats each distinct value of a float64 column once, taken from
-the column before broadcasting and told apart by bit pattern (so -0.0
-and 0.0, or two NaN payloads, keep their own text), when the column has
-at most half as many distinct values as the table has rows; its cells
-then enter the block through %s.  The grid maps' axes and most of their
-value columns repeat that much.  Shorter tables, other float columns and
-the %d columns format every cell.
+angles2.  The CLI hands the pieces to write_text, which writes each block
+as it is formatted, so the whole text is never held; csv_text joins them
+into one string.  A table longer than one block formats each distinct
+value of a float64 column once, taken from the column before
+broadcasting and told apart by bit pattern (so -0.0 and 0.0, or two NaN
+payloads, keep their own text), when the column has at most half as many
+distinct values as the table has rows; its cells then enter the block
+through %s.  The grid maps' axes and most of their value columns repeat
+that much.  Shorter tables, other float columns and the %d columns
+format every cell.
+
+Every *_json emitter returns JSON with sorted keys, two-space indent and
+a trailing newline.  Identical inputs give byte-identical text, so data
+files carry no timestamps or environment details (a run manifest holds
+metadata separately).
 
 write_text rewrites a file destination in place, with no truncate on
 open: truncating an existing file to zero first cost several times the
@@ -137,26 +137,14 @@ def spectrum_table(model: WalkModel, ks: np.ndarray):
             (ks, ce, energy, 1.0 - np.abs(ce)))
 
 
-def spectrum_csv(model: WalkModel, ks: np.ndarray) -> str:
-    return csv_text(*spectrum_table(model, ks))
-
-
 def bloch_table(model: WalkModel, ks: np.ndarray):
     n = model.bloch_vector(ks)
     return ("k", "nx", "ny", "nz"), (ks, *np.moveaxis(n, -1, 0))
 
 
-def bloch_csv(model: WalkModel, ks: np.ndarray) -> str:
-    return csv_text(*bloch_table(model, ks))
-
-
 def gap_map_table(gm: GapMap):
     return (("angle1", "angle2", "min_gap", "argmin_k"),
             (gm.angles1[:, None], gm.angles2, gm.gap, gm.argmin_k))
-
-
-def gap_map_csv(gm: GapMap) -> str:
-    return csv_text(*gap_map_table(gm))
 
 
 def dirac_points_json(ds: DiracPointSet) -> str:
@@ -190,10 +178,6 @@ def zak_map_table(zm: ZakMap):
              zm.masked))
 
 
-def zak_map_csv(zm: ZakMap) -> str:
-    return csv_text(*zak_map_table(zm))
-
-
 def distribution_table(d: Distribution):
     return ("x", "p"), (d.positions, d.p)
 
@@ -215,10 +199,6 @@ def holonomy_table(table: np.ndarray):
     loop."""
     return (("theta0", "rotation_angle", "solid_angle", "mismatch",
              "norm_drift"), table.T)
-
-
-def holonomy_table_csv(table: np.ndarray) -> str:
-    return csv_text(*holonomy_table(table))
 
 
 def qgt_json(gt: GeometricTensor, band: int, h: float) -> str:

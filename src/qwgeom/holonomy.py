@@ -58,10 +58,6 @@ class SphereCurve:
 
     parameterization: Callable[[np.ndarray], tuple]
 
-    def angles(self, t) -> tuple[np.ndarray, np.ndarray]:
-        _, theta, phi = np.broadcast_arrays(t, *self.parameterization(t))
-        return theta, phi
-
     def point(self, t) -> np.ndarray:
         return _unit_vectors(*self.parameterization(t), t)
 

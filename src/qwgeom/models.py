@@ -13,11 +13,11 @@ cos E = Re tr U / 2 = alpha + beta cos k + gamma sin k, with
 alpha = Re tr B / 2, beta = Re tr(A + C) / 2, gamma = -Im tr(A - C) / 2,
 and the Bloch components N_j = -Im tr(sigma_j U) / 2 are first harmonics
 too.  One fold gives all of them as one array (WalkModel.harmonics),
-which numerators, ellipse, dispersion, envelope and sampled_band_edge
-read, as do the Zak refusal and phases and the winding; a reader of
-cos E alone folds only the diagonal.  The exact gap envelope
-max_k |cos E| is |alpha| + hypot(beta, gamma), at
-k* = atan2(gamma, beta), turned by pi where alpha < 0.
+which numerators, _ellipse and sampled_band_edge read, as do the Zak
+refusal and phases and the winding; a reader of cos E alone (dispersion,
+the gap scan, the Dirac census) folds only the diagonal.  The exact gap
+envelope max_k |cos E| is |alpha| + hypot(beta, gamma) (_peak), at
+k* = atan2(gamma, beta), turned by pi where alpha < 0 (_edge).
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _edge(h):
 
 
 def _ellipse(h) -> tuple:
-    """WalkModel.ellipse of harmonics h, each part C-contiguous."""
+    """(n0, nc, ns) of harmonics h, each (..., 3) and C-contiguous."""
     return tuple(np.ascontiguousarray(np.moveaxis(h[1:], 0, -1)))
 
 
@@ -135,8 +135,8 @@ MAX_CELLS = 2**53
 
 def sampled_band_edge(h, lo: float, hi: float, cells: int):
     """Largest |cos E| over np.linspace(lo, hi, cells + 1), the first
-    such momentum, and WalkModel.envelope's (peak, k*), per node of
-    harmonics h (WalkModel.harmonics, or any array whose row 0 is cos E).
+    such momentum, and _edge's exact (peak, k*), per node of harmonics h
+    (WalkModel.harmonics, or any array whose row 0 is cos E).
 
     cos E is a first harmonic plus a constant, so over an arc its
     sampled |cos E| peaks on a grid neighbour of the envelope's k* or
@@ -232,21 +232,10 @@ class WalkModel:
         return np.stack(_wave(cls.harmonics(*args[:-1])[1:], args[-1]), -1)
 
     @classmethod
-    def ellipse(cls, *angles):
-        """(n0, nc, ns), each (..., 3): N(k) = n0 + nc cos k + ns sin k."""
-        return _ellipse(cls.harmonics(*angles))
-
-    @classmethod
     def dispersion(cls, *args):
         """cos E(k) at the angles and momentum args = (*angles, k),
         broadcast."""
         return _wave(_harmonics(cls, args[:-1], diagonal=True), args[-1])[0]
-
-    @classmethod
-    def envelope(cls, *angles):
-        """Exact band-edge envelope (max_k |cos E|, k*) at the angles,
-        broadcast; k* lies in [-pi, pi]."""
-        return _edge(_harmonics(cls, angles, diagonal=True)[0])
 
     def quasi_energy(self, k):
         """Quasi-energy band E(k) in [0, pi] (element-wise arccos)."""

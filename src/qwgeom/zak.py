@@ -1,7 +1,7 @@
 """Zak phases of the walk bands.
 
 Every family's Bloch curve N(k) = n0 + nc cos k + ns sin k is an ellipse
-in a plane through the origin (models.WalkModel.ellipse), so a band's
+in a plane through the origin (models._ellipse), so a band's
 state moves on one great circle, and its Zak phase (Zak, PRL 62, 2747
 (1989)) on a window about any k0 is exact from the window's ends alone
 (_planar_phases).  zak_numeric, zak_map and zak_difference all read it
@@ -220,7 +220,7 @@ def zak_splitstep_analytic(theta1: float, theta2: float) -> SplitStepZak:
 def _planar_phases(ellipse, origin: float, span: str, family: str):
     """Both bands' Zak phases on the window about origin, per node of a
     family's Bloch ellipse N = n0 + nc cos k + ns sin k (the arrays
-    (n0, nc, ns) of WalkModel.ellipse).  N is planar, so band s's
+    (n0, nc, ns) of models._ellipse).  N is planar, so band s's
     state s n moves on one great circle, where two chains between the
     same ends differ by a multiple of pi: the full-zone phase is pi where
     the ellipse encloses the origin (pi |winding|), else 0, and the

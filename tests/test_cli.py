@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qwgeom import cli, emit, holonomy, walk
-from qwgeom.models import make_model, two_angle_class
+from qwgeom.models import _peak, make_model, two_angle_class
 from qwgeom.topology import scan_gap
 from qwgeom.zak import zak_map
 
@@ -490,7 +490,7 @@ def test_phase_diagram_k_samples_allocates_no_grid(capsys):
         a1, a2, gap, _ = np.loadtxt(out.splitlines()[1:], delimiter=",",
                                     unpack=True)
         assert gap.size == 25
-        exact = 1.0 - two_angle_class(family).envelope(a1, a2)[0]
+        exact = 1.0 - _peak(two_angle_class(family).harmonics(a1, a2)[0])
         assert np.max(np.abs(gap - exact)) < 1e-15
     code, out, err = run(capsys, "phase-diagram", "--family", "splitstep",
                          "--k-samples", str(2**53 + 2))
@@ -768,29 +768,30 @@ def _standard_walk_csv(steps: int) -> str:
 _TABLE_COMMANDS = {
     "spectrum": (("spectrum", "--family", "standard", "--theta", "0.3",
                   "--k-samples", "40"),
-                 lambda out: emit.spectrum_csv(make_model("standard", [0.3]),
-                                               np.linspace(-np.pi, np.pi,
-                                                           40))),
+                 lambda out: emit.csv_text(*emit.spectrum_table(
+                     make_model("standard", [0.3]),
+                     np.linspace(-np.pi, np.pi, 40)))),
     "bloch": (("bloch", "--family", "noncommuting", "--theta", "0.9",
                "--phi", "0.3", "--k-samples", "40"),
-              lambda out: emit.bloch_csv(make_model("noncommuting",
-                                                    [0.9, 0.3]),
-                                         np.linspace(-np.pi, np.pi, 40))),
+              lambda out: emit.csv_text(*emit.bloch_table(
+                  make_model("noncommuting", [0.9, 0.3]),
+                  np.linspace(-np.pi, np.pi, 40)))),
     "phase-diagram": (("phase-diagram", "--family", "noncommuting",
                        "--resolution", "7", "--k-samples", "16"),
-                      lambda out: emit.gap_map_csv(scan_gap(
-                          "noncommuting", resolution=7, k_samples=16))),
+                      lambda out: emit.csv_text(*emit.gap_map_table(scan_gap(
+                          "noncommuting", resolution=7, k_samples=16)))),
     "zak-map": (("zak-map", "--family", "splitstep", "--resolution", "7",
                  "--n-points", "16"),
-                lambda out: emit.zak_map_csv(zak_map(
-                    "splitstep", resolution=7, n_points=16))),
+                lambda out: emit.csv_text(*emit.zak_map_table(zak_map(
+                    "splitstep", resolution=7, n_points=16)))),
     "walk": (("walk", "--family", "standard", "--theta", "0.3", "--steps",
               "30"),
              lambda out: _standard_walk_csv(30)),
     "holonomy-sphere": (("holonomy-sphere", "--loops", "30", "--steps",
                          "100"),
-                        lambda out: emit.holonomy_table_csv(np.loadtxt(
-                            out.splitlines()[1:], delimiter=",", ndmin=2))),
+                        lambda out: emit.csv_text(*emit.holonomy_table(
+                            np.loadtxt(out.splitlines()[1:], delimiter=",",
+                                       ndmin=2)))),
 }
 
 

@@ -150,11 +150,11 @@ def test_curve_emitters_match_cell_oracle():
         model = make_model(family, angles)
         ce = np.asarray(model.cos_energy(ks), dtype=float)
         energy = np.arccos(np.clip(ce, -1.0, 1.0))
-        assert emit.spectrum_csv(model, ks) == oracle_csv(
+        assert emit.csv_text(*emit.spectrum_table(model, ks)) == oracle_csv(
             ("k", "cos_energy", "energy", "gap"),
             zip(ks, ce, energy, 1.0 - np.abs(ce)))
         n = model.bloch_vector(ks)
-        assert emit.bloch_csv(model, ks) == oracle_csv(
+        assert emit.csv_text(*emit.bloch_table(model, ks)) == oracle_csv(
             ("k", "nx", "ny", "nz"), zip(ks, n[..., 0], n[..., 1], n[..., 2]))
         dist = probability_distribution(evolve(initial_state("+"), model, 25))
         assert emit.distribution_csv(dist) == oracle_csv(
@@ -166,9 +166,8 @@ def test_spectrum_of_a_family_declared_in_the_test():
     # test's own dense U(k): cos E = Re tr U / 2, E = |arg| of each
     # eigenvalue.
     ks = np.linspace(-np.pi, np.pi, 37)
-    table = np.loadtxt(io.StringIO(emit.spectrum_csv(SwappedCoinWalk(0.9, 0.3),
-                                                     ks)),
-                       delimiter=",", skiprows=1)
+    text = emit.csv_text(*emit.spectrum_table(SwappedCoinWalk(0.9, 0.3), ks))
+    table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
     us = [swapped_coin_unitary(0.9, 0.3, k) for k in ks]
     cos_e = np.array([0.5 * np.trace(u).real for u in us])
     phases = np.abs(np.angle([np.linalg.eigvals(u) for u in us]))
@@ -191,14 +190,14 @@ def test_grid_emitters_match_cell_oracle(family, monkeypatch):
     # 81 x 81 = 6561 rows: more than one block, so the maps' columns are
     # formatted once per distinct value.
     gm = scan_gap(family, resolution=81, k_samples=16)
-    assert lines(emit.gap_map_csv(gm)) == lines(oracle_csv(
+    assert lines(emit.csv_text(*emit.gap_map_table(gm))) == lines(oracle_csv(
         ("angle1", "angle2", "min_gap", "argmin_k"),
         ((a1, a2, gm.gap[i, j], gm.argmin_k[i, j])
          for i, a1 in enumerate(gm.angles1)
          for j, a2 in enumerate(gm.angles2))))
     zm = zak_map(family, resolution=81, n_points=16)
     assert zm.masked.any() and not zm.masked.all()
-    assert lines(emit.zak_map_csv(zm)) == lines(oracle_csv(
+    assert lines(emit.csv_text(*emit.zak_map_table(zm))) == lines(oracle_csv(
         ("angle1", "angle2", "zak_plus", "zak_minus", "masked"),
         ((a1, a2, zm.zak_plus[i, j], zm.zak_minus[i, j], bool(zm.masked[i, j]))
          for i, a1 in enumerate(zm.angles1)
@@ -219,7 +218,8 @@ def test_holonomy_table_matches_cell_oracle():
                      abs(vf.norm - v0.norm)))
     header = ("theta0", "rotation_angle", "solid_angle", "mismatch",
               "norm_drift")
-    assert emit.holonomy_table_csv(np.array(rows)) == oracle_csv(header, rows)
+    assert (emit.csv_text(*emit.holonomy_table(np.array(rows)))
+            == oracle_csv(header, rows))
 
 
 def test_write_text_writes_chunks_of_multibyte_text_in_place(tmp_path,

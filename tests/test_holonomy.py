@@ -67,17 +67,18 @@ def test_trig_before_broadcasting_keeps_every_bit():
     constant = SphereCurve(lambda t: (0.8, 0.25))
     for curve in (latitude_loop(0.7), wobbly, constant):
         for t in (np.linspace(0.0, 1.0, 8193), 0.0, 0.37):
+            _, *angles = np.broadcast_arrays(t, *curve.parameterization(t))
             assert np.array_equal(
-                curve.point(t), _broadcast_first_sphere_point(*curve.angles(t)))
+                curve.point(t), _broadcast_first_sphere_point(*angles))
     assert constant.point(np.zeros(4)).shape == (4, 3)
 
 
 def test_curve_sampling_broadcasts():
     loop = latitude_loop(0.7)
     ts = np.linspace(0.0, 1.0, 7)
-    thetas, phis = loop.angles(ts)
-    assert thetas.shape == phis.shape == (7,)
-    assert np.all(thetas == 0.7)
+    theta, phi = loop.parameterization(ts)
+    assert theta == 0.7
+    assert np.array_equal(phi, 2.0 * np.pi * ts)
     pts = loop.point(ts)
     assert pts.shape == (7, 3)
     for t, p in zip(ts, pts):
@@ -118,7 +119,7 @@ def test_transport_orientation_reversal_negates():
     theta0 = 1.1
     loop = latitude_loop(theta0)
     reverse = SphereCurve(
-        parameterization=lambda t: loop.angles(1.0 - t))
+        parameterization=lambda t: loop.parameterization(1.0 - t))
     _, forward = parallel_transport(loop, _east(theta0), steps=4_000)
     _, backward = parallel_transport(reverse, _east(theta0), steps=4_000)
     assert abs(forward + backward) < 1e-12

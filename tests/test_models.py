@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from qwgeom.errors import GaplessPointError
 from qwgeom.models import (FAMILY_CLASSES, TWO_ANGLE_FAMILIES,
                            NonCommutingWalk, SplitStepWalk, StandardWalk,
-                           WalkModel, _harmonics, _peak, make_model,
-                           sampled_band_edge, two_angle_class)
+                           WalkModel, _edge, _ellipse, _harmonics, _peak,
+                           make_model, sampled_band_edge, two_angle_class)
 from qwgeom.spin import PAULI_X, PAULI_Y, PAULI_Z, rotation_y
 from qwgeom.utils import canonical_angle
 from qwgeom.zak import SPAN_FULL, SPAN_HALF, _SPANS
@@ -115,8 +115,10 @@ def _check_derived_forms(a1, a2, k):
          _noncommuting_numerators(a1, a2, k)),
         (NonCommutingWalk.dispersion(a1, a2, k),
          _noncommuting_cos_energy(a1, a2, k)),
-        (NonCommutingWalk.envelope(a1, a2)[0], _noncommuting_envelope(a1, a2)[0]),
-        (SplitStepWalk.envelope(a1, a2)[0], _splitstep_envelope(a1, a2)[0]),
+        (_peak(NonCommutingWalk.harmonics(a1, a2)[0]),
+         _noncommuting_envelope(a1, a2)[0]),
+        (_peak(SplitStepWalk.harmonics(a1, a2)[0]),
+         _splitstep_envelope(a1, a2)[0]),
     ]
     for derived, oracle in exact:
         assert np.shape(derived) == np.shape(oracle)
@@ -130,10 +132,10 @@ def _check_derived_forms(a1, a2, k):
     # k* +pi and -pi are one momentum.  Where sin(theta1) sin(theta2) = 0
     # a split-step |cos E| peaks at both 0 and pi, and either is k*.
     for derived, oracle, tie in (
-            (NonCommutingWalk.envelope(a1, a2)[1],
+            (_edge(NonCommutingWalk.harmonics(a1, a2)[0])[1],
              _noncommuting_envelope(a1, a2)[1], False),
-            (SplitStepWalk.envelope(a1, a2)[1], _splitstep_envelope(a1, a2)[1],
-             np.sin(a1) * np.sin(a2) == 0.0)):
+            (_edge(SplitStepWalk.harmonics(a1, a2)[0])[1],
+             _splitstep_envelope(a1, a2)[1], np.sin(a1) * np.sin(a2) == 0.0)):
         same = (np.remainder(derived, 2.0 * np.pi)
                 == np.remainder(oracle, 2.0 * np.pi))
         assert np.all(same | tie)
@@ -252,7 +254,7 @@ def test_bloch_numerators_norm_squared_property(model, k):
 
 @given(model=walk_models(), k=angles)
 def test_ellipse_rebuilds_the_bloch_numerators(model, k):
-    n0, nc, ns = model.ellipse(*model.angles)
+    n0, nc, ns = _ellipse(model.harmonics(*model.angles))
     n = np.asarray(model.bloch_numerators(k))
     assert np.max(np.abs(n0 + nc * np.cos(k) + ns * np.sin(k) - n)) < 1e-15
 
@@ -264,8 +266,7 @@ def test_harmonics_rows_are_cos_energy_and_the_ellipse(model, k):
     wave = h[:, 0] + h[:, 1] * np.cos(k) + h[:, 2] * np.sin(k)
     assert abs(wave[0] - float(model.cos_energy(k))) < 1e-15
     assert np.max(np.abs(wave[1:] - model.bloch_numerators(k))) < 1e-15
-    assert np.array_equal(np.stack(model.ellipse(*model.angles)),
-                          np.moveaxis(h[1:], 0, -1))
+    assert np.array_equal(np.stack(_ellipse(h)), np.moveaxis(h[1:], 0, -1))
 
 
 def test_harmonics_broadcast_and_keep_absent_terms_out():
@@ -284,10 +285,10 @@ def test_harmonics_broadcast_and_keep_absent_terms_out():
 def test_ellipse_broadcasts_over_angle_arrays():
     a1, a2 = np.linspace(-3.0, 3.0, 5)[:, None], np.linspace(-2.0, 2.0, 4)
     for cls in (NonCommutingWalk, SplitStepWalk, SwappedCoinWalk):
-        parts = cls.ellipse(a1, a2)
+        parts = _ellipse(cls.harmonics(a1, a2))
         assert all(p.shape == (5, 4, 3) for p in parts)
         for i, j in ((0, 0), (2, 3), (4, 1)):
-            one = cls.ellipse(float(a1[i, 0]), float(a2[j]))
+            one = _ellipse(cls.harmonics(float(a1[i, 0]), float(a2[j])))
             for p, q in zip(parts, one):
                 assert np.array_equal(p[i, j], q)
 
@@ -304,7 +305,7 @@ def test_chiral_axis_is_a_unit_normal_of_the_bloch_curve(model, k):
 
 @given(family=st.sampled_from(TWO_ANGLE_FAMILIES), a1=angles, a2=angles)
 def test_envelope_is_max_abs_cos_energy(family, a1, a2):
-    env, k_star = two_angle_class(family).envelope(a1, a2)
+    env, k_star = _edge(two_angle_class(family).harmonics(a1, a2)[0])
     cos_e = two_angle_class(family).dispersion
     assert abs(abs(float(cos_e(a1, a2, k_star))) - env) < 1e-15
     ks = np.linspace(-np.pi, np.pi, 20_001)
@@ -316,17 +317,24 @@ def test_envelope_is_max_abs_cos_energy(family, a1, a2):
     assert env - sampled <= dk * dk / 8 + 1e-15
 
 
-@given(family=st.sampled_from(TWO_ANGLE_FAMILIES),
+@given(cls=st.sampled_from([StandardWalk, NonCommutingWalk, SplitStepWalk,
+                            SwappedCoinWalk]),
        a1=st.lists(angles, min_size=1, max_size=8),
        a2=st.lists(angles, min_size=1, max_size=8))
-def test_peak_is_the_envelope_peak_bit_for_bit(family, a1, a2):
-    # The Dirac census reads the peak alone, off the diagonal fold.
-    cls = two_angle_class(family)
-    a1, a2 = np.array(a1)[:, None], np.array(a2)
-    peak = _peak(_harmonics(cls, (a1, a2), diagonal=True)[0])
-    env = cls.envelope(a1, a2)[0]
-    assert peak.shape == env.shape == (a1.size, a2.size)
-    assert peak.tobytes() == env.tobytes()
+@example(cls=SplitStepWalk, a1=[0.0, -0.0, np.pi / 2], a2=[0.0, -np.pi])
+def test_diagonal_fold_is_the_full_fold_cos_energy_bit_for_bit(cls, a1, a2):
+    # The gap scan and the Dirac census fold only the diagonal, for speed;
+    # the full fold's readers, and the tests' envelope oracles, see the
+    # same cos E row, peak and k*, sign of zero included.
+    for a in ((a1[0], a2[0]), (np.array(a1)[:, None], np.array(a2))):
+        a = a[:len(dataclasses.fields(cls))]
+        full = cls.harmonics(*a)[0]
+        diagonal = _harmonics(cls, a, diagonal=True)[0]
+        assert full.shape == (3, *np.broadcast(*a).shape)
+        for f, d in ((full, diagonal), (_peak(full), _peak(diagonal)),
+                     *zip(_edge(full), _edge(diagonal))):
+            assert np.shape(f) == np.shape(d)
+            assert f.tobytes() == d.tobytes()
 
 
 _closings = st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi])
@@ -381,7 +389,7 @@ def test_sampled_band_edge_equals_full_sweep(family, node, origin, span,
         sweep = np.abs(cls.dispersion(*node, ks))
         best, k_best, peak, k_star = sampled_band_edge(cls.harmonics(*node),
                                                        lo, hi, cells)
-        assert (peak, k_star) == cls.envelope(*node)
+        assert (peak, k_star) == _edge(cls.harmonics(*node)[0])
     assert best == sweep.max()
     assert abs(cls.dispersion(*node, k_best)) == best
     # Split-step |cos E| can be flat to the last bit across several
@@ -522,7 +530,8 @@ class _DoubleShiftWalk(WalkModel):
 def test_a_step_of_degree_two_is_refused():
     model = _DoubleShiftWalk(0.3)
     for call in (lambda: _DoubleShiftWalk.harmonics(0.3),
-                 lambda: _DoubleShiftWalk.envelope(np.array([0.3, 0.4])),
+                 lambda: _DoubleShiftWalk.dispersion(np.array([0.3, 0.4]),
+                                                     0.0),
                  lambda: model.momentum_unitaries(np.zeros(3))):
         with pytest.raises(ValueError, match="more than one site"):
             call()

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qwgeom import cli, models, topology
 from qwgeom.errors import GaplessPointError
 from qwgeom.models import (TWO_ANGLE_FAMILIES, NonCommutingWalk,
-                           SplitStepWalk, StandardWalk, two_angle_class)
+                           SplitStepWalk, StandardWalk, _edge, _peak,
+                           two_angle_class)
 from qwgeom.topology import (SCAN_BLOCK_ROWS, _cluster_components,
                              _refine_touchings, find_dirac_points,
                              min_census_resolution, scan_gap, winding_number)
@@ -76,9 +77,8 @@ def test_sampled_scan_brackets_exact_envelope(family):
     # a unit cosine over half a spacing.
     k_samples = 181
     gm = scan_gap(family, resolution=61, k_samples=k_samples)
-    env, _ = two_angle_class(family).envelope(gm.angles1[:, None],
-                                              gm.angles2[None, :])
-    exact = 1.0 - env
+    exact = 1.0 - _peak(two_angle_class(family).harmonics(
+        gm.angles1[:, None], gm.angles2[None, :])[0])
     dk = 2.0 * np.pi / (k_samples - 1)
     assert np.all(gm.gap >= exact - 1e-15)
     assert np.all(gm.gap <= exact + dk * dk / 8)
@@ -301,7 +301,8 @@ def test_dirac_census_lands_on_the_touchings(resolution):
     # The array readout against the per-point scalar one it replaced, bit
     # for bit, sign of zero included.
     for p in ds.points:
-        k = fold_angle(float(NonCommutingWalk.envelope(p.angle1, p.angle2)[1]))
+        h = NonCommutingWalk.harmonics(p.angle1, p.angle2)
+        k = fold_angle(float(_edge(h[0])[1]))
         cos_e = float(NonCommutingWalk.dispersion(p.angle1, p.angle2, k))
         assert repr((p.momentum, p.energy)) == repr(
             (k, 0.0 if cos_e > 0.0 else np.pi))
@@ -469,7 +470,7 @@ def test_winding_number_goldens():
                         SwappedCoinWalk]), angles, angles)
 def test_winding_number_matches_the_sampled_oracle(cls, a1, a2):
     model = cls(a1) if cls is StandardWalk else cls(a1, a2)
-    assume(1.0 - float(model.envelope(*model.angles)[0]) >= 1e-3)
+    assume(1.0 - float(_peak(model.harmonics(*model.angles)[0])) >= 1e-3)
     assert winding_number(model) == sampled_winding(model)
 
 
@@ -480,7 +481,7 @@ def test_splitstep_winding_constant_where_the_gap_stays_open(centre, theta2):
     # component at these theta1, where the pivot rule of a family with no
     # chiral axis would flip the winding's sign.
     theta1 = centre + np.linspace(-0.2, 0.2, 41)
-    envelope = SplitStepWalk.envelope(theta1, theta2)[0]
+    envelope = _peak(SplitStepWalk.harmonics(theta1, theta2)[0])
     assert np.min(1.0 - envelope) > 1e-3
     windings = {winding_number(SplitStepWalk(t1, theta2)) for t1 in theta1}
     assert len(windings) == 1

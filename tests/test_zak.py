@@ -18,8 +18,8 @@ from conftest import (OVERLAP_TOL, SwappedCoinWalk, angles,
 from qwgeom import zak
 from qwgeom.errors import GaplessPointError, OrthogonalStatesError
 from qwgeom.models import (SHIFT_H, SHIFT_V, NonCommutingWalk, SplitStepWalk,
-                           StandardWalk, WalkModel, make_model,
-                           sampled_band_edge, two_angle_class)
+                           StandardWalk, WalkModel, _edge, _ellipse, _peak,
+                           make_model, sampled_band_edge, two_angle_class)
 from qwgeom.spin import half_solid_angle, rotation_x, rotation_y
 from qwgeom.topology import CLOSING_GAP
 from qwgeom.utils import fold_angle
@@ -143,7 +143,7 @@ def _closes_in_window(model, origin, span):
     momentum with gap at most CLOSING_GAP: k*, where the exact envelope
     peaks, if its gap is that small, and then also k* + pi if its own
     gap is too."""
-    peak, k_star = model.envelope(*model.angles)
+    peak, k_star = _edge(model.harmonics(*model.angles)[0])
     if 1.0 - float(peak) > CLOSING_GAP:
         return False
     ks = float(k_star) + np.array([0.0, np.pi])
@@ -651,7 +651,8 @@ def test_closed_forms_match_zak_numeric(cls, nodes, span):
             phase = zak_numeric(model, band, n_points=4096, span=span).phase
         except GaplessPointError:
             # Refused only for a closing between the samples.
-            assert 1.0 - model.envelope(*model.angles)[0] <= CLOSING_GAP
+            assert (1.0 - _peak(model.harmonics(*model.angles)[0])
+                    <= CLOSING_GAP)
             continue
         assert _circ(phase, chain) < CLOSED_FORM_TOL
 
@@ -669,8 +670,8 @@ def test_planar_chain_is_defined_on_unmasked_nodes(cls, nodes, span,
     assume(not masked)
     # A 0/0 in normalising the three-state chain's states warns, which
     # fails.
-    plus, minus = zak._planar_phases(cls.ellipse(a1, a2), 0.0, span,
-                                     cls.family)
+    plus, minus = zak._planar_phases(_ellipse(cls.harmonics(a1, a2)), 0.0,
+                                     span, cls.family)
     assert np.isfinite(plus) and np.isfinite(minus)
 
 
@@ -779,7 +780,7 @@ class TiltedSplitStepWalk(WalkModel):
 
 def test_zak_map_refuses_a_nonplanar_family():
     grid = np.linspace(-np.pi, np.pi, 21)
-    n0, nc, ns = TiltedSplitStepWalk.ellipse(grid[:, None], grid)
+    n0, nc, ns = _ellipse(TiltedSplitStepWalk.harmonics(grid[:, None], grid))
     tilt = np.abs(np.sum(n0 * np.cross(nc, ns), axis=-1))
     assert np.median(tilt) > 0.05
     with family_registered(TiltedSplitStepWalk):
